@@ -18,13 +18,13 @@
 //
 // `--smoke` shrinks the corpus so ctest/CI finishes in seconds;
 // `--check-against FILE` compares the DSE-point width-4 speedup to a
-// previously written BENCH_fusion.json and fails on a >15% regression.
+// previously written BENCH_fusion.json and fails on a >15% regression, or
+// when this run's peak RSS is more than twice the baseline's `host` row.
 // Writes BENCH_fusion.json.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -50,24 +50,6 @@ bool identical(const Results& a, const Results& b) {
     }
   }
   return true;
-}
-
-/// Pull `metric` out of the row labeled `label` in a BENCH_*.json written by
-/// BenchReport (single-line row objects; no general JSON needed).
-double read_baseline_metric(const std::string& path, const std::string& label,
-                            const std::string& metric) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::string line;
-  const std::string label_needle = "\"label\": \"" + label + "\"";
-  const std::string metric_needle = "\"" + metric + "\": ";
-  while (std::getline(in, line)) {
-    if (line.find(label_needle) == std::string::npos) continue;
-    const std::size_t at = line.find(metric_needle);
-    if (at == std::string::npos) return -1.0;
-    return std::atof(line.c_str() + at + metric_needle.size());
-  }
-  return -1.0;
 }
 
 struct StreamRun {
@@ -273,6 +255,24 @@ int main(int argc, char** argv) {
     if (dse_speedup_w4 < floor) {
       std::fprintf(stderr, "FAIL: fusion speedup regressed >15%% (%.2f < %.2f)\n",
                    dse_speedup_w4, floor);
+      return 1;
+    }
+    // Simulator memory: sixteen sim DPUs at depth 2 are a few MB of stored
+    // MRAM pages; a backing that follows the highest offset touched (the
+    // ping/pong slot at half capacity) costs tens of MB per DPU instead.
+    const double rss_baseline = read_baseline_metric(check_against, "host", "peak_rss_mb");
+    if (rss_baseline <= 0.0) {
+      std::fprintf(stderr, "FAIL: could not read peak_rss_mb from %s\n",
+                   check_against.c_str());
+      return 1;
+    }
+    const double rss = peak_rss_mb();
+    const double ceiling = 2.0 * rss_baseline;
+    std::printf("regression gate: peak_rss_mb %.1f vs baseline %.1f (ceiling %.1f)\n",
+                rss, rss_baseline, ceiling);
+    if (rss > ceiling) {
+      std::fprintf(stderr, "FAIL: peak RSS more than doubled (%.1f > %.1f MB)\n", rss,
+                   ceiling);
       return 1;
     }
   }

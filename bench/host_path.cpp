@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,24 +63,6 @@ double best_wall(const CpuIvfPq& searcher, const FloatMatrix& queries,
     if (best == 0.0 || stats.wall_seconds < best) best = stats.wall_seconds;
   }
   return best;
-}
-
-/// Pull `metric` out of the row labeled `label` in a BENCH_host_path.json
-/// written by BenchReport (single-line row objects; no general JSON needed).
-double read_baseline_metric(const std::string& path, const std::string& label,
-                            const std::string& metric) {
-  std::ifstream in(path);
-  if (!in) return -1.0;
-  std::string line;
-  const std::string label_needle = "\"label\": \"" + label + "\"";
-  const std::string metric_needle = "\"" + metric + "\": ";
-  while (std::getline(in, line)) {
-    if (line.find(label_needle) == std::string::npos) continue;
-    const std::size_t at = line.find(metric_needle);
-    if (at == std::string::npos) return -1.0;
-    return std::atof(line.c_str() + at + metric_needle.size());
-  }
-  return -1.0;
 }
 
 }  // namespace

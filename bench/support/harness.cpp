@@ -1,5 +1,7 @@
 #include "support/harness.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -221,6 +223,12 @@ GitState query_git_state() {
   return g;
 }
 
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
+}
+
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_seconds_(steady_seconds()) {}
 
@@ -247,6 +255,8 @@ void BenchReport::add_metric(const std::string& key, double value) {
 
 std::string BenchReport::write(const std::string& dir) const {
   const std::string path = dir + "/BENCH_" + name_ + ".json";
+  std::vector<Row> rows = rows_;
+  rows.push_back(Row{"host", {{"peak_rss_mb", peak_rss_mb()}}});
   std::ofstream out(path);
   const GitState git = query_git_state();
   out << "{\n";
@@ -263,20 +273,36 @@ std::string BenchReport::write(const std::string& dir) const {
   }
   out << "},\n";
   out << "  \"rows\": [\n";
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out << "    {\"label\": \"" << json_escape(rows_[r].label)
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    out << "    {\"label\": \"" << json_escape(rows[r].label)
         << "\", \"metrics\": {";
-    for (std::size_t i = 0; i < rows_[r].metrics.size(); ++i) {
+    for (std::size_t i = 0; i < rows[r].metrics.size(); ++i) {
       if (i) out << ", ";
-      out << "\"" << json_escape(rows_[r].metrics[i].first)
-          << "\": " << json_number(rows_[r].metrics[i].second);
+      out << "\"" << json_escape(rows[r].metrics[i].first)
+          << "\": " << json_number(rows[r].metrics[i].second);
     }
-    out << "}}" << (r + 1 < rows_.size() ? "," : "") << "\n";
+    out << "}}" << (r + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n";
   out << "}\n";
   std::printf("[bench] wrote %s\n", path.c_str());
   return path;
+}
+
+double read_baseline_metric(const std::string& path, const std::string& label,
+                            const std::string& metric) {
+  std::ifstream in(path);
+  if (!in) return -1.0;
+  std::string line;
+  const std::string label_needle = "\"label\": \"" + label + "\"";
+  const std::string metric_needle = "\"" + metric + "\": ";
+  while (std::getline(in, line)) {
+    if (line.find(label_needle) == std::string::npos) continue;
+    const std::size_t at = line.find(metric_needle);
+    if (at == std::string::npos) return -1.0;
+    return std::atof(line.c_str() + at + metric_needle.size());
+  }
+  return -1.0;
 }
 
 void print_rule(std::size_t width) {

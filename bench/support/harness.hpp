@@ -136,11 +136,17 @@ struct GitState {
 /// outside a repository).
 GitState query_git_state();
 
+/// Peak resident set size of this process so far, in MB (getrusage
+/// ru_maxrss).
+double peak_rss_mb();
+
 /// Machine-readable companion to the printed tables: accumulates a config
 /// map plus labeled metric rows and serializes them as BENCH_<name>.json
 /// (bench name, git revision + dirty/detached state, host wall-clock since
 /// construction, config, rows). Every figure/bench binary writes one so
-/// sweeps are scriptable without scraping stdout.
+/// sweeps are scriptable without scraping stdout. write() appends a final
+/// `host` row carrying peak_rss_mb, so every report records what the
+/// simulation cost in memory next to what it modeled.
 class BenchReport {
  public:
   explicit BenchReport(std::string name);
@@ -166,6 +172,13 @@ class BenchReport {
   std::vector<std::pair<std::string, std::string>> config_;  ///< key -> JSON literal
   std::vector<Row> rows_;
 };
+
+/// Pull `metric` out of the row labeled `label` in a BENCH_*.json written by
+/// BenchReport (single-line row objects; no general JSON needed). Returns
+/// -1 when the file, row or metric is missing; the `--check-against` gates
+/// treat that as a failure.
+double read_baseline_metric(const std::string& path, const std::string& label,
+                            const std::string& metric);
 
 /// Formatting helpers for paper-style tables.
 void print_rule(std::size_t width = 78);

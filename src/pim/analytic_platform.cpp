@@ -6,7 +6,7 @@ namespace drim {
 
 void AnalyticPimPlatform::push(std::size_t dpu_id, std::size_t offset,
                                std::span<const std::uint8_t> data) {
-  if (offset + data.size() > dpus_.at(dpu_id)->mram().capacity()) {
+  if (!dpus_.at(dpu_id)->mram().in_range(offset, data.size())) {
     throw std::runtime_error("analytic push beyond MRAM capacity");
   }
   pending_in_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
@@ -14,7 +14,7 @@ void AnalyticPimPlatform::push(std::size_t dpu_id, std::size_t offset,
 
 void AnalyticPimPlatform::broadcast(std::size_t offset,
                                     std::span<const std::uint8_t> data) {
-  if (offset + data.size() > config_.mram_bytes) {
+  if (!dpus_.front()->mram().in_range(offset, data.size())) {
     throw std::runtime_error("analytic broadcast beyond MRAM capacity");
   }
   // Transmitted once (rank-level broadcast), like the functional platform.
@@ -23,8 +23,11 @@ void AnalyticPimPlatform::broadcast(std::size_t offset,
 
 void AnalyticPimPlatform::pull(std::size_t dpu_id, std::size_t offset,
                                std::span<std::uint8_t> out) {
-  (void)dpu_id;
-  (void)offset;
+  // Same rejection as the functional platform's read, so a bad pull fails
+  // on both platforms rather than only where bytes exist.
+  if (!dpus_.at(dpu_id)->mram().in_range(offset, out.size())) {
+    throw std::runtime_error("analytic pull beyond MRAM capacity");
+  }
   if (collecting_) pending_out_bytes_.fetch_add(out.size(), std::memory_order_relaxed);
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 // Timing-only PIM platform. Reuses the DpuArrayPlatform chassis (per-DPU
 // counters, allocators, byte tallies, barrier batch loop) but never
-// materializes MRAM bytes: push/broadcast/pull only tally host-link traffic,
-// and the Mram bump allocators track offsets over lazily-backed storage that
-// is never touched. Kernel launches are expected to charge cycles
-// analytically (drim/kernels.hpp charge_* twins of the functional kernels),
+// materializes MRAM bytes: push/broadcast/pull only range-check and tally
+// host-link traffic, and the Mram bump allocators track offsets without a
+// single page ever being allocated. Kernel launches are expected to charge
+// cycles analytically (drim/kernels.hpp charge_* twins of the functional kernels),
 // so a batch on 2530 DPUs costs microseconds of host time instead of a full
 // byte-level simulation. Because pull() leaves the destination untouched,
 // the engine computes results itself (host-side exact ADC scan) before

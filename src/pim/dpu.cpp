@@ -5,44 +5,57 @@
 
 namespace drim {
 
-void Mram::ensure_backing(std::size_t end) {
-  if (end > data_.size()) {
-    // Grow geometrically to amortize, never past the logical capacity.
-    data_.resize(std::min(capacity_, std::max(end, data_.size() * 2)));
-  }
-}
-
 std::size_t Mram::alloc(std::size_t bytes) {
-  const std::size_t aligned = (bytes + 7) & ~std::size_t{7};
-  if (used_ + aligned > capacity_) {
-    throw std::runtime_error("MRAM exhausted: need " + std::to_string(aligned) +
-                             " bytes, free " + std::to_string(capacity_ - used_));
+  const std::size_t free = capacity_ - used_;
+  const std::size_t pad = (8 - bytes % 8) % 8;  // up to the 8-byte DMA alignment
+  // Compared without forming bytes + pad, which wraps for bytes near SIZE_MAX.
+  if (bytes > free || pad > free - bytes) {
+    throw std::runtime_error("MRAM exhausted: need " + std::to_string(bytes) +
+                             " bytes, free " + std::to_string(free));
   }
   const std::size_t offset = used_;
-  used_ += aligned;
+  used_ += bytes + pad;
   return offset;
 }
 
 void Mram::write(std::size_t offset, std::span<const std::uint8_t> src) {
-  if (offset + src.size() > capacity_) {
+  if (!in_range(offset, src.size())) {
     throw std::runtime_error("MRAM write out of range");
   }
-  ensure_backing(offset + src.size());
-  std::memcpy(data_.data() + offset, src.data(), src.size());
+  std::size_t done = 0;
+  while (done < src.size()) {
+    const std::size_t page = (offset + done) / kPageBytes;
+    const std::size_t in_page = (offset + done) % kPageBytes;
+    const std::size_t n = std::min(kPageBytes - in_page, src.size() - done);
+    if (page >= pages_.size()) pages_.resize(page + 1);
+    if (!pages_[page]) pages_[page] = std::make_unique<std::uint8_t[]>(kPageBytes);
+    std::memcpy(pages_[page].get() + in_page, src.data() + done, n);
+    done += n;
+  }
 }
 
 void Mram::read(std::size_t offset, std::span<std::uint8_t> dst) const {
-  if (offset + dst.size() > capacity_) {
+  if (!in_range(offset, dst.size())) {
     throw std::runtime_error("MRAM read out of range");
   }
-  if (offset + dst.size() > data_.size()) {
-    // Untouched MRAM reads as zeros without forcing backing allocation.
-    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
-    const std::size_t avail = offset < data_.size() ? data_.size() - offset : 0;
-    if (avail > 0) std::memcpy(dst.data(), data_.data() + offset, std::min(avail, dst.size()));
-    return;
+  std::size_t done = 0;
+  while (done < dst.size()) {
+    const std::size_t page = (offset + done) / kPageBytes;
+    const std::size_t in_page = (offset + done) % kPageBytes;
+    const std::size_t n = std::min(kPageBytes - in_page, dst.size() - done);
+    if (page < pages_.size() && pages_[page]) {
+      std::memcpy(dst.data() + done, pages_[page].get() + in_page, n);
+    } else {
+      std::memset(dst.data() + done, 0, n);
+    }
+    done += n;
   }
-  std::memcpy(dst.data(), data_.data() + offset, dst.size());
+}
+
+std::size_t Mram::resident_bytes() const {
+  const auto resident = std::count_if(pages_.begin(), pages_.end(),
+                                      [](const auto& p) { return p != nullptr; });
+  return static_cast<std::size_t>(resident) * kPageBytes;
 }
 
 void DpuContext::mram_read(std::size_t mram_offset, std::span<std::uint8_t> dst) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,41 +27,54 @@ namespace drim {
 /// One DPU's private 64 MB MRAM. A bump allocator hands out regions; reads
 /// and writes are plain memcpy (costs are charged by DpuContext, which is the
 /// only path kernels may use).
+///
+/// Capacity is logical. Bytes live in kPageBytes pages allocated (zeroed) on
+/// first write, so a DPU costs host memory only for the pages its layout
+/// actually stores — the depth-2 ping/pong staging slot at half capacity
+/// touches a few pages, not 32 MB — and thousands of analytic DPUs that
+/// never store a byte cost nothing. Untouched bytes read as zero.
 class Mram {
  public:
-  /// Capacity is logical; backing storage grows on first touch so simulating
-  /// thousands of mostly-empty 64 MB DPUs stays cheap.
+  static constexpr std::size_t kPageBytes = std::size_t{64} << 10;
+
   explicit Mram(std::size_t capacity) : capacity_(capacity) {}
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
 
+  /// True when [offset, offset + size) lies inside the capacity; never
+  /// forms offset + size, so offsets near SIZE_MAX cannot wrap past it.
+  bool in_range(std::size_t offset, std::size_t size) const {
+    return offset <= capacity_ && size <= capacity_ - offset;
+  }
+
   /// Reserve `bytes` (8-byte aligned, as UPMEM DMA requires). Throws
   /// std::bad_alloc-like runtime_error when MRAM is exhausted.
   std::size_t alloc(std::size_t bytes);
 
-  /// Release every allocation and zero the backing store. The engine uses
-  /// this when it installs a new index snapshot: the whole static layout
-  /// (codes, ids, codebooks, centroids, staging) is rebuilt from scratch,
-  /// which keeps the functional simulation bit-exact while the *billed*
-  /// publish cost stays the modeled delta, not the physical reload.
+  /// Release every allocation and drop every page, so all of MRAM reads as
+  /// zero again. The engine uses this when it installs a new index
+  /// snapshot: the whole static layout (codes, ids, codebooks, centroids,
+  /// staging) is rebuilt from scratch, which keeps the functional
+  /// simulation bit-exact while the *billed* publish cost stays the modeled
+  /// delta, not the physical reload.
   void reset() {
     used_ = 0;
-    std::fill(data_.begin(), data_.end(), std::uint8_t{0});
+    pages_.clear();
   }
 
   /// Host-side (transfer) access — used by PimSystem, not by kernels.
   void write(std::size_t offset, std::span<const std::uint8_t> src);
   void read(std::size_t offset, std::span<std::uint8_t> dst) const;
 
-  const std::uint8_t* raw(std::size_t offset) const { return data_.data() + offset; }
-  std::uint8_t* raw(std::size_t offset) { return data_.data() + offset; }
+  /// Host memory currently backing this MRAM: materialized pages times
+  /// kPageBytes.
+  std::size_t resident_bytes() const;
 
  private:
-  void ensure_backing(std::size_t end);
-
   std::size_t capacity_;
-  std::vector<std::uint8_t> data_;  // grows lazily up to capacity_
+  /// Page table, grown to the highest page written; null = never written.
+  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
   std::size_t used_ = 0;
 };
 

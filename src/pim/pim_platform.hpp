@@ -89,9 +89,9 @@ class PimPlatform {
   /// clears the pending tally (one-time index loading).
   virtual double drain_pending_transfer() = 0;
 
-  /// Release every MRAM allocation on every DPU (allocator rewound, backing
-  /// zeroed) so the engine can rebuild the static layout for a new index
-  /// snapshot. The physical reload this enables is a simulation-fidelity
+  /// Release every MRAM allocation on every DPU (allocator rewound, every
+  /// byte reads zero again) so the engine can rebuild the static layout for
+  /// a new index snapshot. The physical reload this enables is a simulation-fidelity
   /// device; callers bill the *modeled* publish delta and discard the
   /// reload's drain_pending_transfer() figure (see DESIGN.md §14).
   virtual void reset_memory() = 0;

@@ -53,8 +53,9 @@ class DpuArrayPlatform : public PimPlatform {
   std::size_t mram_used(std::size_t dpu_id) const override;
 
   double drain_pending_transfer() override;
-  /// Rewind every DPU's MRAM allocator (and zero backing where it exists) so
-  /// a new index snapshot's static layout can be rebuilt from offset 0.
+  /// Rewind every DPU's MRAM allocator and drop its pages (MRAM reads zero
+  /// again) so a new index snapshot's static layout can be rebuilt from
+  /// offset 0.
   void reset_memory() override {
     for (auto& d : dpus_) d->mram().reset();
   }

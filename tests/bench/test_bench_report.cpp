@@ -76,5 +76,20 @@ TEST(BenchReport, WriteMatchesReportedJsonShape) {
   EXPECT_TRUE(contains(json, "\"bad\": null"));
 }
 
+TEST(BenchReport, EveryReportCarriesHostPeakRssRow) {
+  BenchReport report("report_writer_rss_test");
+  report.add_row("gate");
+  report.add_metric("speedup", 1.5);
+  const std::string path = report.write(".");
+  // The gates read rows back through read_baseline_metric.
+  EXPECT_DOUBLE_EQ(read_baseline_metric(path, "gate", "speedup"), 1.5);
+  const double rss = read_baseline_metric(path, "host", "peak_rss_mb");
+  EXPECT_GT(rss, 0.0);
+  EXPECT_LE(rss, peak_rss_mb());
+  EXPECT_EQ(read_baseline_metric(path, "host", "missing"), -1.0);
+  EXPECT_EQ(read_baseline_metric(path, "nope", "speedup"), -1.0);
+  EXPECT_EQ(read_baseline_metric("./no_such_BENCH.json", "host", "peak_rss_mb"), -1.0);
+}
+
 }  // namespace
 }  // namespace drim::bench

@@ -29,6 +29,15 @@ TEST(Mram, AllocThrowsWhenExhausted) {
   Mram m(64);
   m.alloc(60);
   EXPECT_THROW(m.alloc(16), std::runtime_error);
+  // Sizes whose 8-byte rounding wraps to 0 must not "succeed".
+  Mram fresh(64);
+  EXPECT_THROW(fresh.alloc(SIZE_MAX), std::runtime_error);
+  EXPECT_THROW(fresh.alloc(SIZE_MAX - 6), std::runtime_error);
+  // The padding counts against capacity: 57 bytes round to 64, over 63.
+  Mram odd(63);
+  EXPECT_THROW(odd.alloc(57), std::runtime_error);
+  EXPECT_EQ(odd.alloc(56), 0u);
+  EXPECT_EQ(fresh.used(), 0u);
 }
 
 TEST(Mram, WriteReadRoundTrip) {
@@ -44,8 +53,9 @@ TEST(Mram, WriteReadRoundTrip) {
 TEST(Mram, UntouchedReadsAsZero) {
   Mram m(1 << 20);
   std::uint8_t dst[8] = {9, 9, 9, 9, 9, 9, 9, 9};
-  m.read((1 << 20) - 8, dst);  // never written, backing never grown
+  m.read((1 << 20) - 8, dst);  // never written, no page allocated
   for (std::uint8_t b : dst) EXPECT_EQ(b, 0);
+  EXPECT_EQ(m.resident_bytes(), 0u);
 }
 
 TEST(Mram, OutOfRangeThrows) {
@@ -53,6 +63,70 @@ TEST(Mram, OutOfRangeThrows) {
   std::uint8_t buf[16] = {};
   EXPECT_THROW(m.write(60, buf), std::runtime_error);
   EXPECT_THROW(m.read(60, {buf, 16}), std::runtime_error);
+  // offset + size wraps past SIZE_MAX for these; the check must not.
+  EXPECT_THROW(m.write(SIZE_MAX - 3, buf), std::runtime_error);
+  EXPECT_THROW(m.read(SIZE_MAX - 3, {buf, 16}), std::runtime_error);
+  EXPECT_THROW(m.write(65, {buf, 0}), std::runtime_error);
+  EXPECT_NO_THROW(m.write(64, {buf, 0}));
+  EXPECT_NO_THROW(m.write(48, buf));
+}
+
+TEST(Mram, WriteStraddlingTwoPageBoundariesRoundTrips) {
+  constexpr std::size_t kPage = Mram::kPageBytes;
+  Mram m(8 * kPage);
+  // Starts 5 bytes before page 1's end and runs 5 bytes into page 3.
+  std::vector<std::uint8_t> src(kPage + 10);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const std::size_t offset = 2 * kPage - 5;
+  m.write(offset, src);
+  EXPECT_EQ(m.resident_bytes(), 3 * kPage);
+  std::vector<std::uint8_t> dst(src.size());
+  m.read(offset, dst);
+  EXPECT_EQ(dst, src);
+}
+
+TEST(Mram, UntouchedBytesInsideTouchedPageReadZero) {
+  Mram m(4 * Mram::kPageBytes);
+  const std::uint8_t src[4] = {1, 2, 3, 4};
+  m.write(Mram::kPageBytes + 100, src);
+  std::uint8_t dst[12];
+  std::memset(dst, 0xEE, sizeof(dst));
+  m.read(Mram::kPageBytes + 96, dst);
+  const std::uint8_t want[12] = {0, 0, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0};
+  for (std::size_t i = 0; i < 12; ++i) EXPECT_EQ(dst[i], want[i]) << i;
+  EXPECT_EQ(m.resident_bytes(), Mram::kPageBytes);
+}
+
+TEST(Mram, UntouchedPageBetweenTouchedPagesReadsZero) {
+  constexpr std::size_t kPage = Mram::kPageBytes;
+  Mram m(4 * kPage);
+  const std::vector<std::uint8_t> ones(kPage, 1);
+  m.write(0, ones);
+  m.write(2 * kPage, ones);
+  EXPECT_EQ(m.resident_bytes(), 2 * kPage);
+  // A read spanning pages 0..2 sees ones, then the gap's zeros, then ones.
+  std::vector<std::uint8_t> dst(3 * kPage, 0xEE);
+  m.read(0, dst);
+  for (std::size_t i = 0; i < dst.size(); i += 4096) {
+    EXPECT_EQ(dst[i], i / kPage == 1 ? 0 : 1) << i;
+  }
+  EXPECT_EQ(dst[2 * kPage - 1], 0);
+  EXPECT_EQ(dst[2 * kPage], 1);
+  EXPECT_EQ(m.resident_bytes(), 2 * kPage);  // reads never allocate
+}
+
+TEST(Mram, ResetDropsEveryPage) {
+  Mram m(4 * Mram::kPageBytes);
+  m.alloc(64);
+  const std::vector<std::uint8_t> ones(3 * Mram::kPageBytes, 1);
+  m.write(10, ones);
+  ASSERT_GT(m.resident_bytes(), 0u);
+  m.reset();
+  EXPECT_EQ(m.used(), 0u);
+  EXPECT_EQ(m.resident_bytes(), 0u);
+  std::vector<std::uint8_t> dst(ones.size(), 0xEE);
+  m.read(10, dst);
+  for (std::uint8_t b : dst) ASSERT_EQ(b, 0);
 }
 
 TEST(PimConfig, EffectiveIpcSaturatesAtPipelineDepth) {

@@ -15,6 +15,7 @@
 #include "common/parallel.hpp"
 #include "data/synthetic.hpp"
 #include "drim/engine.hpp"
+#include "pim/pim_system.hpp"
 #include "pim/pipeline.hpp"
 
 namespace drim {
@@ -315,6 +316,21 @@ TEST_F(PipelinedEngineTest, PingPongStagingHalvesTheFeasibleBatchAndSaysSo) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("maximum feasible"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST_F(PipelinedEngineTest, PingPongSlotDoesNotMaterializeHalfOfMram) {
+  // Slot 1 starts near half of the 64 MB MRAM. Host memory must follow the
+  // bytes the layout stores (index shards plus two staging slots), not the
+  // highest offset touched — a contiguous backing would hold >= 32 MiB here.
+  DrimEngineOptions o = options(PimPlatformKind::kSim, 2);
+  DrimAnnEngine engine(*index_, data_->learn, o);
+  engine.search(data_->queries, 10, 8);
+  const auto& sim = dynamic_cast<const DpuArrayPlatform&>(engine.platform());
+  ASSERT_EQ(sim.num_dpus(), 16u);
+  for (std::size_t d = 0; d < sim.num_dpus(); ++d) {
+    EXPECT_LT(sim.dpu(d).mram().resident_bytes(), std::size_t{8} << 20) << "dpu " << d;
+    EXPECT_GT(sim.dpu(d).mram().resident_bytes(), 0u) << "dpu " << d;
   }
 }
 

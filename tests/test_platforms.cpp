@@ -239,5 +239,22 @@ TEST_F(PlatformTest, AnalyticPullLeavesBufferUntouched) {
   for (std::uint8_t b : out) EXPECT_EQ(b, 0x5C);
 }
 
+TEST_F(PlatformTest, BothPlatformsRejectTheSameOutOfRangeTransfers) {
+  PimConfig cfg;
+  cfg.num_dpus = 2;
+  cfg.mram_bytes = 1 << 20;
+  std::vector<std::uint8_t> buf(16);
+  for (PimPlatformKind kind : {PimPlatformKind::kSim, PimPlatformKind::kAnalytic}) {
+    SCOPED_TRACE(pim_platform_name(kind));
+    const auto p = make_pim_platform(kind, cfg);
+    EXPECT_NO_THROW(p->pull(1, cfg.mram_bytes - 16, buf));
+    EXPECT_THROW(p->pull(1, cfg.mram_bytes - 8, buf), std::runtime_error);
+    // offset + size wraps past SIZE_MAX here; neither platform may accept it.
+    EXPECT_THROW(p->pull(0, SIZE_MAX - 3, buf), std::runtime_error);
+    EXPECT_THROW(p->push(0, SIZE_MAX - 3, buf), std::runtime_error);
+    EXPECT_THROW(p->broadcast(SIZE_MAX - 3, buf), std::runtime_error);
+  }
+}
+
 }  // namespace
 }  // namespace drim
