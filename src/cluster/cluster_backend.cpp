@@ -127,7 +127,10 @@ std::uint32_t ClusterBackend::enqueue(std::span<const float> query, std::size_t 
 double ClusterBackend::fallback_scan_group(std::uint32_t cluster, std::uint32_t k,
                                            std::span<RouterQuery*> members) {
   if (members.empty()) return 0.0;
-  if (!fallback_data_) fallback_data_ = std::make_unique<PimIndexData>(index());
+  if (!fallback_data_) {
+    // The fallback scan is full precision only: no q4 tables.
+    fallback_data_ = std::make_unique<PimIndexData>(index(), /*with_q4=*/false);
+  }
   const auto size = static_cast<std::uint32_t>(fallback_data_->cluster_size(cluster));
   if (size == 0) return 0.0;
   Shard whole;

@@ -102,6 +102,28 @@ void scalar_adc_scan_u32(const std::uint32_t* lut, std::size_t cb, std::size_t m
   }
 }
 
+// The DPU kernel's LC arithmetic: residual component, absolute difference,
+// squared and summed in uint32 (wraparound included).
+void scalar_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
+                        const std::int16_t* codebooks, std::size_t m,
+                        std::size_t dsub, std::size_t cb, std::uint32_t* lut) {
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    const std::int16_t* q = query + sub * dsub;
+    const std::int16_t* c = centroid + sub * dsub;
+    for (std::size_t e = 0; e < cb; ++e) {
+      const std::int16_t* cw = codebooks + (sub * cb + e) * dsub;
+      std::uint32_t acc = 0;
+      for (std::size_t d = 0; d < dsub; ++d) {
+        const std::int32_t res = static_cast<std::int32_t>(q[d]) - c[d];
+        const std::int32_t diff = res - cw[d];
+        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+        acc += a * a;
+      }
+      lut[sub * cb + e] = acc;
+    }
+  }
+}
+
 // Pairwise reduction of 8 lane accumulators in the exact AVX2 order:
 // vextractf128+addps -> (a0+a4 .. a3+a7); movehl+addps -> two pairs;
 // shufps+addss -> total.
@@ -150,8 +172,9 @@ float scalar_l2_sq_u8(const float* a, const std::uint8_t* b, std::size_t n) {
 }
 
 constexpr DistanceKernels kScalarKernels = {
-    "scalar",         scalar_adc_lut_row, scalar_adc_scan_f32,
-    scalar_adc_scan_u32, scalar_l2_sq_f32, scalar_l2_sq_u8,
+    "scalar",           scalar_adc_lut_row, scalar_adc_scan_f32,
+    scalar_adc_scan_u32, scalar_adc_lut_u32, scalar_l2_sq_f32,
+    scalar_l2_sq_u8,
 };
 
 // ---- Dispatch ------------------------------------------------------------

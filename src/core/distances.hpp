@@ -6,18 +6,22 @@
 // DpuContext instead.
 //
 // The `DistanceKernels` table is the AVX2 seam: the CPU baseline's ADC scan,
-// the LUT build, host_exact's integer scan, and flat-search/rerank route
-// through `kernels()`, which points at either the scalar reference or the
-// AVX2 implementations (src/core/distances_avx2.cpp) picked at startup.
-// Both implementations of every table entry produce bit-identical results:
-//  - adc_* kernels vectorize ACROSS points/entries and keep each output's
-//    own accumulation order sequential, so each float result rounds exactly
-//    like the seed scalar loop;
+// the LUT build, host_exact's integer LUT build and integer scan, and
+// flat-search/rerank route through `kernels()`, which points at either the
+// scalar reference or the AVX2 implementations (src/core/distances_avx2.cpp)
+// picked at startup. Both implementations of every table entry produce
+// bit-identical results:
+//  - the float adc_* kernels vectorize ACROSS points/entries and keep each
+//    output's own accumulation order sequential, so each float result
+//    rounds exactly like the seed scalar loop;
+//  - the integer entries (adc_lut_u32, adc_scan_u32) accumulate in uint32
+//    wraparound arithmetic, which is associative and commutative, so any
+//    summation order (lane sums, hadd reductions) gives the same bits;
 //  - the l2_sq_* entries use a canonical 8-lane blocked order (lane
 //    accumulators, pairwise reduction, sequential tail) mirrored exactly in
 //    the scalar reference.
 // Both TUs are compiled with -ffp-contract=off so FMA contraction cannot
-// break the equality (tests/simd_equality_test.cpp pins it).
+// break the equality (tests/test_simd_equality.cpp pins it).
 
 #include <cstddef>
 #include <cstdint>
@@ -65,6 +69,17 @@ struct DistanceKernels {
   void (*adc_scan_u32)(const std::uint32_t* lut, std::size_t cb, std::size_t m,
                        const std::uint8_t* codes, std::size_t stride, bool wide,
                        std::size_t n, std::uint32_t* out);
+
+  /// Integer ADC table (host_exact's LC front end): for every subquantizer
+  /// sub < m and entry e < cb,
+  ///   lut[sub*cb + e] = sum over d < dsub of
+  ///     ((query[j] - centroid[j]) - codebooks[(sub*cb + e)*dsub + d])^2,
+  /// j = sub*dsub + d, each square and the sum taken in uint32 wraparound
+  /// arithmetic (squares of operands near +-32767 wrap) — the DPU kernel's
+  /// exact integer pipeline.
+  void (*adc_lut_u32)(const std::int16_t* query, const std::int16_t* centroid,
+                      const std::int16_t* codebooks, std::size_t m,
+                      std::size_t dsub, std::size_t cb, std::uint32_t* lut);
 
   /// Blocked-order float L2 (canonical 8-lane order; NOT the same rounding
   /// as the sequential l2_sq above).

@@ -3,10 +3,13 @@
 // runtime __builtin_cpu_supports("avx2") check in distances.cpp.
 //
 // Bit-equality with the scalar reference is a hard contract here
-// (tests/simd_equality_test.cpp):
+// (tests/test_simd_equality.cpp):
 //  - adc_lut_row / adc_scan_* vectorize ACROSS entries/points: lane j owns
 //    output j and accumulates over d/sub in the same sequential order as the
 //    scalar loop, so each lane's float rounding is identical.
+//  - adc_lut_u32 squares 8 int32 differences per vector and reduces them
+//    with hadd; uint32 wraparound sums are order-independent, so any
+//    reduction tree matches the scalar loop bit for bit.
 //  - l2_sq_* vectorize WITHIN a vector using 8 lane accumulators; the
 //    horizontal reduction (vextractf128+addps, movehl+addps, shufps+addss)
 //    is mirrored step for step by the scalar reference's reduce8.
@@ -186,6 +189,103 @@ void avx2_adc_scan_u32(const std::uint32_t* lut, std::size_t cb, std::size_t m,
   }
 }
 
+// ---- integer ADC table ----------------------------------------------------
+
+/// Wrapped squares of (res - cw) for 8 int32 lanes: mullo keeps the low 32
+/// bits of diff*diff, which is exactly the scalar |diff|*|diff| in uint32.
+inline __m256i sq_diff(__m256i res, const std::int16_t* cw) {
+  const __m256i c = _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(cw)));
+  const __m256i diff = _mm256_sub_epi32(res, c);
+  return _mm256_mullo_epi32(diff, diff);
+}
+
+/// int32 residual q[d] - c[d] for 8 consecutive components.
+inline __m256i residual8(const std::int16_t* q, const std::int16_t* c) {
+  const __m256i qv = _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(q)));
+  const __m256i cv = _mm256_cvtepi16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(c)));
+  return _mm256_sub_epi32(qv, cv);
+}
+
+inline std::uint32_t lut_entry_u32(const std::int16_t* q, const std::int16_t* c,
+                                   const std::int16_t* cw, std::size_t d0,
+                                   std::size_t d1) {
+  std::uint32_t acc = 0;
+  for (std::size_t d = d0; d < d1; ++d) {
+    const std::int32_t diff = static_cast<std::int32_t>(q[d]) - c[d] - cw[d];
+    const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+    acc += a * a;
+  }
+  return acc;
+}
+
+void avx2_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
+                      const std::int16_t* codebooks, std::size_t m,
+                      std::size_t dsub, std::size_t cb, std::uint32_t* lut) {
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    const std::int16_t* q = query + sub * dsub;
+    const std::int16_t* c = centroid + sub * dsub;
+    const std::int16_t* book = codebooks + sub * cb * dsub;
+    std::uint32_t* row = lut + sub * cb;
+    std::size_t e = 0;
+    if (dsub == 4) {
+      // Two codewords per 8-lane vector (the residual repeated in both
+      // halves). Two hadd levels leave (e0 e2 e4 e6 | e1 e3 e5 e7); one
+      // cross-lane permute restores entry order.
+      alignas(16) std::int16_t qc[8] = {q[0], q[1], q[2], q[3], q[0], q[1], q[2], q[3]};
+      alignas(16) std::int16_t cc[8] = {c[0], c[1], c[2], c[3], c[0], c[1], c[2], c[3]};
+      const __m256i res = residual8(qc, cc);
+      const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+      for (; e + 8 <= cb; e += 8) {
+        const std::int16_t* base = book + e * 4;
+        const __m256i h0 = _mm256_hadd_epi32(sq_diff(res, base), sq_diff(res, base + 8));
+        const __m256i h1 =
+            _mm256_hadd_epi32(sq_diff(res, base + 16), sq_diff(res, base + 24));
+        const __m256i sums = _mm256_hadd_epi32(h0, h1);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e),
+                            _mm256_permutevar8x32_epi32(sums, order));
+      }
+    } else if (dsub >= 8) {
+      // Eight entries per step, each with its own 8-lane accumulator over
+      // the 8-component chunks of its codeword; a three-level hadd tree
+      // plus a cross-lane add folds them into one vector of 8 sums. The
+      // dsub % 8 tail is added per entry.
+      const std::size_t body = dsub & ~std::size_t{7};
+      for (; e + 8 <= cb; e += 8) {
+        const std::int16_t* base = book + e * dsub;
+        __m256i acc[8];
+        for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_setzero_si256();
+        for (std::size_t d = 0; d < body; d += 8) {
+          const __m256i res = residual8(q + d, c + d);
+          for (std::size_t j = 0; j < 8; ++j) {
+            acc[j] = _mm256_add_epi32(acc[j], sq_diff(res, base + j * dsub + d));
+          }
+        }
+        const __m256i h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+        const __m256i h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+        const __m256i h45 = _mm256_hadd_epi32(acc[4], acc[5]);
+        const __m256i h67 = _mm256_hadd_epi32(acc[6], acc[7]);
+        const __m256i h03 = _mm256_hadd_epi32(h01, h23);  // lo/hi halves of e0..e3
+        const __m256i h47 = _mm256_hadd_epi32(h45, h67);  // lo/hi halves of e4..e7
+        __m256i sums = _mm256_add_epi32(_mm256_permute2x128_si256(h03, h47, 0x20),
+                                        _mm256_permute2x128_si256(h03, h47, 0x31));
+        if (body < dsub) {
+          alignas(32) std::uint32_t tail[8];
+          for (std::size_t j = 0; j < 8; ++j) {
+            tail[j] = lut_entry_u32(q, c, base + j * dsub, body, dsub);
+          }
+          sums = _mm256_add_epi32(
+              sums, _mm256_load_si256(reinterpret_cast<const __m256i*>(tail)));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e), sums);
+      }
+    }
+    for (; e < cb; ++e) row[e] = lut_entry_u32(q, c, book + e * dsub, 0, dsub);
+  }
+}
+
 // Horizontal sum matching scalar reduce8: (a0+a4, a1+a5, a2+a6, a3+a7) ->
 // (r0+r2, r1+r3) -> s0+s1.
 inline float reduce8_avx(__m256 v) {
@@ -231,8 +331,9 @@ float avx2_l2_sq_u8(const float* a, const std::uint8_t* b, std::size_t n) {
 }
 
 constexpr DistanceKernels kAvx2Kernels = {
-    "avx2",           avx2_adc_lut_row, avx2_adc_scan_f32,
-    avx2_adc_scan_u32, avx2_l2_sq_f32,   avx2_l2_sq_u8,
+    "avx2",            avx2_adc_lut_row, avx2_adc_scan_f32,
+    avx2_adc_scan_u32, avx2_adc_lut_u32, avx2_l2_sq_f32,
+    avx2_l2_sq_u8,
 };
 
 }  // namespace

@@ -97,7 +97,9 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
                              const DrimEngineOptions& options)
     : snapshot_(std::move(snapshot)),
       opts_(options),
-      data_(*snapshot_.index),
+      // The q4 tables cost a k-means per subquantizer and a repack of every
+      // code; only an engine that can run the ladder builds them.
+      data_(*snapshot_.index, options.enable_q4),
       // Cover |residual| + |codeword|; OPQ rotations can widen residual
       // components, so leave generous headroom (misses fall back to the
       // multiply path, results stay exact either way).
@@ -326,7 +328,7 @@ void DrimAnnEngine::load_static_data() {
 }
 
 void DrimAnnEngine::rebuild_from_snapshot() {
-  data_ = PimIndexData(index());
+  data_ = PimIndexData(index(), opts_.enable_q4);
   sq_lut_ = SquareLut(std::min<std::int32_t>(8192, 2 * (255 + data_.max_operand_abs())));
   layout_ = std::make_unique<DataLayout>(data_, opts_.pim.num_dpus, heat_, opts_.layout);
   scheduler_ = std::make_unique<RuntimeScheduler>(*layout_, opts_.scheduler);
@@ -789,6 +791,16 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   for (const Task& t : state.carried) ++state.deferred_per_query[t.query];
 
   // ---- stage per-DPU inputs ----
+  // Every DPU's output rows (k entries per scheduled task) live in one flat
+  // buffer, DPU d's starting at row row_off[d].
+  std::vector<std::size_t> row_off(num_dpus + 1, 0);
+  for (std::size_t d = 0; d < num_dpus; ++d) {
+    row_off[d + 1] = row_off[d] + assignment.per_dpu[d].size();
+  }
+  // A non-functional platform computes no rows: the host replays the whole
+  // batch from this task list, task i filling row i (see the collect stage).
+  const bool functional = pim_->functional();
+  std::vector<HostReplayTask> replay(functional ? 0 : row_off[num_dpus]);
   std::vector<std::vector<KernelTask>> dpu_tasks(num_dpus);
   std::vector<std::vector<std::uint32_t>> dpu_task_query(num_dpus);  // global q ids
   std::vector<std::vector<std::uint32_t>> dpu_slot_query(num_dpus);  // slot -> global q
@@ -825,6 +837,17 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
               : 0u;
       dpu_tasks[d].push_back({tl_dedup_slot[t.query] | rung_bit, shard_slot_[t.shard]});
       dpu_task_query[d].push_back(t.query);
+      if (!functional) {
+        const Shard& sh = layout_->shard(t.shard);
+        HostReplayTask& r = replay[row_off[d] + dpu_tasks[d].size() - 1];
+        r.query = state.quantized[t.query].data();
+        r.query_id = t.query;
+        r.dead = snapshot_.dead_flags(sh.cluster);
+        r.cluster = sh.cluster;
+        r.begin = sh.begin;
+        r.end = sh.end;
+        r.q4 = rung_bit != 0;
+      }
     }
     // Staging layout: [queries][outputs], within this step's slot.
     const std::size_t queries_bytes = slot_query.size() * dim * 2;
@@ -851,6 +874,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                   d, need, capacity, feasible);
     throw std::runtime_error(msg);
   }
+  std::vector<KernelHit> hits(row_off[num_dpus] * k);
 
   // Query pushes fan out per DPU (private MRAM; the byte tally is atomic).
   parallel_for(0, num_dpus, [&](std::size_t d) {
@@ -916,7 +940,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     args.codebooks_q4_offset = codebooks_q4_off_;
   }
 
-  const bool functional = pim_->functional();
   BatchResult batch = pim_->run_batch(
       [&](std::size_t d, DpuContext& ctx) {
         if (dpu_tasks[d].empty()) return;
@@ -941,78 +964,61 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         }
       },
       [&]() {
-        // Collect: pull each DPU's whole output block concurrently (same
-        // bytes billed as per-task pulls), then merge into the per-query
-        // heaps serially in fixed (dpu, task) order — accum[] heaps are
-        // shared across DPUs, and a fixed merge order keeps tie-breaking
-        // bit-identical to the serial path. On a non-functional platform the
-        // output rows are computed by the host-side exact scan over the same
-        // (query, shard) task list; pull() then only bills the bytes.
-        std::vector<std::vector<KernelHit>> dpu_hits(num_dpus);
-        parallel_for(0, num_dpus, [&](std::size_t d) {
-          if (dpu_tasks[d].empty()) return;
-          dpu_hits[d].resize(dpu_tasks[d].size() * k);
-          if (!functional) {
-            // Coalesced exact replay: group this DPU's tasks by (shard, rung)
-            // and pull each shard's code block ONCE per batch, scoring it
-            // against every member query before advancing. Per-task
-            // arithmetic and push order are unchanged, so rows stay
-            // byte-identical to the per-task replay (and to the functional
-            // kernel); this is a host wall-clock fix, billed times are
-            // untouched. Replays the rung the kernel would have run: q4 task
-            // rows hold (coarse dist, LOCAL index) pairs, full rows global
-            // ids.
-            const auto replay_groups =
-                plan_task_fusion(dpu_tasks[d], dpu_tasks[d].size());
-            std::vector<HostFusedTask> members;
-            for (const FusedTaskGroup& g : replay_groups) {
-              const Shard& sh =
-                  layout_->shard(dpu_shard_ids_[d][g.shard_slot]);
-              members.clear();
-              for (const std::uint32_t t : g.tasks) {
-                members.push_back({state.quantized[dpu_task_query[d][t]].data(),
-                                   dpu_hits[d].data() + t * k});
-              }
-              host_search_tasks_fused_into(data_, members, sh,
-                                           static_cast<std::uint32_t>(k),
-                                           ladder && g.q4,
-                                           snapshot_.dead_flags(sh.cluster));
-            }
-          }
+        // Collect: each DPU's output block is pulled whole (same bytes billed
+        // as per-task pulls), then merged into the per-query heaps in fixed
+        // (dpu, task) order — accum[] heaps are shared across DPUs, and a
+        // fixed merge order keeps tie-breaking bit-identical to the serial
+        // path.
+        const auto pull_rows = [&](std::size_t d) {
           pim_->pull(d, dpu_output_off[d],
-                     {reinterpret_cast<std::uint8_t*>(dpu_hits[d].data()),
-                      dpu_hits[d].size() * sizeof(KernelHit)});
-          // Exact-rerank tail (both platforms): each q4 row's candidates are
-          // re-scored with the full-precision ADC LUT on the host and their
-          // global ids resolved, so what enters the merge heaps is exact.
-          if (ladder) {
-            // Rows sharing (query, cluster) — e.g. slices of one cluster —
-            // rebuild the full-precision ADC table once. Rows are rescored
+                     {reinterpret_cast<std::uint8_t*>(hits.data() + row_off[d] * k),
+                      dpu_tasks[d].size() * k * sizeof(KernelHit)});
+        };
+        if (!functional) {
+          // The host replays the whole batch cluster-major
+          // (host_replay_batch), building each (query, cluster) table once
+          // however many slices and DPUs the cluster spans. Rows are
+          // byte-identical to the functional kernel's — q4 rows already
+          // reranked — and every billed time is untouched: pull() only
+          // bills the bytes, so the pulls need no host threads.
+          host_replay_batch(data_, replay, static_cast<std::uint32_t>(k), hits);
+          for (std::size_t d = 0; d < num_dpus; ++d) {
+            if (!dpu_tasks[d].empty()) pull_rows(d);
+          }
+        } else {
+          parallel_for(0, num_dpus, [&](std::size_t d) {
+            if (dpu_tasks[d].empty()) return;
+            pull_rows(d);
+            if (!ladder) return;
+            // Exact-rerank tail of the q4 rows: each row's candidates are
+            // re-scored with the full-precision ADC LUT on the host and
+            // their global ids resolved, so what enters the merge heaps is
+            // exact. Rows sharing (query, cluster) — e.g. slices of one
+            // cluster — rebuild the table once; rows are rescored
             // independently, so visiting them in (query, cluster) order
             // leaves every row byte-identical to the per-row path.
-            std::vector<std::uint32_t> rows;
+            KernelHit* rows = hits.data() + row_off[d] * k;
+            const auto row_shard = [&](std::uint32_t t) -> const Shard& {
+              return layout_->shard(dpu_shard_ids_[d][dpu_tasks[d][t].shard_slot]);
+            };
+            std::vector<std::uint32_t> q4_rows;
             for (std::size_t t = 0; t < dpu_tasks[d].size(); ++t) {
               if (task_is_q4(dpu_tasks[d][t])) {
-                rows.push_back(static_cast<std::uint32_t>(t));
+                q4_rows.push_back(static_cast<std::uint32_t>(t));
               }
             }
-            const auto row_cluster = [&](std::uint32_t t) {
-              return layout_->shard(dpu_shard_ids_[d][dpu_tasks[d][t].shard_slot])
-                  .cluster;
-            };
-            std::stable_sort(rows.begin(), rows.end(),
+            std::stable_sort(q4_rows.begin(), q4_rows.end(),
                              [&](std::uint32_t a, std::uint32_t b) {
                                if (dpu_task_query[d][a] != dpu_task_query[d][b]) {
                                  return dpu_task_query[d][a] < dpu_task_query[d][b];
                                }
-                               return row_cluster(a) < row_cluster(b);
+                               return row_shard(a).cluster < row_shard(b).cluster;
                              });
             std::vector<std::uint32_t> lut(data_.m() * data_.cb_entries());
             bool lut_valid = false;
             std::uint64_t lut_key = 0;
-            for (const std::uint32_t t : rows) {
-              const Shard& sh =
-                  layout_->shard(dpu_shard_ids_[d][dpu_tasks[d][t].shard_slot]);
+            for (const std::uint32_t t : q4_rows) {
+              const Shard& sh = row_shard(t);
               const std::uint64_t key =
                   (static_cast<std::uint64_t>(dpu_task_query[d][t]) << 32) |
                   sh.cluster;
@@ -1022,16 +1028,15 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                 lut_valid = true;
                 lut_key = key;
               }
-              host_rerank_q4_row_with_lut(
-                  data_, lut, sh,
-                  std::span<KernelHit>(dpu_hits[d].data() + t * k, k));
+              host_rerank_q4_row_with_lut(data_, lut, sh,
+                                          std::span<KernelHit>(rows + t * k, k));
             }
-          }
-        });
+          });
+        }
         // Merge into the shared per-query heaps in parallel across queries:
-        // first index every (dpu, task) visit per query in the fixed global
+        // first index every (dpu, task) row per query in the fixed global
         // (dpu, task) order, then each host thread replays only its own
-        // queries' visits in that order — the same heap pushes in the same
+        // queries' rows in that order — the same heap pushes in the same
         // sequence as the serial merge, so tie-breaking is bit-identical,
         // and no heap is touched by two threads.
         const std::size_t id_space = state.accum.size();
@@ -1040,23 +1045,19 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
           for (const std::uint32_t q : dpu_task_query[d]) ++visit_off[q + 1];
         }
         for (std::size_t q = 0; q < id_space; ++q) visit_off[q + 1] += visit_off[q];
-        struct Visit {
-          std::uint32_t dpu;
-          std::uint32_t task;
-        };
-        std::vector<Visit> visits(visit_off[id_space]);
+        std::vector<std::uint32_t> visits(visit_off[id_space]);  // flat row ids
         std::vector<std::uint32_t> cursor(visit_off.begin(), visit_off.end() - 1);
         for (std::size_t d = 0; d < num_dpus; ++d) {
           for (std::size_t t = 0; t < dpu_task_query[d].size(); ++t) {
-            visits[cursor[dpu_task_query[d][t]]++] = {static_cast<std::uint32_t>(d),
-                                                      static_cast<std::uint32_t>(t)};
+            visits[cursor[dpu_task_query[d][t]]++] =
+                static_cast<std::uint32_t>(row_off[d] + t);
           }
         }
         parallel_for(0, id_space, [&](std::size_t q) {
           for (std::uint32_t v = visit_off[q]; v < visit_off[q + 1]; ++v) {
-            const Visit vis = visits[v];
+            const KernelHit* row = hits.data() + std::size_t{visits[v]} * k;
             for (std::size_t i = 0; i < k; ++i) {
-              const KernelHit& h = dpu_hits[vis.dpu][vis.task * k + i];
+              const KernelHit& h = row[i];
               if (h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu) break;  // pad
               state.accum[q].push(static_cast<float>(h.dist), h.id);
             }

@@ -1,90 +1,320 @@
 #include "drim/host_exact.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <numeric>
 
+#include "common/parallel.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
 namespace {
 
-/// Bounded max-heap over (dist, idx) with the kernel's ascending total
-/// order — the WramTopK selection without the cycle charges. Backed by a
-/// per-thread scratch buffer so the collect hot loop (one instance per
-/// scheduled task) never allocates.
-///
-/// The scratch is process-lifetime under the persistent executor: the same
-/// worker threads now serve every backend in turn, so the buffer guards
-/// against cross-backend staleness — an in-use flag (a nested instance on
-/// one thread falls back to owned storage instead of aliasing the scratch)
-/// and a capacity clamp (one backend's large k must not pin memory for the
-/// rest of the process).
+/// Codes per scan tile: small enough to stay cache-resident while a tile is
+/// scored against every member of a shared scan. Tiling never changes a
+/// member's per-point distances or its ascending push order.
+constexpr std::uint32_t kTile = 2048;
+
+/// Distinct queries one host_replay_batch work item builds tables for:
+/// bounds the per-thread table scratch at kReplayChunk * m * cb * 4 bytes
+/// (plus the q4 tables).
+constexpr std::size_t kReplayChunk = 8;
+
+bool is_pad(const KernelHit& h) {
+  return h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu;
+}
+
+bool hit_less(const KernelHit& a, const KernelHit& b) {
+  if (a.dist != b.dist) return a.dist < b.dist;
+  return a.id < b.id;
+}
+
+/// Bounded top-k over (dist, idx) with the kernel's ascending total order —
+/// the WramTopK selection without the cycle charges. Entries are kept as
+/// sorted 64-bit keys dist << 32 | idx (one compare orders them exactly like
+/// (dist, idx)) in caller-provided storage for k keys. The kept set is the
+/// k smallest entries under a total order, so it matches any other exact
+/// selection bit for bit; a sorted array beats a heap here because slices
+/// are short (the first k pushes are most of the accepted ones) and a full
+/// array rejects a point with one compare.
 class BoundedTopK {
  public:
-  explicit BoundedTopK(std::uint32_t k) : k_(k) {
-    Scratch& s = scratch();
-    if (!s.in_use) {
-      s.in_use = true;
-      owner_ = &s;
-      heap_ = &s.buf;
-    } else {
-      heap_ = &own_;
-    }
-    heap_->clear();
-    const std::size_t cap_limit = std::max<std::size_t>(64, std::size_t{k} * 8);
-    if (heap_->capacity() > cap_limit) {
-      heap_->shrink_to_fit();
-    }
-    if (heap_->capacity() < k) heap_->reserve(k);
-  }
-
-  ~BoundedTopK() {
-    if (owner_ != nullptr) owner_->in_use = false;
-  }
-  BoundedTopK(const BoundedTopK&) = delete;
-  BoundedTopK& operator=(const BoundedTopK&) = delete;
+  BoundedTopK() = default;
+  BoundedTopK(std::uint64_t* storage, std::uint32_t k) : keys_(storage), k_(k) {}
 
   void push(std::uint32_t dist, std::uint32_t idx) {
-    std::vector<KernelHit>& heap = *heap_;
-    if (heap.size() >= k_) {
-      const KernelHit& worst = heap.front();
-      if (dist > worst.dist || (dist == worst.dist && idx >= worst.id)) return;
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.back() = {dist, idx};
+    const std::uint64_t key = std::uint64_t{dist} << 32 | idx;
+    std::uint32_t i = n_;
+    if (n_ == k_) {
+      if (k_ == 0 || key >= keys_[k_ - 1]) return;
+      i = k_ - 1;  // the current worst falls out
     } else {
-      heap.push_back({dist, idx});
+      ++n_;
     }
-    std::push_heap(heap.begin(), heap.end(), cmp);
+    for (; i > 0 && key < keys_[i - 1]; --i) keys_[i] = keys_[i - 1];
+    keys_[i] = key;
   }
 
-  /// Ascending (dist, idx) into `out`, sentinel-padding the tail; consumes
-  /// the heap. `out` may be any size — extra entries become sentinels.
+  /// Ascending (dist, idx) into `out`, sentinel-padding the tail; empties
+  /// the selection. `out` may be any size — extra entries become sentinels.
   void sorted_into(std::span<KernelHit> out) {
-    std::vector<KernelHit>& heap = *heap_;
-    std::sort_heap(heap.begin(), heap.end(), cmp);
-    const std::size_t n = std::min(heap.size(), out.size());
-    std::copy(heap.begin(), heap.begin() + static_cast<std::ptrdiff_t>(n), out.begin());
+    const std::size_t n = std::min<std::size_t>(n_, out.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = {static_cast<std::uint32_t>(keys_[i] >> 32),
+                static_cast<std::uint32_t>(keys_[i])};
+    }
     std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), KernelHit{});
+    n_ = 0;
   }
 
  private:
-  struct Scratch {
-    std::vector<KernelHit> buf;
-    bool in_use = false;
-  };
-  static Scratch& scratch() {
-    thread_local Scratch s;
-    return s;
-  }
-  static bool cmp(const KernelHit& a, const KernelHit& b) {
-    if (a.dist != b.dist) return a.dist < b.dist;
-    return a.id < b.id;
-  }
-  std::uint32_t k_;
-  Scratch* owner_ = nullptr;
-  std::vector<KernelHit>* heap_ = nullptr;
-  std::vector<KernelHit> own_;
+  std::uint64_t* keys_ = nullptr;
+  std::uint32_t n_ = 0;
+  std::uint32_t k_ = 0;
 };
+
+/// One member of a shared slice scan: the table it scores with, its output
+/// row, and — on the q4 rung — the full-precision table its survivors are
+/// reranked with (null: the row keeps LOCAL indices).
+struct Lane {
+  const std::uint32_t* lut = nullptr;
+  std::span<KernelHit> out;
+  const std::uint32_t* rerank_lut = nullptr;
+};
+
+/// A replay work item's task: its position in the item and the index of its
+/// query among the item's members.
+struct ReplayEntry {
+  std::uint32_t pos = 0;
+  std::uint32_t member = 0;
+};
+
+/// Per-thread scratch of every host replay entry point, so the collect hot
+/// loop allocates nothing per task. Entry points never nest, so one
+/// instance per thread suffices.
+struct Scratch {
+  std::vector<std::uint32_t> lut;   ///< full-precision tables
+  std::vector<std::uint32_t> lut4;  ///< coarse q4 tables
+  std::vector<std::uint32_t> dists; ///< one tile's distances
+  std::vector<std::uint64_t> keys;  ///< one bounded top-k per lane
+  std::vector<BoundedTopK> topk;
+  std::vector<Lane> lanes;
+  std::vector<ReplayEntry> entries;
+};
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// At least `n` elements of `v`. The persistent executor's workers outlive
+/// every backend, so a buffer far larger than the current call needs (one
+/// backend's big k or wide codebook) is released instead of pinned for the
+/// rest of the process.
+template <typename T>
+T* scratch_buffer(std::vector<T>& v, std::size_t n) {
+  if (v.capacity() > std::max<std::size_t>(4096, n * 8)) std::vector<T>().swap(v);
+  if (v.size() < n) v.resize(n);
+  return v.data();
+}
+
+/// One bounded top-k per lane, each over its own kk-key slot of the key
+/// scratch.
+BoundedTopK* lane_topk(Scratch& s, std::size_t lanes, std::uint32_t kk) {
+  std::uint64_t* storage = scratch_buffer(s.keys, lanes * kk);
+  BoundedTopK* topk = scratch_buffer(s.topk, lanes);
+  for (std::size_t w = 0; w < lanes; ++w) topk[w] = BoundedTopK(storage + w * kk, kk);
+  return topk;
+}
+
+/// DC + TS of every lane over the full-precision codes of `shard`: rows get
+/// global ids, exactly run_search_kernel's.
+void scan_full(const PimIndexData& data, const Shard& shard,
+               const std::uint8_t* dead, std::uint32_t k,
+               std::span<const Lane> lanes, Scratch& s) {
+  const std::size_t m = data.m();
+  const std::size_t cb = data.cb_entries();
+  const std::uint32_t size = shard.size();
+  const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
+  BoundedTopK* topk = lane_topk(s, lanes.size(), kk);
+  std::uint32_t* dists = scratch_buffer(s.dists, std::min(size, kTile));
+  const auto codes = data.cluster_codes(shard.cluster);
+  const auto ids = data.cluster_ids(shard.cluster);
+  for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
+    const std::uint32_t n = std::min(kTile, size - t0);
+    const std::uint8_t* tile = codes.data() + (shard.begin + t0) * data.code_size();
+    for (std::size_t w = 0; w < lanes.size(); ++w) {
+      kernels().adc_scan_u32(lanes[w].lut, cb, m, tile, data.code_size(),
+                             data.wide_codes(), n, dists);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        // Tombstoned positions never enter the bounded top-k.
+        if (dead && dead[shard.begin + t0 + i]) continue;
+        topk[w].push(dists[i], t0 + i);
+      }
+    }
+  }
+  for (std::size_t w = 0; w < lanes.size(); ++w) {
+    topk[w].sorted_into(lanes[w].out);  // sentinel-pads short shards
+    for (KernelHit& h : lanes[w].out) {
+      if (is_pad(h)) break;
+      h.id = ids[shard.begin + h.id];
+    }
+  }
+}
+
+/// DC + TS of every lane over the packed 4-bit codes of `shard` (low nibble
+/// = even subquantizer). Rows keep LOCAL indices unless the lane carries a
+/// rerank table.
+void scan_q4(const PimIndexData& data, const Shard& shard,
+             const std::uint8_t* dead, std::uint32_t k,
+             std::span<const Lane> lanes, Scratch& s) {
+  const std::size_t m = data.m();
+  const std::size_t cb4 = data.cb4();
+  const std::size_t cs4 = data.code_size_q4();
+  const std::uint32_t size = shard.size();
+  const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
+  BoundedTopK* topk = lane_topk(s, lanes.size(), kk);
+  const auto codes = data.cluster_codes_q4(shard.cluster);
+  for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
+    const std::uint32_t n = std::min(kTile, size - t0);
+    for (std::size_t w = 0; w < lanes.size(); ++w) {
+      const std::uint32_t* lut4 = lanes[w].lut;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (dead && dead[shard.begin + t0 + i]) continue;
+        const std::uint8_t* code = codes.data() + (shard.begin + t0 + i) * cs4;
+        std::uint32_t dist = 0;
+        for (std::size_t sub = 0; sub < m; ++sub) {
+          const std::uint32_t g = (code[sub / 2] >> ((sub % 2) * 4)) & 0xF;
+          dist += lut4[sub * cb4 + g];
+        }
+        topk[w].push(dist, t0 + i);
+      }
+    }
+  }
+  for (std::size_t w = 0; w < lanes.size(); ++w) {
+    topk[w].sorted_into(lanes[w].out);  // sentinel-pads short shards
+    if (lanes[w].rerank_lut != nullptr) {
+      host_rerank_q4_row_with_lut(
+          data, {lanes[w].rerank_lut, data.m() * data.cb_entries()}, shard,
+          lanes[w].out);
+    }
+  }
+}
+
+/// RC + LC of the 4-bit rung: cb4-entry coarse sub-LUTs over the cluster's
+/// shifted residual (arithmetic right shift, exactly the kernel's), codeword
+/// components shifted to match. `lut4` holds m * cb4 values.
+void build_q4_lut(const PimIndexData& data, const std::int16_t* query,
+                  std::uint32_t cluster, std::uint32_t* lut4) {
+  const std::size_t m = data.m();
+  const std::size_t dsub = data.dsub();
+  const std::size_t cb4 = data.cb4();
+  const std::uint32_t shift = data.cluster_shift(cluster);
+  const std::int16_t* centroid = data.centroid(cluster).data();
+  const std::int16_t* books = data.codebooks_q4().data();
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    const std::int16_t* q = query + sub * dsub;
+    const std::int16_t* c = centroid + sub * dsub;
+    for (std::size_t g = 0; g < cb4; ++g) {
+      const std::int16_t* cw = books + (sub * cb4 + g) * dsub;
+      std::uint32_t acc = 0;
+      for (std::size_t d = 0; d < dsub; ++d) {
+        const std::int32_t res = (static_cast<std::int32_t>(q[d]) - c[d]) >> shift;
+        const std::int32_t diff = res - (cw[d] >> shift);
+        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+        acc += a * a;
+      }
+      lut4[sub * cb4 + g] = acc;
+    }
+  }
+}
+
+/// One work item of host_replay_batch: `items` indexes tasks of ONE cluster,
+/// grouped by query id, with at most kReplayChunk distinct queries. Builds each
+/// query's tables once, then scans every (slice, rung) group of the item's
+/// tasks with all of its members at once.
+void replay_chunk(const PimIndexData& data, std::span<const HostReplayTask> tasks,
+                  std::span<const std::uint32_t> items, std::uint32_t k,
+                  KernelHit* rows) {
+  Scratch& s = scratch();
+  const std::size_t table = data.m() * data.cb_entries();
+  const std::size_t table4 = data.m() * data.cb4();
+  const std::uint32_t cluster = tasks[items.front()].cluster;
+
+  // Members: the item's distinct queries. Every member needs its full
+  // table (full tasks scan with it, q4 tasks rerank with it); members with
+  // q4 tasks also get the coarse one.
+  std::uint32_t* luts = scratch_buffer(s.lut, kReplayChunk * table);
+  std::uint32_t* luts4 = nullptr;
+  ReplayEntry* entries = scratch_buffer(s.entries, items.size());
+  bool any_q4 = false;
+  std::uint32_t member = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const HostReplayTask& t = tasks[items[i]];
+    const bool new_member = i == 0 || t.query_id != tasks[items[i - 1]].query_id;
+    if (i > 0 && new_member) ++member;
+    if (new_member) {
+      host_build_adc_lut(data, {t.query, data.dim()}, cluster,
+                         {luts + member * table, table});
+    }
+    entries[i] = {static_cast<std::uint32_t>(i), member};
+    any_q4 |= t.q4;
+  }
+  if (any_q4) {
+    luts4 = scratch_buffer(s.lut4, kReplayChunk * table4);
+    std::uint32_t built = ~0u;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const HostReplayTask& t = tasks[items[i]];
+      if (t.q4 && entries[i].member != built) {
+        built = entries[i].member;
+        build_q4_lut(data, t.query, cluster, luts4 + built * table4);
+      }
+    }
+  }
+
+  // Group the item's tasks by (slice, rung, tombstones): each group walks
+  // its codes once for all of its members.
+  const auto task_of = [&](const ReplayEntry& e) -> const HostReplayTask& {
+    return tasks[items[e.pos]];
+  };
+  const auto same_scan = [](const HostReplayTask& a, const HostReplayTask& b) {
+    return a.begin == b.begin && a.end == b.end && a.q4 == b.q4 && a.dead == b.dead;
+  };
+  std::sort(entries, entries + items.size(),
+            [&](const ReplayEntry& x, const ReplayEntry& y) {
+              const HostReplayTask& a = task_of(x);
+              const HostReplayTask& b = task_of(y);
+              if (a.begin != b.begin) return a.begin < b.begin;
+              if (a.end != b.end) return a.end < b.end;
+              if (a.q4 != b.q4) return a.q4 < b.q4;
+              if (a.dead != b.dead) return std::less<const std::uint8_t*>()(a.dead, b.dead);
+              return x.pos < y.pos;
+            });
+  for (std::size_t g0 = 0; g0 < items.size();) {
+    const HostReplayTask& head = task_of(entries[g0]);
+    std::size_t g1 = g0 + 1;
+    while (g1 < items.size() && same_scan(task_of(entries[g1]), head)) ++g1;
+    Lane* lanes = scratch_buffer(s.lanes, g1 - g0);
+    for (std::size_t j = g0; j < g1; ++j) {
+      const std::uint32_t w = entries[j].member;
+      Lane& lane = lanes[j - g0];
+      lane.out = std::span<KernelHit>(rows + std::size_t{items[entries[j].pos]} * k, k);
+      lane.lut = head.q4 ? luts4 + w * table4 : luts + w * table;
+      lane.rerank_lut = head.q4 ? luts + w * table : nullptr;
+    }
+    Shard slice;
+    slice.cluster = cluster;
+    slice.begin = head.begin;
+    slice.end = head.end;
+    const std::span<const Lane> group(lanes, g1 - g0);
+    if (head.q4) {
+      scan_q4(data, slice, head.dead, k, group, s);
+    } else {
+      scan_full(data, slice, head.dead, k, group, s);
+    }
+    g0 = g1;
+  }
+}
 
 }  // namespace
 
@@ -92,35 +322,12 @@ void host_search_task_into(const PimIndexData& data,
                            std::span<const std::int16_t> query, const Shard& shard,
                            std::uint32_t k, std::span<KernelHit> out,
                            const std::uint8_t* dead) {
-  const std::size_t m = data.m();
-  const std::size_t cb = data.cb_entries();
-
-  // RC + LC: the ADC table in exact uint32 arithmetic (wraparound included).
-  std::vector<std::uint32_t> lut(m * cb);
-  host_build_adc_lut(data, query, shard.cluster, lut);
-
-  // DC + TS over the shard's slice of the cluster.
-  const auto codes = data.cluster_codes(shard.cluster);
-  const auto ids = data.cluster_ids(shard.cluster);
-  const std::uint32_t size = static_cast<std::uint32_t>(shard.size());
-  const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
-  BoundedTopK topk(kk);
-  std::vector<std::uint32_t> dists(size);
-  kernels().adc_scan_u32(lut.data(), cb, m,
-                         codes.data() + shard.begin * data.code_size(),
-                         data.code_size(), data.wide_codes(), size,
-                         dists.data());
-  for (std::uint32_t i = 0; i < size; ++i) {
-    // Tombstoned positions never enter the bounded top-k (see header note).
-    if (dead && dead[shard.begin + i]) continue;
-    topk.push(dists[i], i);
-  }
-
-  topk.sorted_into(out);  // sentinel-pads short shards
-  for (KernelHit& h : out) {
-    if (h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu) break;
-    h.id = ids[shard.begin + h.id];
-  }
+  Scratch& s = scratch();
+  const std::size_t table = data.m() * data.cb_entries();
+  std::uint32_t* lut = scratch_buffer(s.lut, table);
+  host_build_adc_lut(data, query, shard.cluster, {lut, table});
+  const Lane lane{lut, out, nullptr};
+  scan_full(data, shard, dead, k, {&lane, 1}, s);
 }
 
 std::vector<KernelHit> host_search_task(const PimIndexData& data,
@@ -137,142 +344,93 @@ void host_search_tasks_fused_into(const PimIndexData& data,
                                   const Shard& shard, std::uint32_t k, bool q4,
                                   const std::uint8_t* dead) {
   if (tasks.empty()) return;
+  Scratch& s = scratch();
   const std::size_t width = tasks.size();
-  const std::size_t dim = data.dim();
-  const std::size_t m = data.m();
-  const std::uint32_t size = static_cast<std::uint32_t>(shard.size());
-  const std::uint32_t kk =
-      std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
-  // Codes are walked in tiles small enough to stay cache-resident while they
-  // are scored against every member — the coalescing win. Tiling never
-  // changes a member's per-point distances or its ascending push order, so
-  // rows match the single-task replay byte-for-byte.
-  constexpr std::uint32_t kTile = 2048;
-
-  // Per-member heaps: BoundedTopK's thread-local scratch serves one live
-  // instance per thread, extra members fall back to owned storage (a deque
-  // because the type is intentionally pinned in place).
-  std::deque<BoundedTopK> topk;
-  for (std::size_t w = 0; w < width; ++w) topk.emplace_back(kk);
-
-  if (!q4) {
-    const std::size_t cb = data.cb_entries();
-    std::vector<std::uint32_t> luts(width * m * cb);
-    for (std::size_t w = 0; w < width; ++w) {
-      host_build_adc_lut(data, std::span<const std::int16_t>(tasks[w].query, dim),
-                         shard.cluster,
-                         std::span<std::uint32_t>(luts.data() + w * m * cb, m * cb));
-    }
-    const auto codes = data.cluster_codes(shard.cluster);
-    const auto ids = data.cluster_ids(shard.cluster);
-    std::vector<std::uint32_t> dists(std::min(size, kTile));
-    for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
-      const std::uint32_t n = std::min(kTile, size - t0);
-      const std::uint8_t* tile =
-          codes.data() + (shard.begin + t0) * data.code_size();
-      for (std::size_t w = 0; w < width; ++w) {
-        kernels().adc_scan_u32(luts.data() + w * m * cb, cb, m, tile,
-                               data.code_size(), data.wide_codes(), n,
-                               dists.data());
-        BoundedTopK& tk = topk[w];
-        for (std::uint32_t i = 0; i < n; ++i) {
-          if (dead && dead[shard.begin + t0 + i]) continue;
-          tk.push(dists[i], t0 + i);
-        }
-      }
-    }
-    for (std::size_t w = 0; w < width; ++w) {
-      const std::span<KernelHit> out(tasks[w].out, k);
-      topk[w].sorted_into(out);
-      for (KernelHit& h : out) {
-        if (h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu) break;
-        h.id = ids[shard.begin + h.id];
-      }
-    }
-    return;
-  }
-
-  // 4-bit rung: per-member coarse LUTs (shifted residuals, exactly
-  // host_search_task_q4_into's), then one pass over the packed codes.
-  const std::size_t dsub = data.dsub();
-  const std::size_t cb4 = data.cb4();
-  const std::size_t cs4 = data.code_size_q4();
-  const std::uint32_t shift = data.cluster_shift(shard.cluster);
-  const auto centroid = data.centroid(shard.cluster);
-  const auto books = data.codebooks_q4();
-  std::vector<std::uint32_t> luts(width * m * cb4);
-  std::vector<std::int32_t> residual(dim);
+  const std::size_t table =
+      q4 ? data.m() * data.cb4() : data.m() * data.cb_entries();
+  std::uint32_t* luts = scratch_buffer(q4 ? s.lut4 : s.lut, width * table);
+  Lane* lanes = scratch_buffer(s.lanes, width);
   for (std::size_t w = 0; w < width; ++w) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      residual[d] =
-          (static_cast<std::int32_t>(tasks[w].query[d]) - centroid[d]) >> shift;
+    std::uint32_t* lut = luts + w * table;
+    if (q4) {
+      build_q4_lut(data, tasks[w].query, shard.cluster, lut);
+    } else {
+      host_build_adc_lut(data, {tasks[w].query, data.dim()}, shard.cluster,
+                         {lut, table});
     }
-    std::uint32_t* lut4 = luts.data() + w * m * cb4;
-    for (std::size_t sub = 0; sub < m; ++sub) {
-      const std::int32_t* res = residual.data() + sub * dsub;
-      for (std::size_t g = 0; g < cb4; ++g) {
-        const std::int16_t* cw = books.data() + (sub * cb4 + g) * dsub;
-        std::uint32_t acc = 0;
-        for (std::size_t d = 0; d < dsub; ++d) {
-          const std::int32_t diff = res[d] - (cw[d] >> shift);
-          const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-          acc += a * a;
-        }
-        lut4[sub * cb4 + g] = acc;
-      }
+    lanes[w] = {lut, std::span<KernelHit>(tasks[w].out, k), nullptr};
+  }
+  const std::span<const Lane> group(lanes, width);
+  if (q4) {
+    scan_q4(data, shard, dead, k, group, s);
+  } else {
+    scan_full(data, shard, dead, k, group, s);
+  }
+}
+
+void host_replay_batch(const PimIndexData& data,
+                       std::span<const HostReplayTask> tasks, std::uint32_t k,
+                       std::span<KernelHit> rows) {
+  const std::size_t n = tasks.size();
+  if (n == 0) return;
+
+  // Order the tasks by (cluster, query id): a stable counting sort by query
+  // id, then one by cluster, leaves every (query, cluster) pair's tasks
+  // contiguous.
+  std::uint32_t qmin = tasks[0].query_id;
+  std::uint32_t qmax = qmin;
+  for (const HostReplayTask& t : tasks) {
+    qmin = std::min(qmin, t.query_id);
+    qmax = std::max(qmax, t.query_id);
+  }
+  const std::size_t nlist = data.nlist();
+  std::vector<std::uint32_t> count;
+  const auto counting_sort = [&](const std::vector<std::uint32_t>& in, std::size_t keys,
+                                 const auto& key, std::vector<std::uint32_t>& out) {
+    count.assign(keys + 1, 0);
+    for (const std::uint32_t t : in) ++count[key(t) + 1];
+    for (std::size_t b = 0; b < keys; ++b) count[b + 1] += count[b];
+    out.resize(in.size());
+    for (const std::uint32_t t : in) out[count[key(t)]++] = t;
+  };
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> by_query;
+  counting_sort(order, std::size_t{qmax} - qmin + 1,
+                [&](std::uint32_t t) { return tasks[t].query_id - qmin; }, by_query);
+  counting_sort(by_query, nlist, [&](std::uint32_t t) { return tasks[t].cluster; },
+                order);
+
+  // Cut the order into work items: a new item at every cluster change and
+  // after every kReplayChunk distinct queries of one cluster.
+  std::vector<std::uint32_t> cuts;
+  std::size_t queries = 0;
+  for (std::size_t p = 0; p < n; ++p) {
+    const HostReplayTask& t = tasks[order[p]];
+    const HostReplayTask* prev = p > 0 ? &tasks[order[p - 1]] : nullptr;
+    if (prev == nullptr || prev->cluster != t.cluster) {
+      queries = 0;
+    } else if (prev->query_id == t.query_id) {
+      continue;
     }
+    if (queries++ % kReplayChunk == 0) cuts.push_back(static_cast<std::uint32_t>(p));
   }
-  const auto codes = data.cluster_codes_q4(shard.cluster);
-  for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
-    const std::uint32_t n = std::min(kTile, size - t0);
-    for (std::size_t w = 0; w < width; ++w) {
-      const std::uint32_t* lut4 = luts.data() + w * m * cb4;
-      BoundedTopK& tk = topk[w];
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (dead && dead[shard.begin + t0 + i]) continue;
-        const std::uint8_t* code =
-            codes.data() + (shard.begin + t0 + i) * cs4;
-        std::uint32_t dist = 0;
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          const std::uint32_t g = (code[sub / 2] >> ((sub % 2) * 4)) & 0xF;
-          dist += lut4[sub * cb4 + g];
-        }
-        tk.push(dist, t0 + i);
-      }
-    }
-  }
-  // Rows keep LOCAL indices; the rerank tail resolves ids.
-  for (std::size_t w = 0; w < width; ++w) {
-    topk[w].sorted_into(std::span<KernelHit>(tasks[w].out, k));
-  }
+  cuts.push_back(static_cast<std::uint32_t>(n));
+
+  parallel_for(0, cuts.size() - 1, [&](std::size_t i) {
+    replay_chunk(data, tasks,
+                 std::span<const std::uint32_t>(order.data() + cuts[i],
+                                                cuts[i + 1] - cuts[i]),
+                 k, rows.data());
+  });
 }
 
 void host_build_adc_lut(const PimIndexData& data,
                         std::span<const std::int16_t> query,
                         std::uint32_t cluster, std::span<std::uint32_t> lut) {
-  const std::size_t dim = data.dim();
-  const std::size_t m = data.m();
-  const std::size_t dsub = data.dsub();
-  const std::size_t cb = data.cb_entries();
-
-  const auto centroid = data.centroid(cluster);
-  std::vector<std::int32_t> residual(dim);
-  for (std::size_t d = 0; d < dim; ++d) {
-    residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-  }
-  for (std::size_t sub = 0; sub < m; ++sub) {
-    const std::int32_t* res = residual.data() + sub * dsub;
-    for (std::size_t e = 0; e < cb; ++e) {
-      const auto cw = data.codeword(sub, e);
-      std::uint32_t acc = 0;
-      for (std::size_t d = 0; d < dsub; ++d) {
-        const std::int32_t diff = res[d] - cw[d];
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        acc += a * a;
-      }
-      lut[sub * cb + e] = acc;
-    }
-  }
+  kernels().adc_lut_u32(query.data(), data.centroid(cluster).data(),
+                        data.codebooks().data(), data.m(), data.dsub(),
+                        data.cb_entries(), lut.data());
 }
 
 void host_search_task_q4_into(const PimIndexData& data,
@@ -280,64 +438,20 @@ void host_search_task_q4_into(const PimIndexData& data,
                               const Shard& shard, std::uint32_t k,
                               std::span<KernelHit> out,
                               const std::uint8_t* dead) {
-  const std::size_t dim = data.dim();
-  const std::size_t m = data.m();
-  const std::size_t dsub = data.dsub();
-  const std::size_t cb4 = data.cb4();
-  const std::size_t cs4 = data.code_size_q4();
-  const std::uint32_t shift = data.cluster_shift(shard.cluster);
-
-  // RC with the cluster's residual scalar-quantization shift (arithmetic
-  // right shift, exactly the kernel's).
-  const auto centroid = data.centroid(shard.cluster);
-  std::vector<std::int32_t> residual(dim);
-  for (std::size_t d = 0; d < dim; ++d) {
-    residual[d] =
-        (static_cast<std::int32_t>(query[d]) - centroid[d]) >> shift;
-  }
-
-  // LC: cb4-entry coarse sub-LUTs, codeword components shifted to match.
-  const auto books = data.codebooks_q4();
-  std::vector<std::uint32_t> lut4(m * cb4);
-  for (std::size_t sub = 0; sub < m; ++sub) {
-    const std::int32_t* res = residual.data() + sub * dsub;
-    for (std::size_t g = 0; g < cb4; ++g) {
-      const std::int16_t* cw = books.data() + (sub * cb4 + g) * dsub;
-      std::uint32_t acc = 0;
-      for (std::size_t d = 0; d < dsub; ++d) {
-        const std::int32_t diff = res[d] - (cw[d] >> shift);
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        acc += a * a;
-      }
-      lut4[sub * cb4 + g] = acc;
-    }
-  }
-
-  // DC + TS over the packed codes (low nibble = even subquantizer). Hits
-  // keep LOCAL indices; the rerank tail resolves ids.
-  const auto codes = data.cluster_codes_q4(shard.cluster);
-  const std::uint32_t size = static_cast<std::uint32_t>(shard.size());
-  const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
-  BoundedTopK topk(kk);
-  for (std::uint32_t i = 0; i < size; ++i) {
-    if (dead && dead[shard.begin + i]) continue;
-    const std::uint8_t* code = codes.data() + (shard.begin + i) * cs4;
-    std::uint32_t dist = 0;
-    for (std::size_t sub = 0; sub < m; ++sub) {
-      const std::uint32_t g = (code[sub / 2] >> ((sub % 2) * 4)) & 0xF;
-      dist += lut4[sub * cb4 + g];
-    }
-    topk.push(dist, i);
-  }
-  topk.sorted_into(out);  // sentinel-pads short shards
+  Scratch& s = scratch();
+  std::uint32_t* lut4 = scratch_buffer(s.lut4, data.m() * data.cb4());
+  build_q4_lut(data, query.data(), shard.cluster, lut4);
+  const Lane lane{lut4, out, nullptr};
+  scan_q4(data, shard, dead, k, {&lane, 1}, s);
 }
 
 void host_rerank_q4_row(const PimIndexData& data,
                         std::span<const std::int16_t> query, const Shard& shard,
                         std::span<KernelHit> row) {
-  std::vector<std::uint32_t> lut(data.m() * data.cb_entries());
-  host_build_adc_lut(data, query, shard.cluster, lut);
-  host_rerank_q4_row_with_lut(data, lut, shard, row);
+  const std::size_t table = data.m() * data.cb_entries();
+  std::uint32_t* lut = scratch_buffer(scratch().lut, table);
+  host_build_adc_lut(data, query, shard.cluster, {lut, table});
+  host_rerank_q4_row_with_lut(data, {lut, table}, shard, row);
 }
 
 void host_rerank_q4_row_with_lut(const PimIndexData& data,
@@ -349,7 +463,7 @@ void host_rerank_q4_row_with_lut(const PimIndexData& data,
   const auto ids = data.cluster_ids(shard.cluster);
   std::size_t n = 0;
   for (KernelHit& h : row) {
-    if (h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu) break;
+    if (is_pad(h)) break;
     const std::size_t pos = shard.begin + h.id;
     std::uint32_t dist = 0;
     for (std::size_t sub = 0; sub < m; ++sub) {
@@ -358,11 +472,7 @@ void host_rerank_q4_row_with_lut(const PimIndexData& data,
     h = {dist, ids[pos]};
     ++n;
   }
-  std::sort(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(n),
-            [](const KernelHit& a, const KernelHit& b) {
-              if (a.dist != b.dist) return a.dist < b.dist;
-              return a.id < b.id;
-            });
+  std::sort(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(n), hit_less);
 }
 
 void host_cl_candidates_into(const PimIndexData& data,
@@ -371,7 +481,7 @@ void host_cl_candidates_into(const PimIndexData& data,
                              std::uint32_t centroid_count, std::uint32_t keep,
                              std::span<KernelHit> out) {
   const std::size_t dim = data.dim();
-  BoundedTopK topk(keep);
+  BoundedTopK topk(scratch_buffer(scratch().keys, keep), keep);
   for (std::uint32_t c = 0; c < centroid_count; ++c) {
     const std::uint32_t global = centroid_begin + c;
     const auto centroid = data.centroid(global);

@@ -62,10 +62,45 @@ void host_search_tasks_fused_into(const PimIndexData& data,
                                   const Shard& shard, std::uint32_t k, bool q4,
                                   const std::uint8_t* dead = nullptr);
 
+/// One search task of a whole-batch replay (host_replay_batch): a quantized
+/// query, the slice [begin, end) of one cluster it scans, and its rung.
+struct HostReplayTask {
+  const std::int16_t* query = nullptr;  ///< dim int16 values
+  /// Identity of the query: tasks with equal ids carry the same `query`
+  /// values and share its tables. Ids should be dense — the replay
+  /// counting-sorts over [min id, max id].
+  std::uint32_t query_id = 0;
+  std::uint32_t cluster = 0;
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  /// The cluster's positional tombstone flags, or null (see
+  /// host_search_task_into).
+  const std::uint8_t* dead = nullptr;
+  bool q4 = false;
+};
+
+/// Cluster-major replay of a whole batch's search tasks (DESIGN.md §10):
+/// tasks from every DPU are ordered by (cluster, query), each distinct
+/// (query, cluster) pair builds its full-precision ADC table — and, for q4
+/// tasks, its coarse table — ONCE, and every slice the query has a task on
+/// is scanned against it, queries sharing a slice walking its codes together
+/// tile by tile. Task i's result goes to the k-entry row rows[i*k, i*k + k).
+/// Full-rung rows are byte-identical to host_search_task_into; q4 rows come
+/// back already reranked, byte-identical to host_search_task_q4_into
+/// followed by host_rerank_q4_row. Work items of
+/// up to 8 queries of one cluster fan out across host threads, each
+/// building its tables in per-thread scratch, so memory is bounded by
+/// threads x 8 x m x cb x 4 bytes, never by batch size or nprobe. Every row
+/// is written by exactly one item, so results do not depend on the thread
+/// count or on the order of `tasks`.
+void host_replay_batch(const PimIndexData& data,
+                       std::span<const HostReplayTask> tasks, std::uint32_t k,
+                       std::span<KernelHit> rows);
+
 /// Build the full-precision exact ADC table for (query, cluster): the RC +
-/// LC front end of host_search_task_into, factored out so the q4 rerank tail
-/// prices candidates with the identical integer pipeline. `lut` must hold
-/// m * cb_entries uint32 values.
+/// LC front end of host_search_task_into (kernels().adc_lut_u32), factored
+/// out so the q4 rerank tail prices candidates with the identical integer
+/// pipeline. `lut` must hold m * cb_entries uint32 values.
 void host_build_adc_lut(const PimIndexData& data,
                         std::span<const std::int16_t> query,
                         std::uint32_t cluster, std::span<std::uint32_t> lut);

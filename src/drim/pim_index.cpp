@@ -16,7 +16,7 @@ std::int16_t to_i16(float v) {
 
 }  // namespace
 
-PimIndexData::PimIndexData(const IvfPqIndex& index) {
+PimIndexData::PimIndexData(const IvfPqIndex& index, bool with_q4) {
   assert(index.trained());
   dim_ = index.dim();
   const ProductQuantizer& pq = index.pq();
@@ -57,7 +57,7 @@ PimIndexData::PimIndexData(const IvfPqIndex& index) {
     lists_codes_[c] = list.codes;
   }
 
-  build_q4_tables();
+  if (with_q4) build_q4_tables();
 }
 
 void PimIndexData::build_q4_tables() {

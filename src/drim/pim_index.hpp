@@ -20,8 +20,11 @@ namespace drim {
 /// per-cluster code storage, produced once offline from a trained index.
 class PimIndexData {
  public:
-  /// Quantize `index` (must be trained and populated).
-  explicit PimIndexData(const IvfPqIndex& index);
+  /// Quantize `index` (must be trained and populated). `with_q4` builds the
+  /// 4-bit rung's tables (per-subquantizer k-means plus a repack of every
+  /// code); callers that never run the q4 rung pass false and skip that
+  /// cost, leaving has_q4() false.
+  explicit PimIndexData(const IvfPqIndex& index, bool with_q4 = true);
 
   std::size_t dim() const { return dim_; }
   std::size_t m() const { return m_; }
@@ -39,7 +42,8 @@ class PimIndexData {
   // the q4 rung reranks its survivors exactly on the host. Wide-code
   // indexes (cb > 256) have no 4-bit rung — has_q4() is false there.
 
-  /// True when the 4-bit rung's tables were built for this index.
+  /// True when the 4-bit rung's tables were built for this index (requested
+  /// at construction, and narrow codes).
   bool has_q4() const { return !codebooks_q4_.empty(); }
   /// Coarse codebook entries per subquantizer (min(cb, 16)).
   std::size_t cb4() const { return cb4_; }

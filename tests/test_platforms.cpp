@@ -11,11 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/flat_search.hpp"
+#include "core/mutable_index.hpp"
 #include "data/synthetic.hpp"
 #include "drim/engine.hpp"
+#include "drim/host_exact.hpp"
 #include "pim/pim_platform.hpp"
 
 namespace drim {
@@ -206,6 +212,207 @@ TEST_F(PlatformTest, Q4RungPlatformsAreChargeTwins) {
   EXPECT_EQ(ss.tasks, fs.tasks);
   EXPECT_LT(ss.counters.at(Phase::DC).mram_bytes_read,
             fs.counters.at(Phase::DC).mram_bytes_read);
+}
+
+// ---- heavily sliced clusters ----
+// The fixture's split_threshold 128 leaves most clusters in one slice, so the
+// cluster-major host replay (one table per (query, cluster), shared by every
+// slice on every DPU) is barely exercised. Here every probed cluster spans at
+// least 3 slices on distinct DPUs, hot clusters are duplicated, a writer
+// publish leaves tombstones in the snapshot, and full and q4 requests mix in
+// one stream.
+
+constexpr std::size_t kSlicedThreshold = 16;
+constexpr std::size_t kSlicedNprobe = 6;
+
+/// Tombstone every 5th base id (and insert a few points) through a writer,
+/// so the published snapshot carries dead flags in every cluster.
+IndexSnapshot sliced_snapshot(const IvfPqIndex& index, const SyntheticData& data) {
+  IndexWriter writer(index);
+  for (std::uint32_t id = 0; id < index.ntotal(); id += 5) writer.erase(id);
+  std::vector<float> v(data.queries.dim());
+  for (std::size_t i = 0; i < 16; ++i) {
+    const auto row = data.learn.row(i);
+    v.assign(row.begin(), row.end());
+    writer.insert(v);
+  }
+  return writer.publish();
+}
+
+/// The fixture's queries whose every probed cluster holds at least three
+/// slices' worth of points in `snap` (a few clusters are too small to split
+/// three ways at any threshold that keeps the big ones on <= 32 DPUs).
+FloatMatrix sliced_queries(const IndexSnapshot& snap, const FloatMatrix& queries) {
+  FloatMatrix out;
+  for (std::size_t q = 0; q < queries.count(); ++q) {
+    bool big = true;
+    for (const std::uint32_t c :
+         snap.index->locate_clusters(queries.row(q), kSlicedNprobe)) {
+      big &= snap.index->list(c).ids.size() >= 3 * kSlicedThreshold;
+    }
+    if (big) out.push_back(queries.row(q));
+  }
+  return out;
+}
+
+DrimEngineOptions sliced_options(PimPlatformKind kind, std::size_t fuse_width,
+                                 std::size_t depth) {
+  DrimEngineOptions o;
+  o.pim.num_dpus = 32;
+  o.layout.split_threshold = kSlicedThreshold;
+  o.layout.dup_fraction = 0.25;
+  // ID-order placement deals a cluster's shards to consecutive DPUs, so its
+  // slices never share a DPU (the heat-greedy allocator may co-locate them).
+  o.layout.heat_allocation = false;
+  o.heat_nprobe = kSlicedNprobe;
+  o.batch_size = 12;
+  o.fuse_width = fuse_width;
+  o.pipeline_depth = depth;
+  o.enable_q4 = true;
+  o.platform = kind;
+  return o;
+}
+
+/// Streams every query through search_batch, odd queries on the q4 rung.
+std::vector<std::vector<Neighbor>> search_mixed(DrimAnnEngine& engine,
+                                                const FloatMatrix& queries,
+                                                DrimSearchStats* stats) {
+  SearchBatchState state;
+  for (std::size_t q = 0; q < queries.count(); ++q) {
+    engine.enqueue_query(state, queries.row(q), 10, kSlicedNprobe,
+                         q % 2 == 1 ? Precision::kQ4 : Precision::kFull);
+  }
+  const std::size_t batch = engine.options().batch_size;
+  while (state.next_query < queries.count() || state.has_deferred()) {
+    const bool flush = state.next_query + batch >= queries.count();
+    engine.search_batch(state, batch, flush, stats);
+  }
+  std::vector<std::vector<Neighbor>> out(queries.count());
+  for (std::size_t q = 0; q < queries.count(); ++q) {
+    out[q] = state.take_results(static_cast<std::uint32_t>(q));
+  }
+  return out;
+}
+
+TEST_F(PlatformTest, SlicedClustersAnalyticMatchesSimExactly) {
+  const IndexSnapshot snap = sliced_snapshot(*index_, *data_);
+  const FloatMatrix queries = sliced_queries(snap, data_->queries);
+  ASSERT_GE(queries.count(), 24u);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+      SCOPED_TRACE("fuse_width " + std::to_string(width) + " depth " +
+                   std::to_string(depth));
+      DrimAnnEngine sim(snap, data_->learn,
+                        sliced_options(PimPlatformKind::kSim, width, depth));
+      DrimAnnEngine analytic(snap, data_->learn,
+                             sliced_options(PimPlatformKind::kAnalytic, width, depth));
+      ASSERT_TRUE(analytic.q4_ready());
+
+      // The shape this test exists for: every probed cluster has >= 3
+      // slices, on >= 3 distinct DPUs, and some are replicated.
+      const DataLayout& layout = analytic.layout();
+      bool replicated = false;
+      for (std::size_t q = 0; q < queries.count(); ++q) {
+        for (const std::uint32_t c :
+             snap.index->locate_clusters(queries.row(q), kSlicedNprobe)) {
+          const auto& slices = layout.slice_groups(c);
+          ASSERT_GE(slices.size(), 3u) << "cluster " << c;
+          std::set<std::uint32_t> dpus;
+          for (const auto& replicas : slices) {
+            replicated |= replicas.size() > 1;
+            for (const std::uint32_t id : replicas) dpus.insert(layout.shard(id).dpu);
+          }
+          ASSERT_GE(dpus.size(), 3u) << "cluster " << c;
+        }
+      }
+      EXPECT_TRUE(replicated);
+
+      DrimSearchStats ss, as;
+      const auto sim_res = search_mixed(sim, queries, &ss);
+      const auto analytic_res = search_mixed(analytic, queries, &as);
+      expect_identical(sim_res, analytic_res);
+      for (std::size_t p = 0; p < kNumPhases; ++p) {
+        SCOPED_TRACE(phase_name(static_cast<Phase>(p)));
+        EXPECT_EQ(ss.counters.phases[p].instr_cycles, as.counters.phases[p].instr_cycles);
+        EXPECT_EQ(ss.counters.phases[p].dma_cycles, as.counters.phases[p].dma_cycles);
+        EXPECT_EQ(ss.counters.phases[p].mram_bytes_read,
+                  as.counters.phases[p].mram_bytes_read);
+        EXPECT_EQ(ss.counters.phases[p].mram_bytes_written,
+                  as.counters.phases[p].mram_bytes_written);
+        EXPECT_EQ(ss.counters.phases[p].mul_count, as.counters.phases[p].mul_count);
+        EXPECT_EQ(ss.phase_dpu_seconds[p], as.phase_dpu_seconds[p]);
+      }
+      EXPECT_EQ(ss.transfer_in_seconds, as.transfer_in_seconds);
+      EXPECT_EQ(ss.transfer_out_seconds, as.transfer_out_seconds);
+      EXPECT_EQ(ss.host_rerank_seconds, as.host_rerank_seconds);
+      EXPECT_GT(ss.host_rerank_seconds, 0.0);
+      EXPECT_EQ(ss.tasks, as.tasks);
+      ASSERT_EQ(ss.batch_seconds.size(), as.batch_seconds.size());
+      for (std::size_t b = 0; b < ss.batch_seconds.size(); ++b) {
+        EXPECT_EQ(ss.batch_seconds[b], as.batch_seconds[b]) << "batch " << b;
+      }
+    }
+  }
+}
+
+// The batch replay against the independent per-task oracle: every row of
+// host_replay_batch equals host_search_task_into (full rung) or
+// host_search_task_q4_into + host_rerank_q4_row (q4 rung) for the same
+// (query, slice), including slices of one cluster scanned by several queries
+// at once, replicas of one slice, and tombstoned positions.
+TEST_F(PlatformTest, BatchReplayMatchesPerTaskOracle) {
+  const IndexSnapshot snap = sliced_snapshot(*index_, *data_);
+  const PimIndexData data(*snap.index);
+  ASSERT_TRUE(data.has_q4());
+  const std::uint32_t k = 10;
+  std::vector<std::vector<std::int16_t>> q16;
+  for (std::size_t q = 0; q < data_->queries.count(); ++q) {
+    q16.push_back(PimIndexData::quantize_query(data_->queries.row(q)));
+  }
+  std::vector<HostReplayTask> tasks;
+  for (std::size_t q = 0; q < q16.size(); ++q) {
+    for (const std::uint32_t c :
+         snap.index->locate_clusters(data_->queries.row(q), kSlicedNprobe)) {
+      const auto size = static_cast<std::uint32_t>(data.cluster_size(c));
+      for (std::uint32_t b = 0; b < size; b += kSlicedThreshold) {
+        HostReplayTask t;
+        t.query = q16[q].data();
+        t.query_id = static_cast<std::uint32_t>(q);
+        t.dead = snap.dead_flags(c);
+        t.cluster = c;
+        t.begin = b;
+        t.end = std::min<std::uint32_t>(size, b + kSlicedThreshold);
+        t.q4 = q % 3 == 1;
+        tasks.push_back(t);
+        // Every 4th slice also runs on a second replica of itself.
+        if (b / kSlicedThreshold % 4 == 0) tasks.push_back(t);
+      }
+    }
+  }
+  // The replay must not depend on task order: interleave the queries.
+  std::shuffle(tasks.begin(), tasks.end(), std::mt19937(5));
+  std::vector<KernelHit> rows(tasks.size() * k);
+  host_replay_batch(data, tasks, k, rows);
+
+  std::vector<KernelHit> want(k);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const HostReplayTask& t = tasks[i];
+    Shard sh;
+    sh.cluster = t.cluster;
+    sh.begin = t.begin;
+    sh.end = t.end;
+    const auto& query = q16[t.query_id];
+    if (t.q4) {
+      host_search_task_q4_into(data, query, sh, k, want, t.dead);
+      host_rerank_q4_row(data, query, sh, want);
+    } else {
+      host_search_task_into(data, query, sh, k, want, t.dead);
+    }
+    for (std::uint32_t j = 0; j < k; ++j) {
+      ASSERT_EQ(rows[i * k + j].dist, want[j].dist) << "task " << i << " rank " << j;
+      ASSERT_EQ(rows[i * k + j].id, want[j].id) << "task " << i << " rank " << j;
+    }
+  }
 }
 
 TEST_F(PlatformTest, FactoryAndNamesRoundTrip) {

@@ -2,9 +2,10 @@
 // DistanceKernels entry must produce EXACTLY the same bits from the scalar
 // reference and the AVX2 implementation, on random inputs and on the
 // adversarial shapes where equality usually dies — tail-remainder sizes
-// (n % 8 != 0), denormal operands, and wide (uint16) PQ codes. The scalar
-// adc_* entries are additionally pinned to the seed per-point loops so the
-// seam cannot drift from pq::adc_distance / compute_adc_lut semantics.
+// (n % 8 != 0), denormal operands, wide (uint16) PQ codes, and integer
+// operands whose squares wrap uint32. The scalar adc_* entries are
+// additionally pinned to the seed per-point loops so the seam cannot drift
+// from pq::adc_distance / compute_adc_lut / host-exact LUT semantics.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/distances.hpp"
@@ -131,6 +133,99 @@ TEST(SimdEquality, AdcScanU32MatchesExactIncludingWraparound) {
                     out_vx.data());
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(out_sc[i], out_vx[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+/// int16 operands drawn from the full range, with a third pinned to the
+/// extremes so residual-minus-codeword differences approach +-98301 and
+/// their squares wrap uint32.
+std::vector<std::int16_t> extreme_int16s(std::mt19937& rng, std::size_t n) {
+  std::uniform_int_distribution<int> full(-32768, 32767);
+  std::uniform_int_distribution<int> pick(0, 2);
+  std::uniform_int_distribution<int> near(0, 8);
+  std::vector<std::int16_t> v(n);
+  for (auto& x : v) {
+    switch (pick(rng)) {
+      case 0: x = static_cast<std::int16_t>(32767 - near(rng)); break;
+      case 1: x = static_cast<std::int16_t>(-32767 + near(rng)); break;
+      default: x = static_cast<std::int16_t>(full(rng)); break;
+    }
+  }
+  return v;
+}
+
+/// The seed host-exact LUT loop (host_build_adc_lut before the seam entry):
+/// an int32 residual vector, then |res - cw| squared and summed in uint32.
+std::vector<std::uint32_t> seed_lut_u32(const std::vector<std::int16_t>& query,
+                                        const std::vector<std::int16_t>& centroid,
+                                        const std::vector<std::int16_t>& books,
+                                        std::size_t m, std::size_t dsub,
+                                        std::size_t cb) {
+  std::vector<std::int32_t> residual(m * dsub);
+  for (std::size_t d = 0; d < m * dsub; ++d) {
+    residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
+  }
+  std::vector<std::uint32_t> lut(m * cb);
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    const std::int32_t* res = residual.data() + sub * dsub;
+    for (std::size_t e = 0; e < cb; ++e) {
+      const std::int16_t* cw = books.data() + (sub * cb + e) * dsub;
+      std::uint32_t acc = 0;
+      for (std::size_t d = 0; d < dsub; ++d) {
+        const std::int32_t diff = res[d] - cw[d];
+        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+        acc += a * a;
+      }
+      lut[sub * cb + e] = acc;
+    }
+  }
+  return lut;
+}
+
+TEST(SimdEquality, AdcLutU32MatchesBitExactIncludingWraparound) {
+  REQUIRE_AVX2();
+  const DistanceKernels& sc = scalar_kernels();
+  const DistanceKernels& vx = *avx2_kernels();
+  std::mt19937 rng(23);
+  const std::size_t m = 3;
+  for (const std::size_t dsub : {1u, 2u, 4u, 8u, 12u, 16u}) {
+    for (const std::size_t cb : {1u, 5u, 8u, 13u, 16u, 100u, 256u}) {
+      SCOPED_TRACE("dsub=" + std::to_string(dsub) + " cb=" + std::to_string(cb));
+      auto query = extreme_int16s(rng, m * dsub);
+      auto centroid = extreme_int16s(rng, m * dsub);
+      auto books = extreme_int16s(rng, m * cb * dsub);
+      // Pin one certain wrap: entry 0 of subquantizer 0 has a component
+      // difference of 3 * 32767, whose square exceeds 2^32 by more than 2x.
+      query[0] = 32767;
+      centroid[0] = -32767;
+      books[0] = -32767;
+      std::vector<std::uint32_t> lut_sc(m * cb), lut_vx(m * cb);
+      sc.adc_lut_u32(query.data(), centroid.data(), books.data(), m, dsub, cb,
+                     lut_sc.data());
+      vx.adc_lut_u32(query.data(), centroid.data(), books.data(), m, dsub, cb,
+                     lut_vx.data());
+      for (std::size_t i = 0; i < m * cb; ++i) {
+        ASSERT_EQ(lut_sc[i], lut_vx[i]) << "sub=" << i / cb << " e=" << i % cb;
+      }
+    }
+  }
+}
+
+TEST(SimdEquality, AdcLutU32ScalarMatchesSeedLoop) {
+  const DistanceKernels& sc = scalar_kernels();
+  std::mt19937 rng(29);
+  for (const std::size_t dsub : {1u, 4u, 8u, 12u}) {
+    const std::size_t m = 4, cb = 37;
+    const auto query = extreme_int16s(rng, m * dsub);
+    const auto centroid = extreme_int16s(rng, m * dsub);
+    const auto books = extreme_int16s(rng, m * cb * dsub);
+    const auto ref = seed_lut_u32(query, centroid, books, m, dsub, cb);
+    std::vector<std::uint32_t> lut(m * cb);
+    sc.adc_lut_u32(query.data(), centroid.data(), books.data(), m, dsub, cb,
+                   lut.data());
+    for (std::size_t i = 0; i < m * cb; ++i) {
+      ASSERT_EQ(lut[i], ref[i]) << "dsub=" << dsub << " i=" << i;
     }
   }
 }
