@@ -233,7 +233,12 @@ BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_seconds_(steady_seconds()) {}
 
 void BenchReport::set_config(const std::string& key, const std::string& value) {
-  config_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  // Built with += rather than "\"" + ... + "\"": GCC 12 flags the latter
+  // with a false-positive -Wrestrict under -O2.
+  std::string quoted = "\"";
+  quoted += json_escape(value);
+  quoted += '"';
+  config_.emplace_back(key, std::move(quoted));
 }
 
 void BenchReport::set_config(const std::string& key, double value) {

@@ -3,14 +3,34 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/distances.hpp"
 
 namespace drim {
+namespace {
+
+/// Throws std::invalid_argument naming the violated bound when (dim, m, cb)
+/// is not a PQ geometry the codes and kernels can represent: m must split dim
+/// into whole subvectors, and cb must fit a 16-bit code with >= 2 entries.
+void check_geometry(const char* where, std::size_t dim, std::size_t m, std::size_t cb) {
+  const std::string at = std::string(where) + ": ";
+  if (m == 0) throw std::invalid_argument(at + "m must be > 0");
+  if (dim % m != 0) {
+    throw std::invalid_argument(at + "dim " + std::to_string(dim) +
+                                " must be divisible by m " + std::to_string(m));
+  }
+  if (cb < 2 || cb > 65536) {
+    throw std::invalid_argument(at + "cb_entries " + std::to_string(cb) +
+                                " must be in [2, 65536]");
+  }
+}
+
+}  // namespace
 
 void ProductQuantizer::train(const FloatMatrix& points, const PQParams& params) {
-  assert(params.m > 0 && points.dim() % params.m == 0);
-  assert(params.cb_entries >= 2 && params.cb_entries <= 65536);
+  check_geometry("ProductQuantizer::train", points.dim(), params.m, params.cb_entries);
   dim_ = points.dim();
   m_ = params.m;
   cb_ = params.cb_entries;
@@ -36,10 +56,19 @@ void ProductQuantizer::train(const FloatMatrix& points, const PQParams& params) 
 
 void ProductQuantizer::restore(std::size_t dim, std::size_t m, std::size_t cb,
                                std::vector<FloatMatrix> codebooks) {
-  assert(m > 0 && dim % m == 0 && codebooks.size() == m);
+  check_geometry("ProductQuantizer::restore", dim, m, cb);
+  if (codebooks.size() != m) {
+    throw std::invalid_argument("ProductQuantizer::restore: expected m " +
+                                std::to_string(m) + " codebooks, got " +
+                                std::to_string(codebooks.size()));
+  }
   for (const FloatMatrix& book : codebooks) {
-    assert(book.count() == cb && book.dim() == dim / m);
-    (void)book;
+    if (book.count() != cb || book.dim() != dim / m) {
+      throw std::invalid_argument(
+          "ProductQuantizer::restore: codebook shape " + std::to_string(book.count()) +
+          " x " + std::to_string(book.dim()) + " must be cb x dim/m = " +
+          std::to_string(cb) + " x " + std::to_string(dim / m));
+    }
   }
   dim_ = dim;
   m_ = m;

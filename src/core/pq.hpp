@@ -31,7 +31,8 @@ class ProductQuantizer {
   ProductQuantizer() = default;
 
   /// Train per-subspace codebooks on float training rows (typically IVF
-  /// residuals). points.dim() must be divisible by params.m.
+  /// residuals). Throws std::invalid_argument unless params.m > 0 divides
+  /// points.dim() and 2 <= params.cb_entries <= 65536.
   void train(const FloatMatrix& points, const PQParams& params);
 
   std::size_t dim() const { return dim_; }
@@ -81,7 +82,9 @@ class ProductQuantizer {
   const FloatMatrix& codebook(std::size_t sub) const { return codebooks_[sub]; }
 
   /// Rebuild a quantizer from serialized state (see core/serialize.hpp).
-  /// codebooks must hold m matrices of [cb x (dim/m)] each.
+  /// codebooks must hold m matrices of [cb x (dim/m)] each; a geometry or
+  /// codebook shape that violates train()'s bounds throws
+  /// std::invalid_argument.
   void restore(std::size_t dim, std::size_t m, std::size_t cb,
                std::vector<FloatMatrix> codebooks);
 

@@ -889,7 +889,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // ---- cluster-major fusion plan (DESIGN.md §16) ----
   // Group each DPU's tasks by (cluster, rung) so the kernel streams every
   // fused group's codes from MRAM once. Planned host-side (the kernel is
-  // shipped the plan, and the charge twin must see the identical grouping);
+  // shipped the plan, so both platforms launch the identical grouping);
   // the saved re-stream bytes are tallied here from the plan alone.
   const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
   std::vector<std::vector<FusedTaskGroup>> dpu_groups;
@@ -945,22 +945,18 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         if (dpu_tasks[d].empty()) return;
         SearchKernelArgs a = args;
         a.output_offset = dpu_output_off[d];
-        // fuse_width 1 keeps the LITERAL per-task kernels so results and
-        // modeled times reproduce the pre-fusion engine bit-for-bit.
+        // One kernel body serves both platforms and every width. At
+        // fuse_width 1 no plan ships (empty span): each task runs as its own
+        // group with no descriptor table, which is the per-task kernel's
+        // exact charge stream, so results and modeled times reproduce the
+        // pre-fusion engine bit-for-bit.
+        const std::span<const FusedTaskGroup> plan =
+            fuse_width > 1 ? std::span<const FusedTaskGroup>(dpu_groups[d])
+                           : std::span<const FusedTaskGroup>();
         if (functional) {
-          if (fuse_width > 1) {
-            run_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d],
-                                    dpu_groups[d]);
-          } else {
-            run_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
-          }
+          run_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], plan);
         } else {
-          if (fuse_width > 1) {
-            charge_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d],
-                                       dpu_groups[d]);
-          } else {
-            charge_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
-          }
+          charge_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], plan);
         }
       },
       [&]() {

@@ -82,10 +82,10 @@ struct DrimEngineOptions {
   /// DPU's tasks are grouped by (cluster, rung) into fused groups of up to
   /// this many queries; the kernel streams the cluster's packed codes from
   /// MRAM once per group, scoring every member's LUT against each code block
-  /// before advancing. 1 (default) keeps the literal per-task kernels —
-  /// results AND modeled times reproduce bit-for-bit. Widths > 1 leave
-  /// results bit-identical (each member keeps its own LUT, heap, and output
-  /// row) and only amortize the DC DMA stream. Bounded by the 64 KB WRAM
+  /// before advancing. 1 (default) ships no plan and runs each task as its
+  /// own group — results AND modeled times reproduce bit-for-bit. Widths > 1
+  /// leave results bit-identical (each member keeps its own LUT, heap, and
+  /// output row) and only amortize the DC DMA stream. Bounded by the 64 KB WRAM
   /// budget: G LUTs + one code block + G top-k heaps must fit; infeasible
   /// widths throw naming the maximum feasible width.
   std::size_t fuse_width = 1;

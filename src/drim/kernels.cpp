@@ -1,39 +1,66 @@
 #include "drim/kernels.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <unordered_map>
 
 namespace drim {
 namespace {
 
+// ---- single-source kernels ----
+// Each kernel below is ONE body templated on kFunctional. The functional
+// instantiation (SimPimPlatform) moves bytes and computes; the charge-only
+// instantiation (AnalyticPimPlatform) compiles the data movement and the
+// arithmetic out behind `if constexpr`. Every charge sits outside those
+// blocks, and the two DMA helpers below are the only place the instantiations
+// differ in how a transfer is billed (mram_read/mram_write bill exactly what
+// charge_mram_read/charge_mram_write bill for the same size), so both
+// platforms charge identical per-phase counters by construction.
+
+/// One MRAM -> WRAM DMA transfer of `bytes` into `dst` (ignored, and may be
+/// null, in the charge-only instantiation).
+template <bool kFunctional>
+void dma_read(DpuContext& ctx, std::size_t offset, void* dst, std::size_t bytes) {
+  if constexpr (kFunctional) {
+    ctx.mram_read(offset, {static_cast<std::uint8_t*>(dst), bytes});
+  } else {
+    ctx.charge_mram_read(bytes);
+  }
+}
+
+/// One WRAM -> MRAM DMA transfer.
+template <bool kFunctional>
+void dma_write(DpuContext& ctx, std::size_t offset, const void* src, std::size_t bytes) {
+  if constexpr (kFunctional) {
+    ctx.mram_write(offset, {static_cast<const std::uint8_t*>(src), bytes});
+  } else {
+    ctx.charge_mram_write(bytes);
+  }
+}
+
 /// DMA a region in <= kMaxDmaBytes chunks (UPMEM transfers are bounded).
-void mram_read_chunked(DpuContext& ctx, std::size_t offset, std::span<std::uint8_t> dst) {
-  std::size_t done = 0;
-  while (done < dst.size()) {
-    const std::size_t n = std::min(kMaxDmaBytes, dst.size() - done);
-    ctx.mram_read(offset + done, dst.subspan(done, n));
+template <bool kFunctional>
+void mram_read_chunked(DpuContext& ctx, std::size_t offset, void* dst, std::size_t bytes) {
+  for (std::size_t done = 0; done < bytes;) {
+    const std::size_t n = std::min(kMaxDmaBytes, bytes - done);
+    dma_read<kFunctional>(ctx, offset + done,
+                          kFunctional ? static_cast<std::uint8_t*>(dst) + done : dst, n);
     done += n;
   }
 }
 
-/// Bill the DMA of a region fetched in <= kMaxDmaBytes chunks (charge-only
-/// twin of mram_read_chunked: same transfer count and sizes).
-void charge_read_chunked(DpuContext& ctx, std::size_t bytes) {
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::size_t n = std::min(kMaxDmaBytes, bytes - done);
-    ctx.charge_mram_read(n);
-    done += n;
-  }
+/// A WRAM scratch buffer: `n` elements when functional, empty otherwise (the
+/// charge-only kernels bill the working set without materializing it).
+template <bool kFunctional, typename T>
+std::vector<T> wram_buffer(std::size_t n) {
+  return std::vector<T>(kFunctional ? n : 0);
 }
 
 // ---- shared instruction-charging policy ----
-// The functional kernels and their analytic twins bill instruction cycles
-// through the SAME deterministic helpers below, so per-phase cycle counters
-// are exactly equal between SimPimPlatform and AnalyticPimPlatform (pinned
-// by tests/test_platforms.cpp). The policy is schedule/layout-determined:
+// Both instantiations bill instruction cycles through the SAME deterministic
+// helpers below, so per-phase cycle counters are exactly equal between
+// SimPimPlatform and AnalyticPimPlatform (pinned by tests/test_platforms.cpp).
+// The policy is schedule/layout-determined:
 //   - squaring bills one square-LUT lookup per dimension when the square
 //     table is enabled (the broadcast table is sized to cover the full
 //     operand range, so this is the real cost), or a 32-cycle multiply per
@@ -66,7 +93,7 @@ std::uint64_t amortized_topk_cycles(const DpuInstructionCosts& c, std::uint64_t 
 
 /// Fixed-capacity WRAM top-k (binary max-heap on distance, ties by id).
 /// Maintenance cycles are billed in bulk via amortized_topk_cycles, not per
-/// push, so the charge stream is identical to the analytic twin's.
+/// push, so the charge stream is identical in both instantiations.
 class WramTopK {
  public:
   explicit WramTopK(std::uint32_t k) : k_(k) { heap_.reserve(k); }
@@ -104,386 +131,309 @@ class WramTopK {
                                  // are resolved at task end
 };
 
-}  // namespace
-
-void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
+template <bool kFunctional>
+void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
   const std::size_t dim = args.dim;
   if (args.num_queries == 0 || args.centroid_count == 0) return;
 
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
   const std::size_t wram =
-      query.size() * 2 + centroid.size() * 2 + args.nprobe * sizeof(KernelHit) +
+      dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
       (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
   check_wram_budget(ctx.config(), wram);
+  std::vector<std::int16_t> query = wram_buffer<kFunctional, std::int16_t>(dim);
+  std::vector<std::int16_t> centroid = wram_buffer<kFunctional, std::int16_t>(dim);
 
   ctx.set_phase(Phase::CL);
   const std::uint64_t cnt = args.centroid_count;
   for (std::uint32_t q = 0; q < args.num_queries; ++q) {
-    ctx.mram_read_t<std::int16_t>(args.queries_offset + q * dim * 2,
-                                  std::span<std::int16_t>(query));
-    WramTopK topk(args.nprobe);
+    dma_read<kFunctional>(ctx, args.queries_offset + q * dim * 2, query.data(), dim * 2);
+    WramTopK topk(kFunctional ? args.nprobe : 0);
     for (std::uint32_t c = 0; c < args.centroid_count; ++c) {
       const std::uint32_t global = args.centroid_begin + c;
-      ctx.mram_read_t<std::int16_t>(args.centroids_offset + global * dim * 2,
-                                    std::span<std::int16_t>(centroid));
-      std::uint32_t dist = 0;
-      for (std::size_t d = 0; d < dim; ++d) {
-        const std::int32_t diff = static_cast<std::int32_t>(query[d]) - centroid[d];
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        dist += a * a;
+      dma_read<kFunctional>(ctx, args.centroids_offset + global * dim * 2,
+                            centroid.data(), dim * 2);
+      if constexpr (kFunctional) {
+        std::uint32_t dist = 0;
+        for (std::size_t d = 0; d < dim; ++d) {
+          const std::int32_t diff = static_cast<std::int32_t>(query[d]) - centroid[d];
+          const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+          dist += a * a;
+        }
+        topk.push(dist, global);
       }
-      topk.push(dist, global);
     }
     // Per dim of each centroid: subtract + square + accumulate (the Eq. 1
     // "3D - 1" shape), then the amortized top-nprobe maintenance.
     charge_square_stream(ctx, args.use_square_lut, cnt * dim);
     ctx.charge_adds(cnt * 2 * dim);
     ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, cnt, args.nprobe));
-    std::vector<KernelHit> hits = topk.sorted();
-    hits.resize(args.nprobe, KernelHit{});
-    ctx.mram_write(args.output_offset + q * args.nprobe * sizeof(KernelHit),
-                   {reinterpret_cast<const std::uint8_t*>(hits.data()),
-                    args.nprobe * sizeof(KernelHit)});
+    std::vector<KernelHit> hits;
+    if constexpr (kFunctional) {
+      hits = topk.sorted();
+      hits.resize(args.nprobe, KernelHit{});
+    }
+    dma_write<kFunctional>(ctx, args.output_offset + q * args.nprobe * sizeof(KernelHit),
+                           hits.data(), args.nprobe * sizeof(KernelHit));
   }
 }
 
-void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                       std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks) {
+/// The search kernel. `groups` is the fusion plan shipped with the launch;
+/// an empty span runs every task as its own group and ships no descriptor
+/// table, which is exactly the per-task kernel's charge stream.
+template <bool kFunctional>
+void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                   std::span<const ShardRegion> shards, std::span<const KernelTask> tasks,
+                   std::span<const FusedTaskGroup> groups) {
   const std::size_t dim = args.dim;
   const std::size_t m = args.m;
   const std::size_t cb = args.cb;
   const std::size_t dsub = dim / m;
-
-  // Quantization-ladder geometry; q4 buffers join the working set only when
-  // this launch actually carries a 4-bit task, so full-rung launches keep
-  // the exact pre-ladder WRAM accounting.
   const std::size_t cb4 = args.cb4;
   const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  bool any_q4 = false;
-  if (args.has_q4) {
-    for (const KernelTask& t : tasks) any_q4 = any_q4 || task_is_q4(t);
+
+  // Widest group per rung; q4 buffers join the working set only when this
+  // launch actually carries a 4-bit task, so full-rung launches keep the
+  // exact pre-ladder WRAM accounting.
+  std::size_t full_width = 0;
+  std::size_t q4_width = 0;
+  const auto widen = [&](bool q4, std::size_t width) {
+    std::size_t& w = q4 && args.has_q4 ? q4_width : full_width;
+    w = std::max(w, width);
+  };
+  if (groups.empty()) {
+    for (const KernelTask& t : tasks) widen(task_is_q4(t), 1);
+  } else {
+    for (const FusedTaskGroup& g : groups) widen(g.q4, g.tasks.size());
   }
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
-  std::vector<std::int32_t> residual(dim);
-  std::vector<std::uint32_t> lut(m * cb);              // ADC lookup table
-  std::vector<std::int16_t> cb_slice(cb * dsub);       // one subquantizer's book
-  std::vector<std::uint8_t> code_block(kMaxDmaBytes);  // streamed PQ codes
-  std::vector<std::uint8_t> id_buf(sizeof(std::uint32_t));
-  std::vector<std::uint32_t> lut4(any_q4 ? m * cb4 : 0);  // coarse sub-LUTs
-  std::vector<std::uint32_t> pair_lut(any_q4 ? pairs * 256 : 0);
-  const std::size_t sq_lut_bytes =
-      args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  const std::size_t wram_bytes =
-      query.size() * 2 + centroid.size() * 2 + residual.size() * 4 + lut.size() * 4 +
-      std::min(cb_slice.size() * 2, kMaxDmaBytes * 2) + code_block.size() +
-      sq_lut_bytes + args.k * sizeof(KernelHit) +
-      lut4.size() * 4 + pair_lut.size() * 4;
-  check_wram_budget(ctx.config(), wram_bytes);
+  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
+  auto query = wram_buffer<kFunctional, std::int16_t>(dim);
+  auto centroid = wram_buffer<kFunctional, std::int16_t>(dim);
+  auto residual = wram_buffer<kFunctional, std::int32_t>(dim);
+  auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
+      std::max<std::size_t>(full_width, 1) * m * cb);
+  auto cb_slice = wram_buffer<kFunctional, std::int16_t>(cb * dsub);  // one book
+  auto code_block = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
+  auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
+  auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
+  std::vector<WramTopK> heaps;  // one k-entry heap per group member
 
-  // Task list itself is fetched from MRAM by the real kernel; charge its DMA.
+  // The task list (and, with a plan, the fused-group descriptor table)
+  // arrives by DMA: the host ships the plan; the kernel never re-derives it.
   ctx.set_phase(Phase::AUX);
   ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
   ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
+  if (!groups.empty()) {
+    ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
+    ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
+  }
 
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const KernelTask& task = tasks[t];
-    const ShardRegion& shard = shards[task.shard_slot];
-    const bool q4 = args.has_q4 && task_is_q4(task);
+  const auto run_group = [&](std::uint32_t shard_slot, bool group_q4,
+                             std::span<const std::uint32_t> members) {
+    const ShardRegion& shard = shards[shard_slot];
+    const bool q4 = args.has_q4 && group_q4;
     const std::uint32_t shift = q4 ? shard.q4_shift : 0;
+    const std::size_t width = members.size();
 
-    // ---- RC: residual = query - centroid ----
+    // ---- RC + LC per member: the centroid is group-shared (read once);
+    // each member reads its own query, forms its residual, and builds its
+    // own LUT slab row with exactly the per-task charges. ----
     ctx.set_phase(Phase::RC);
-    ctx.mram_read_t<std::int16_t>(args.queries_offset + task_query_slot(task) * dim * 2,
-                                  std::span<std::int16_t>(query));
-    ctx.mram_read_t<std::int16_t>(args.centroids_offset + shard.cluster * dim * 2,
-                                  std::span<std::int16_t>(centroid));
-    for (std::size_t d = 0; d < dim; ++d) {
-      residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-    }
-    ctx.charge_adds(dim);
-    ctx.charge_wram(dim * 3);  // two loads + one store per component
-    if (q4) {
-      // Per-cluster residual scalar quantization: arithmetic shift, one
-      // cycle per component (billed even at shift 0 so the q4 charge
-      // stream is schedule-determined, not data-determined).
-      for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
-      ctx.charge_cycles(dim);
-    }
+    dma_read<kFunctional>(ctx, args.centroids_offset + shard.cluster * dim * 2,
+                          centroid.data(), dim * 2);
+    for (std::size_t g = 0; g < width; ++g) {
+      const KernelTask& task = tasks[members[g]];
+      ctx.set_phase(Phase::RC);
+      dma_read<kFunctional>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
+                            query.data(), dim * 2);
+      if constexpr (kFunctional) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          residual[d] = (static_cast<std::int32_t>(query[d]) - centroid[d]) >> shift;
+        }
+      }
+      ctx.charge_adds(dim);
+      ctx.charge_wram(dim * 3);  // two loads + one store per component
+      // Per-cluster residual scalar quantization on the q4 rung: arithmetic
+      // shift, one cycle per component (billed even at shift 0 so the q4
+      // charge stream is schedule-determined, not data-determined).
+      if (q4) ctx.charge_cycles(dim);
 
-    ctx.set_phase(Phase::LC);
-    if (!q4) {
       // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
+      // The q4 rung scores each subquantizer against its cb4-entry coarse
+      // codebook (shifted into the cluster's residual scale) into the shared
+      // lut4 scratch, then folds pairs of sub-LUTs into this member's
+      // 256-entry pair-LUT rows so DC scores two subquantizers per byte.
+      ctx.set_phase(Phase::LC);
+      const std::size_t entries = q4 ? cb4 : cb;
+      const std::size_t books = q4 ? args.codebooks_q4_offset : args.codebooks_offset;
       for (std::size_t sub = 0; sub < m; ++sub) {
-        mram_read_chunked(
-            ctx, args.codebooks_offset + sub * cb * dsub * 2,
-            {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb * dsub * 2});
-        const std::int32_t* res = residual.data() + sub * dsub;
-        std::uint32_t* lrow = lut.data() + sub * cb;
-        for (std::size_t e = 0; e < cb; ++e) {
-          const std::int16_t* cw = cb_slice.data() + e * dsub;
-          std::uint32_t acc = 0;
-          for (std::size_t d = 0; d < dsub; ++d) {
-            const std::int32_t diff = res[d] - cw[d];
-            const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-            acc += a * a;
+        mram_read_chunked<kFunctional>(ctx, books + sub * entries * dsub * 2,
+                                       cb_slice.data(), entries * dsub * 2);
+        if constexpr (kFunctional) {
+          std::uint32_t* lut_g = q4 ? lut4.data() : lut.data() + g * m * cb;
+          const std::int32_t* res = residual.data() + sub * dsub;
+          for (std::size_t e = 0; e < entries; ++e) {
+            const std::int16_t* cw = cb_slice.data() + e * dsub;
+            std::uint32_t acc = 0;
+            for (std::size_t d = 0; d < dsub; ++d) {
+              const std::int32_t diff = res[d] - (cw[d] >> shift);
+              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+              acc += a * a;
+            }
+            lut_g[sub * entries + e] = acc;
           }
-          lrow[e] = acc;
         }
         // Cost per dimension of each entry: one subtract, one square (square-
         // table lookup, or multiply in the ablation), one accumulate — the
         // paper's "M x 3 - 1 per subvector" accounting — plus one WRAM store
         // per finished entry.
-        charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-        ctx.charge_adds(cb * 2 * dsub);
-        ctx.charge_wram(cb);
+        if (q4) ctx.charge_cycles(entries * dsub);  // per-component codeword shift
+        charge_square_stream(ctx, args.use_square_lut, entries * dsub);
+        ctx.charge_adds(entries * 2 * dsub);
+        ctx.charge_wram(entries);
       }
-    } else {
-      // ---- LC (q4): coarse sub-LUTs, folded into per-pair byte LUTs ----
-      // Each subquantizer scores against its cb4-entry coarse codebook
-      // (shifted into the cluster's residual scale), then pairs of sub-LUTs
-      // fold into one 256-entry table so DC scores two subquantizers per
-      // byte lookup.
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        mram_read_chunked(
-            ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
-            {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb4 * dsub * 2});
-        const std::int32_t* res = residual.data() + sub * dsub;
-        std::uint32_t* lrow = lut4.data() + sub * cb4;
-        for (std::size_t g = 0; g < cb4; ++g) {
-          const std::int16_t* cw = cb_slice.data() + g * dsub;
-          std::uint32_t acc = 0;
-          for (std::size_t d = 0; d < dsub; ++d) {
-            const std::int32_t diff = res[d] - (cw[d] >> shift);
-            const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-            acc += a * a;
+      if (q4) {
+        if constexpr (kFunctional) {
+          std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
+          for (std::size_t p = 0; p < pairs; ++p) {
+            const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
+            const std::uint32_t* hi_row =
+                2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
+            for (std::size_t b = 0; b < 256; ++b) {
+              const std::size_t lo = b & 0xF;
+              const std::size_t hi = b >> 4;
+              std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
+              if (hi_row && hi < cb4) v += hi_row[hi];
+              pair_g[p * 256 + b] = v;
+            }
           }
-          lrow[g] = acc;
         }
-        ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-        charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-        ctx.charge_adds(cb4 * 2 * dsub);
-        ctx.charge_wram(cb4);
-      }
-      for (std::size_t p = 0; p < pairs; ++p) {
-        std::uint32_t* prow = pair_lut.data() + p * 256;
-        const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-        const std::uint32_t* hi_row =
-            2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-        for (std::size_t b = 0; b < 256; ++b) {
-          const std::size_t lo = b & 0xF;
-          const std::size_t hi = b >> 4;
-          std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-          if (hi_row && hi < cb4) v += hi_row[hi];
-          prow[b] = v;
-        }
-        ctx.charge_adds(256);
-        ctx.charge_wram(256);
+        ctx.charge_adds(pairs * 256);
+        ctx.charge_wram(pairs * 256);
       }
     }
 
-    // ---- DC + TS: stream codes, accumulate LUT entries, keep top-k ----
-    // Block schedule comes from the shared for_each_code_block helper (whole
-    // codes per block; packed q4 codes fit twice as many), the same iterator
-    // the charge twin bills through.
+    // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
+    // against each block before advancing (member-major inside the block,
+    // with the rung and code-width branches hoisted out of the point loop).
+    // Per-point compute (lookups + accumulate adds) is billed per member —
+    // only the DMA is amortized. The block schedule is the shared
+    // for_each_code_block iterator (whole codes per block; packed q4 codes
+    // fit twice as many). ----
     const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
     const std::size_t codes_base = q4 ? shard.q4_codes_offset : shard.codes_offset;
-    WramTopK topk(std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1)));
+    const std::uint32_t kk =
+        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
+    if constexpr (kFunctional) {
+      heaps.clear();
+      for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
+    }
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
     const std::size_t lookups = q4 ? pairs : m;
-    std::uint32_t point = 0;
+    ctx.set_phase(Phase::DC);
     for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
                                                     std::size_t block_bytes) {
-      ctx.set_phase(Phase::DC);
-      ctx.mram_read(codes_base + block_off, {code_block.data(), block_bytes});
+      dma_read<kFunctional>(ctx, codes_base + block_off, code_block.data(), block_bytes);
       const std::size_t points_in_block = block_bytes / code_size;
-
-      for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
-        // Tombstoned entries are skipped before the top-k push: a dead point
-        // can never evict a live candidate, so the surviving (dist, id)
-        // stream equals a cold rebuild of the live set.
-        if (shard.dead && shard.dead[shard.begin + point]) continue;
-        const std::uint8_t* code = code_block.data() + i * code_size;
-        std::uint32_t dist = 0;
-        if (q4) {
-          for (std::size_t p = 0; p < pairs; ++p) {
-            dist += pair_lut[p * 256 + code[p]];
-          }
-        } else {
-          for (std::size_t sub = 0; sub < m; ++sub) {
-            std::uint32_t entry;
-            if (args.wide_codes) {
-              std::uint16_t v = 0;
-              std::memcpy(&v, code + sub * 2, 2);
-              entry = v;
-            } else {
-              entry = code[sub];
+      if constexpr (kFunctional) {
+        const auto first = static_cast<std::uint32_t>(block_off / code_size);
+        const std::uint8_t* dead = shard.dead ? shard.dead + shard.begin + first : nullptr;
+        for (std::size_t g = 0; g < width; ++g) {
+          // Tombstoned entries are skipped before the top-k push: a dead
+          // point can never evict a live candidate, so the surviving
+          // (dist, id) stream equals a cold rebuild of the live set.
+          const auto scan = [&](auto score) {
+            for (std::size_t i = 0; i < points_in_block; ++i) {
+              if (dead && dead[i]) continue;
+              heaps[g].push(score(code_block.data() + i * code_size),
+                            first + static_cast<std::uint32_t>(i));
             }
-            dist += lut[sub * cb + entry];
+          };
+          const std::uint32_t* lut_g =
+              q4 ? pair_lut.data() + g * pairs * 256 : lut.data() + g * m * cb;
+          if (q4) {
+            scan([&](const std::uint8_t* code) {
+              std::uint32_t dist = 0;
+              for (std::size_t p = 0; p < pairs; ++p) dist += lut_g[p * 256 + code[p]];
+              return dist;
+            });
+          } else if (args.wide_codes) {
+            scan([&](const std::uint8_t* code) {
+              std::uint32_t dist = 0;
+              for (std::size_t sub = 0; sub < m; ++sub) {
+                std::uint16_t v = 0;
+                std::memcpy(&v, code + sub * 2, 2);
+                dist += lut_g[sub * cb + v];
+              }
+              return dist;
+            });
+          } else {
+            scan([&](const std::uint8_t* code) {
+              std::uint32_t dist = 0;
+              for (std::size_t sub = 0; sub < m; ++sub) dist += lut_g[sub * cb + code[sub]];
+              return dist;
+            });
           }
         }
-        topk.push(dist, point);
       }
       // Per point: one LUT load per (paired) lookup + the accumulate adds.
-      ctx.charge_lut_lookups(points_in_block * lookups);
-      ctx.charge_adds(points_in_block * (lookups - 1));
+      ctx.charge_lut_lookups(points_in_block * lookups * width);
+      ctx.charge_adds(points_in_block * (lookups - 1) * width);
     });
     if (shard.dead) {
       // Liveness flags stream alongside the codes (one byte per point) and
-      // cost one compare each. Billed only when the cluster actually has
-      // tombstones, so read-only runs charge nothing extra.
-      ctx.set_phase(Phase::DC);
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-    // TS: amortized heap maintenance at this task's effective depth.
-    ctx.set_phase(Phase::TS);
-    ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, point,
-                                            std::min<std::uint32_t>(
-                                                args.k, std::max<std::uint32_t>(shard.size, 1))));
-
-    // Resolve winners' base-point ids from the shard's id table, then write
-    // the task result row to MRAM. Q4 tasks skip the per-winner id reads and
-    // emit LOCAL shard indices — the host rerank resolves ids while it
-    // re-scores the candidates exactly.
-    ctx.set_phase(Phase::AUX);
-    std::vector<KernelHit> hits = topk.sorted();
-    if (!q4) {
-      for (KernelHit& h : hits) {
-        ctx.mram_read(shard.ids_offset + h.id * sizeof(std::uint32_t),
-                      {id_buf.data(), sizeof(std::uint32_t)});
-        std::uint32_t global_id = 0;
-        std::memcpy(&global_id, id_buf.data(), sizeof(global_id));
-        h.id = global_id;
-      }
-    }
-    hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
-    ctx.mram_write(args.output_offset + t * args.k * sizeof(KernelHit),
-                   {reinterpret_cast<const std::uint8_t*>(hits.data()),
-                    args.k * sizeof(KernelHit)});
-  }
-}
-
-void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                          std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const DpuInstructionCosts& c = ctx.config().costs;
-
-  // Quantization-ladder geometry (same launch-level condition as the
-  // functional kernel: q4 buffers count only when a q4 task is present).
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  bool any_q4 = false;
-  if (args.has_q4) {
-    for (const KernelTask& t : tasks) any_q4 = any_q4 || task_is_q4(t);
-  }
-
-  // Same WRAM working-set accounting as run_search_kernel.
-  const std::size_t sq_lut_bytes =
-      args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  const std::size_t wram_bytes =
-      dim * 2 + dim * 2 + dim * 4 + m * cb * 4 +
-      std::min(cb * dsub * 2, kMaxDmaBytes * 2) + kMaxDmaBytes + sq_lut_bytes +
-      args.k * sizeof(KernelHit) +
-      (any_q4 ? m * cb4 * 4 + pairs * 256 * 4 : 0);
-  check_wram_budget(ctx.config(), wram_bytes);
-
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-
-  for (const KernelTask& task : tasks) {
-    const ShardRegion& shard = shards[task.shard_slot];
-    const std::uint64_t points = shard.size;
-    const bool q4 = args.has_q4 && task_is_q4(task);
-
-    // RC: query + centroid reads, residual arithmetic (+ the q4 rung's
-    // per-component residual shift).
-    ctx.set_phase(Phase::RC);
-    ctx.charge_mram_read(dim * 2);
-    ctx.charge_mram_read(dim * 2);
-    ctx.charge_adds(dim);
-    ctx.charge_wram(dim * 3);
-    if (q4) ctx.charge_cycles(dim);
-
-    // LC: per subquantizer, one chunked codebook-slice fetch plus the
-    // per-entry square/accumulate/store stream (same shared policy helpers
-    // as run_search_kernel — see the header note). The q4 rung fetches the
-    // cb4-entry coarse books, shifts each codeword component, then folds
-    // sub-LUT pairs into 256-entry byte LUTs.
-    ctx.set_phase(Phase::LC);
-    if (!q4) {
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        charge_read_chunked(ctx, cb * dsub * 2);
-        charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-        ctx.charge_adds(cb * 2 * dsub);
-        ctx.charge_wram(cb);
-      }
-    } else {
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        charge_read_chunked(ctx, cb4 * dsub * 2);
-        ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-        charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-        ctx.charge_adds(cb4 * 2 * dsub);
-        ctx.charge_wram(cb4);
-      }
-      for (std::size_t p = 0; p < pairs; ++p) {
-        ctx.charge_adds(256);
-        ctx.charge_wram(256);
-      }
-    }
-
-    // DC: stream whole codes per block, ADC-sum each point. The q4 rung
-    // streams the packed codes — half the bytes, twice the codes per DMA —
-    // and pays one paired lookup per code byte. The block schedule is the
-    // shared for_each_code_block iterator, so transfer count and sizes are
-    // the functional kernel's by construction.
-    ctx.set_phase(Phase::DC);
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_bytes = static_cast<std::size_t>(points) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t,
-                                                    std::size_t block_bytes) {
-      ctx.charge_mram_read(block_bytes);
-      const std::size_t points_in_block = block_bytes / code_size;
-      ctx.charge_lut_lookups(points_in_block * lookups);
-      ctx.charge_adds(points_in_block * (lookups - 1));
-    });
-    if (shard.dead) {
-      // Same liveness flag-stream DMA + per-point compare as the functional
-      // kernel bills under tombstones.
-      charge_read_chunked(ctx, shard.size);
+      // cost one compare each — once per GROUP, since the skip decision is
+      // shared. Billed only when the cluster actually has tombstones, so
+      // read-only runs charge nothing extra. The flags are host-side catalog
+      // state, so the stream is billed but never moved.
+      mram_read_chunked<false>(ctx, 0, nullptr, shard.size);
       ctx.charge_cmps(shard.size);
     }
 
-    // TS: amortized heap maintenance at this task's effective depth.
-    ctx.set_phase(Phase::TS);
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    ctx.charge_cycles(amortized_topk_cycles(c, points, kk));
+    // ---- TS + AUX per member, each at its task's ORIGINAL output row ----
+    for (std::size_t g = 0; g < width; ++g) {
+      // TS: amortized heap maintenance at this task's effective depth.
+      ctx.set_phase(Phase::TS);
+      ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, shard.size, kk));
 
-    // AUX: resolve winners' ids (one 4-byte read each — skipped on the q4
-    // rung, which emits local indices for the host rerank), write the
-    // padded row. Only live points can win, so the winner count follows
-    // the live total.
-    ctx.set_phase(Phase::AUX);
-    if (!q4) {
-      const std::uint64_t hits = std::min<std::uint64_t>(args.k, shard_live_points(shard));
-      for (std::uint64_t h = 0; h < hits; ++h) {
-        ctx.charge_mram_read(sizeof(std::uint32_t));
+      // AUX: resolve winners' base-point ids from the shard's id table (one
+      // 4-byte read each), then write the sentinel-padded result row. Only
+      // live points can win, so the winner count follows the live total. Q4
+      // tasks skip the id reads and emit LOCAL shard indices — the host
+      // rerank resolves ids while it re-scores the candidates exactly.
+      ctx.set_phase(Phase::AUX);
+      std::vector<KernelHit> hits;
+      if constexpr (kFunctional) hits = heaps[g].sorted();
+      if (!q4) {
+        const std::size_t winners =
+            kFunctional ? hits.size()
+                        : std::min<std::size_t>(args.k, shard_live_points(shard));
+        for (std::size_t h = 0; h < winners; ++h) {
+          std::uint32_t id = 0;
+          if constexpr (kFunctional) id = hits[h].id;
+          dma_read<kFunctional>(ctx, shard.ids_offset + id * sizeof(std::uint32_t), &id,
+                                sizeof(std::uint32_t));
+          if constexpr (kFunctional) hits[h].id = id;
+        }
       }
+      if constexpr (kFunctional) hits.resize(args.k, KernelHit{});
+      dma_write<kFunctional>(
+          ctx, args.output_offset + std::size_t{members[g]} * args.k * sizeof(KernelHit),
+          hits.data(), args.k * sizeof(KernelHit));
     }
-    ctx.charge_mram_write(args.k * sizeof(KernelHit));
+  };
+
+  if (groups.empty()) {
+    for (std::uint32_t t = 0; t < tasks.size(); ++t) {
+      run_group(tasks[t].shard_slot, task_is_q4(tasks[t]), {&t, 1});
+    }
+  } else {
+    for (const FusedTaskGroup& g : groups) run_group(g.shard_slot, g.q4, g.tasks);
   }
 }
+
+}  // namespace
 
 std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
                                              std::size_t fuse_width) {
@@ -537,346 +487,36 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   return bytes;
 }
 
+void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                       std::span<const ShardRegion> shards,
+                       std::span<const KernelTask> tasks) {
+  search_kernel<true>(ctx, args, shards, tasks, {});
+}
+
+void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                          std::span<const ShardRegion> shards,
+                          std::span<const KernelTask> tasks) {
+  search_kernel<false>(ctx, args, shards, tasks, {});
+}
+
 void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                              std::span<const ShardRegion> shards,
                              std::span<const KernelTask> tasks,
                              std::span<const FusedTaskGroup> groups) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-
-  std::size_t full_width = 0;
-  std::size_t q4_width = 0;
-  for (const FusedTaskGroup& g : groups) {
-    if (g.q4 && args.has_q4) q4_width = std::max(q4_width, g.tasks.size());
-    else full_width = std::max(full_width, g.tasks.size());
-  }
-
-  // ---- WRAM working set (checked against the 64 KB budget) ----
-  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
-  std::vector<std::int32_t> residual(dim);
-  std::vector<std::uint32_t> lut(std::max<std::size_t>(full_width, 1) * m * cb);
-  std::vector<std::int16_t> cb_slice(cb * dsub);
-  std::vector<std::uint8_t> code_block(kMaxDmaBytes);
-  std::vector<std::uint8_t> id_buf(sizeof(std::uint32_t));
-  std::vector<std::uint32_t> lut4(q4_width > 0 ? m * cb4 : 0);
-  std::vector<std::uint32_t> pair_lut(q4_width > 0 ? q4_width * pairs * 256 : 0);
-
-  // Task list AND the fused-group descriptor table both arrive by DMA (the
-  // host ships the plan; the kernel never re-derives it).
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-  ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
-  ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
-
-  for (const FusedTaskGroup& group : groups) {
-    const ShardRegion& shard = shards[group.shard_slot];
-    const bool q4 = args.has_q4 && group.q4;
-    const std::uint32_t shift = q4 ? shard.q4_shift : 0;
-    const std::size_t width = group.tasks.size();
-
-    // ---- RC + LC per member: the centroid is group-shared (read once);
-    // each member reads its own query, forms its residual, and builds its
-    // own LUT slab row with exactly the per-task kernel's charges. ----
-    ctx.set_phase(Phase::RC);
-    ctx.mram_read_t<std::int16_t>(args.centroids_offset + shard.cluster * dim * 2,
-                                  std::span<std::int16_t>(centroid));
-    for (std::size_t g = 0; g < width; ++g) {
-      const KernelTask& task = tasks[group.tasks[g]];
-      ctx.set_phase(Phase::RC);
-      ctx.mram_read_t<std::int16_t>(
-          args.queries_offset + task_query_slot(task) * dim * 2,
-          std::span<std::int16_t>(query));
-      for (std::size_t d = 0; d < dim; ++d) {
-        residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-      }
-      ctx.charge_adds(dim);
-      ctx.charge_wram(dim * 3);
-      if (q4) {
-        for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
-        ctx.charge_cycles(dim);
-      }
-
-      ctx.set_phase(Phase::LC);
-      if (!q4) {
-        std::uint32_t* lut_g = lut.data() + g * m * cb;
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked(
-              ctx, args.codebooks_offset + sub * cb * dsub * 2,
-              {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb * dsub * 2});
-          const std::int32_t* res = residual.data() + sub * dsub;
-          std::uint32_t* lrow = lut_g + sub * cb;
-          for (std::size_t e = 0; e < cb; ++e) {
-            const std::int16_t* cw = cb_slice.data() + e * dsub;
-            std::uint32_t acc = 0;
-            for (std::size_t d = 0; d < dsub; ++d) {
-              const std::int32_t diff = res[d] - cw[d];
-              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-              acc += a * a;
-            }
-            lrow[e] = acc;
-          }
-          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-          ctx.charge_adds(cb * 2 * dsub);
-          ctx.charge_wram(cb);
-        }
-      } else {
-        // Coarse sub-LUTs into the shared lut4 scratch, folded into this
-        // member's 256-entry pair-LUT slab row.
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked(
-              ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
-              {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb4 * dsub * 2});
-          const std::int32_t* res = residual.data() + sub * dsub;
-          std::uint32_t* lrow = lut4.data() + sub * cb4;
-          for (std::size_t e = 0; e < cb4; ++e) {
-            const std::int16_t* cw = cb_slice.data() + e * dsub;
-            std::uint32_t acc = 0;
-            for (std::size_t d = 0; d < dsub; ++d) {
-              const std::int32_t diff = res[d] - (cw[d] >> shift);
-              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-              acc += a * a;
-            }
-            lrow[e] = acc;
-          }
-          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-          ctx.charge_adds(cb4 * 2 * dsub);
-          ctx.charge_wram(cb4);
-        }
-        std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-        for (std::size_t p = 0; p < pairs; ++p) {
-          std::uint32_t* prow = pair_g + p * 256;
-          const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-          const std::uint32_t* hi_row =
-              2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-          for (std::size_t b = 0; b < 256; ++b) {
-            const std::size_t lo = b & 0xF;
-            const std::size_t hi = b >> 4;
-            std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-            if (hi_row && hi < cb4) v += hi_row[hi];
-            prow[b] = v;
-          }
-          ctx.charge_adds(256);
-          ctx.charge_wram(256);
-        }
-      }
-    }
-
-    // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
-    // against each block before advancing. Per-point compute (lookups +
-    // accumulate adds) is billed per member — only the DMA is amortized. ----
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_base = q4 ? shard.q4_codes_offset : shard.codes_offset;
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    std::vector<WramTopK> heaps;
-    heaps.reserve(width);
-    for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
-    const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    std::uint32_t point = 0;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
-                                                    std::size_t block_bytes) {
-      ctx.set_phase(Phase::DC);
-      ctx.mram_read(codes_base + block_off, {code_block.data(), block_bytes});
-      const std::size_t points_in_block = block_bytes / code_size;
-      for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
-        // The liveness skip is group-shared: one check covers all members.
-        if (shard.dead && shard.dead[shard.begin + point]) continue;
-        const std::uint8_t* code = code_block.data() + i * code_size;
-        for (std::size_t g = 0; g < width; ++g) {
-          std::uint32_t dist = 0;
-          if (q4) {
-            const std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-            for (std::size_t p = 0; p < pairs; ++p) {
-              dist += pair_g[p * 256 + code[p]];
-            }
-          } else {
-            const std::uint32_t* lut_g = lut.data() + g * m * cb;
-            for (std::size_t sub = 0; sub < m; ++sub) {
-              std::uint32_t entry;
-              if (args.wide_codes) {
-                std::uint16_t v = 0;
-                std::memcpy(&v, code + sub * 2, 2);
-                entry = v;
-              } else {
-                entry = code[sub];
-              }
-              dist += lut_g[sub * cb + entry];
-            }
-          }
-          heaps[g].push(dist, point);
-        }
-      }
-      ctx.charge_lut_lookups(points_in_block * lookups * width);
-      ctx.charge_adds(points_in_block * (lookups - 1) * width);
-    });
-    if (shard.dead) {
-      // Flags stream once per GROUP (the skip decision is shared), so fusion
-      // amortizes the tombstone stream and its per-point compare too.
-      ctx.set_phase(Phase::DC);
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-
-    // ---- TS + AUX per member, each at its task's ORIGINAL output row ----
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::TS);
-      ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, point, kk));
-
-      ctx.set_phase(Phase::AUX);
-      std::vector<KernelHit> hits = heaps[g].sorted();
-      if (!q4) {
-        for (KernelHit& h : hits) {
-          ctx.mram_read(shard.ids_offset + h.id * sizeof(std::uint32_t),
-                        {id_buf.data(), sizeof(std::uint32_t)});
-          std::uint32_t global_id = 0;
-          std::memcpy(&global_id, id_buf.data(), sizeof(global_id));
-          h.id = global_id;
-        }
-      }
-      hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
-      ctx.mram_write(
-          args.output_offset + group.tasks[g] * args.k * sizeof(KernelHit),
-          {reinterpret_cast<const std::uint8_t*>(hits.data()),
-           args.k * sizeof(KernelHit)});
-    }
-  }
+  search_kernel<true>(ctx, args, shards, tasks, groups);
 }
 
 void charge_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                                 std::span<const ShardRegion> shards,
                                 std::span<const KernelTask> tasks,
                                 std::span<const FusedTaskGroup> groups) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  const DpuInstructionCosts& c = ctx.config().costs;
-
-  std::size_t full_width = 0;
-  std::size_t q4_width = 0;
-  for (const FusedTaskGroup& g : groups) {
-    if (g.q4 && args.has_q4) q4_width = std::max(q4_width, g.tasks.size());
-    else full_width = std::max(full_width, g.tasks.size());
-  }
-
-  // Same WRAM working-set accounting as run_fused_search_kernel (the shared
-  // helper IS the accounting on both sides).
-  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-  ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
-  ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
-
-  for (const FusedTaskGroup& group : groups) {
-    const ShardRegion& shard = shards[group.shard_slot];
-    const bool q4 = args.has_q4 && group.q4;
-    const std::size_t width = group.tasks.size();
-    const std::uint64_t points = shard.size;
-
-    // RC + LC per member; the centroid read is group-shared.
-    ctx.set_phase(Phase::RC);
-    ctx.charge_mram_read(dim * 2);  // centroid, once per group
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::RC);
-      ctx.charge_mram_read(dim * 2);  // member query
-      ctx.charge_adds(dim);
-      ctx.charge_wram(dim * 3);
-      if (q4) ctx.charge_cycles(dim);
-
-      ctx.set_phase(Phase::LC);
-      if (!q4) {
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          charge_read_chunked(ctx, cb * dsub * 2);
-          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-          ctx.charge_adds(cb * 2 * dsub);
-          ctx.charge_wram(cb);
-        }
-      } else {
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          charge_read_chunked(ctx, cb4 * dsub * 2);
-          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-          ctx.charge_adds(cb4 * 2 * dsub);
-          ctx.charge_wram(cb4);
-        }
-        for (std::size_t p = 0; p < pairs; ++p) {
-          ctx.charge_adds(256);
-          ctx.charge_wram(256);
-        }
-      }
-    }
-
-    // DC: ONE code stream per group; per-point compute billed per member.
-    ctx.set_phase(Phase::DC);
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_bytes = static_cast<std::size_t>(points) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t,
-                                                    std::size_t block_bytes) {
-      ctx.charge_mram_read(block_bytes);
-      const std::size_t points_in_block = block_bytes / code_size;
-      ctx.charge_lut_lookups(points_in_block * lookups * width);
-      ctx.charge_adds(points_in_block * (lookups - 1) * width);
-    });
-    if (shard.dead) {
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-
-    // TS + AUX per member.
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::TS);
-      ctx.charge_cycles(amortized_topk_cycles(c, points, kk));
-
-      ctx.set_phase(Phase::AUX);
-      if (!q4) {
-        const std::uint64_t hits =
-            std::min<std::uint64_t>(args.k, shard_live_points(shard));
-        for (std::uint64_t h = 0; h < hits; ++h) {
-          ctx.charge_mram_read(sizeof(std::uint32_t));
-        }
-      }
-      ctx.charge_mram_write(args.k * sizeof(KernelHit));
-    }
-  }
+  search_kernel<false>(ctx, args, shards, tasks, groups);
 }
 
+void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) { cl_kernel<true>(ctx, args); }
+
 void charge_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
-  const std::size_t dim = args.dim;
-  if (args.num_queries == 0 || args.centroid_count == 0) return;
-  const DpuInstructionCosts& c = ctx.config().costs;
-
-  const std::size_t wram =
-      dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
-      (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
-  check_wram_budget(ctx.config(), wram);
-
-  ctx.set_phase(Phase::CL);
-  const std::uint64_t nq = args.num_queries;
-  const std::uint64_t cnt = args.centroid_count;
-  for (std::uint64_t q = 0; q < nq; ++q) {
-    ctx.charge_mram_read(dim * 2);
-    for (std::uint64_t i = 0; i < cnt; ++i) ctx.charge_mram_read(dim * 2);
-    charge_square_stream(ctx, args.use_square_lut, cnt * dim);
-    ctx.charge_adds(cnt * 2 * dim);
-    ctx.charge_cycles(amortized_topk_cycles(c, cnt, args.nprobe));
-    ctx.charge_mram_write(args.nprobe * sizeof(KernelHit));
-  }
+  cl_kernel<false>(ctx, args);
 }
 
 }  // namespace drim

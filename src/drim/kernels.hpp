@@ -22,9 +22,8 @@ inline constexpr std::size_t kMaxDmaBytes = 2048;
 /// The DC phase's MRAM transfer schedule over a shard's packed codes: whole
 /// codes per <= kMaxDmaBytes block. Calls fn(block_offset, block_bytes) for
 /// every block, in stream order. This is the SINGLE source of truth for the
-/// code-block loop — the functional kernels, their analytic charge twins,
-/// and the fused variants all iterate through it, so the two sides can never
-/// drift apart in transfer count or sizes (pinned by tests/test_kernels.cpp).
+/// code-block loop: the search kernel iterates through it on both platforms
+/// and at every fusion width (pinned by tests/test_fusion.cpp).
 template <typename Fn>
 inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
                                 Fn&& fn) {
@@ -44,9 +43,8 @@ inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
 /// cluster has no tombstones — the common case, in which the kernel bills
 /// zero liveness cost, keeping read-only runs bit-identical in both results
 /// and cycle counters. With tombstones, dead entries are skipped BEFORE the
-/// bounded top-k so they can never evict live candidates, and both the
-/// functional kernel and its analytic twin bill the same flag-stream DMA and
-/// per-point compare.
+/// bounded top-k so they can never evict live candidates, and both platforms
+/// bill the same flag-stream DMA and per-point compare.
 struct ShardRegion {
   std::size_t codes_offset = 0;
   std::size_t ids_offset = 0;
@@ -173,7 +171,7 @@ std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
 /// group on that rung): shared scratch + one LUT slab row per full member,
 /// one pair-LUT row per q4 member, one code block, and one k-entry heap per
 /// member of the widest group. At (1, 0) this equals the per-task kernel's
-/// accounting exactly. Shared by both fused kernels and the engine's
+/// accounting exactly. Shared by the search kernel and the engine's
 /// up-front fuse_width feasibility check so they can never disagree.
 std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
                                     std::size_t full_width, std::size_t q4_width);
@@ -181,7 +179,9 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
 /// Execute the fused search kernel: `groups` must partition [0, tasks.size())
 /// (as produced by plan_task_fusion over the same task list). Results for
 /// task t still land at output_offset + t * k * sizeof(KernelHit), so the
-/// caller's collect/merge path is unchanged from run_search_kernel.
+/// caller's collect/merge path is unchanged from run_search_kernel. An empty
+/// `groups` span means no plan was shipped: each task runs as its own group
+/// and no descriptor table is billed, which is exactly run_search_kernel.
 void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                              std::span<const ShardRegion> shards,
                              std::span<const KernelTask> tasks,
@@ -213,36 +213,30 @@ struct ClKernelArgs {
 /// query. Output rows are sentinel-padded like the search kernel's.
 void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args);
 
-// ---- analytic twins (AnalyticPimPlatform launches) ----
-// Charge exactly the schedule/layout-determined costs of the functional
-// kernels — same WRAM budget check, same DMA transfer sizes and chunking,
-// same instruction tallies — without reading a byte of MRAM. Both sides
-// bill instructions through the same deterministic policy helpers:
-//   - LC squaring bills one square-LUT lookup per dimension (the broadcast
-//     table is sized to cover the full operand range), or one multiply per
-//     dimension in the Fig. 10a ablation with the table off;
-//   - TS heap maintenance bills the Eq. 15 amortized shape (one threshold
-//     compare per point plus 0.25 * log2(k) sift compares/WRAM swaps),
-//     not the data-dependent accept sequence.
-// As a result every per-phase counter — instruction cycles, DMA cycles,
-// MRAM bytes, multiply count — is EXACTLY equal between the functional and
-// analytic platforms for the same schedule, which is what lets the tracing
-// layer (src/obs) treat either platform's counters as ground truth. Pinned
-// by tests/test_platforms.cpp.
+// ---- charge-only entry points (AnalyticPimPlatform launches) ----
+// Each kernel has ONE body, templated on whether it is functional. The
+// run_* entry points instantiate it to move bytes and compute; the charge_*
+// entry points instantiate it with the data movement and arithmetic compiled
+// out, billing the same WRAM budget check, DMA transfers and instruction
+// tallies without reading a byte of MRAM. Every charge sits outside the
+// functional-only code, so every per-phase counter — instruction cycles, DMA
+// cycles, MRAM bytes, multiply count — is EXACTLY equal between the
+// functional and analytic platforms by construction, which is what lets the
+// tracing layer (src/obs) treat either platform's counters as ground truth.
+// Pinned by tests/test_platforms.cpp.
 
-/// Analytic twin of run_search_kernel.
+/// Charge-only run_search_kernel.
 void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                           std::span<const ShardRegion> shards,
                           std::span<const KernelTask> tasks);
 
-/// Analytic twin of run_fused_search_kernel: same WRAM budget check, same
-/// fused DMA schedule (one code stream per group), same instruction tallies.
+/// Charge-only run_fused_search_kernel (same empty-`groups` convention).
 void charge_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                                 std::span<const ShardRegion> shards,
                                 std::span<const KernelTask> tasks,
                                 std::span<const FusedTaskGroup> groups);
 
-/// Analytic twin of run_cl_kernel.
+/// Charge-only run_cl_kernel.
 void charge_cl_kernel(DpuContext& ctx, const ClKernelArgs& args);
 
 }  // namespace drim

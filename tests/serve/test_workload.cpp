@@ -31,7 +31,9 @@ TEST(Workload, ArrivalsSortedAndIdsDense) {
   const auto trace = generate_workload(64, base_params());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     EXPECT_EQ(trace[i].id, i);
-    if (i > 0) EXPECT_GE(trace[i].arrival_s, trace[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(trace[i].arrival_s, trace[i - 1].arrival_s);
+    }
     EXPECT_LT(trace[i].query, 64u);
   }
 }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "drim/host_exact.hpp"
 #include "drim/kernels.hpp"
 #include "pim/pim_platform.hpp"
+#include "pim/pim_system.hpp"
 
 namespace drim {
 namespace {
@@ -167,6 +169,134 @@ TEST(FusedWramBudget, GrowsWithWidthAndBoundsAreNamedInTheError) {
   EXPECT_GT(w4, w1);
   // Each extra full-rung member costs one LUT slab row + one heap.
   EXPECT_EQ(w4 - w1, 3 * (args.m * args.cb * 4 + args.k * sizeof(KernelHit)));
+}
+
+// A width-1 plan is the per-task launch plus only the group-descriptor
+// charge. This pins the equivalence the single-source search kernel relies
+// on: with no plan shipped (run_search_kernel) every task runs as its own
+// group, so a shipped plan of singleton groups may differ only by the
+// descriptor table's decode cycles and its one DMA. Random MRAM contents
+// suffice — the two launches are compared with each other, not an oracle.
+TEST(FusedKernel, WidthOnePlanIsPerTaskLaunchPlusDescriptorCharge) {
+  PimConfig cfg;
+  cfg.num_dpus = 1;
+  cfg.mram_bytes = 1 << 22;
+  Dpu dpu(cfg);
+  Mram& mram = dpu.mram();
+  std::mt19937 rng(7);
+  // Copy a host vector into a fresh MRAM region, returning its offset.
+  const auto put = [&](const auto& v) {
+    const std::size_t bytes = v.size() * sizeof(v[0]);
+    const std::size_t off = mram.alloc(bytes);
+    mram.write(off, {reinterpret_cast<const std::uint8_t*>(v.data()), bytes});
+    return off;
+  };
+  const auto random_i16 = [&](std::size_t n) {
+    std::vector<std::int16_t> v(n);
+    for (auto& x : v) x = static_cast<std::int16_t>(static_cast<int>(rng() % 128) - 64);
+    return put(v);
+  };
+  const auto random_bytes = [&](std::size_t n, unsigned bound) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& x : v) x = static_cast<std::uint8_t>(rng() % bound);
+    return put(v);
+  };
+
+  SearchKernelArgs args;
+  args.dim = 16;
+  args.m = 4;
+  args.cb = 16;
+  args.code_size = 4;
+  args.k = 10;
+  args.sq_lut_max_abs = 1024;
+  args.has_q4 = true;
+  args.cb4 = 8;
+  args.code_size_q4 = 2;
+  const std::size_t dsub = args.dim / args.m;
+  args.codebooks_offset = random_i16(args.m * args.cb * dsub);
+  args.codebooks_q4_offset = random_i16(args.m * args.cb4 * dsub);
+  args.centroids_offset = random_i16(3 * args.dim);
+  args.queries_offset = random_i16(4 * args.dim);
+
+  // Shard 0 spans two DMA blocks and carries tombstones at a nonzero cluster
+  // offset; shard 1 is shorter than k; shard 2 is a plain live shard.
+  const std::uint32_t sizes[3] = {700, 5, 90};
+  std::vector<std::uint8_t> dead(7 + sizes[0], 0);
+  std::vector<ShardRegion> shards(3);
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    ShardRegion& r = shards[s];
+    r.size = sizes[s];
+    r.cluster = s;
+    r.q4_shift = s;
+    r.codes_offset = random_bytes(r.size * args.code_size, args.cb);
+    r.q4_codes_offset = random_bytes(r.size * args.code_size_q4, 256);
+    std::vector<std::uint32_t> ids(r.size);
+    for (std::uint32_t i = 0; i < r.size; ++i) ids[i] = 1000 * s + i;
+    r.ids_offset = put(ids);
+  }
+  shards[0].begin = 7;
+  shards[0].dead = dead.data();
+  shards[0].live = shards[0].size;
+  for (std::size_t i = 0; i < sizes[0]; i += 3) {
+    dead[7 + i] = 1;
+    --shards[0].live;
+  }
+
+  const std::vector<KernelTask> mixed = {
+      {0, 0}, {1 | kTaskQ4Bit, 0}, {2, 1}, {3, 0}, {0 | kTaskQ4Bit, 2},
+      {1, 2}, {2 | kTaskQ4Bit, 0}, {3, 2}, {3 | kTaskQ4Bit, 1}};
+  for (const int rung : {0, 1, 2}) {  // full only, q4 only, mixed
+    std::vector<KernelTask> tasks = mixed;
+    for (KernelTask& t : tasks) {
+      if (rung == 0) t.query_slot &= ~kTaskQ4Bit;
+      if (rung == 1) t.query_slot |= kTaskQ4Bit;
+    }
+    SCOPED_TRACE(rung == 0 ? "full" : rung == 1 ? "q4" : "mixed");
+    const std::size_t row_bytes = tasks.size() * args.k * sizeof(KernelHit);
+    args.output_offset = mram.alloc(row_bytes);
+    const auto groups = plan_task_fusion(tasks, 1);
+    ASSERT_EQ(groups.size(), tasks.size());
+
+    const auto launch = [&](bool with_plan, std::vector<KernelHit>& rows) {
+      mram.write(args.output_offset, std::vector<std::uint8_t>(row_bytes, 0));
+      dpu.reset_counters();
+      DpuContext ctx = dpu.context();
+      if (with_plan) {
+        run_fused_search_kernel(ctx, args, shards, tasks, groups);
+      } else {
+        run_search_kernel(ctx, args, shards, tasks);
+      }
+      rows.resize(tasks.size() * args.k);
+      mram.read(args.output_offset, {reinterpret_cast<std::uint8_t*>(rows.data()), row_bytes});
+      return dpu.counters();
+    };
+    std::vector<KernelHit> per_task_rows, plan_rows;
+    const DpuCounters per_task = launch(false, per_task_rows);
+    const DpuCounters plan = launch(true, plan_rows);
+    EXPECT_EQ(std::memcmp(per_task_rows.data(), plan_rows.data(), row_bytes), 0);
+
+    // The descriptor table's one DMA, billed on its own.
+    Dpu probe(cfg);
+    DpuContext pctx = probe.context();
+    pctx.set_phase(Phase::AUX);
+    pctx.charge_mram_read(groups.size() * sizeof(KernelTask));
+    const double descriptor_dma = probe.counters().at(Phase::AUX).dma_cycles;
+
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+      const auto ph = static_cast<Phase>(p);
+      SCOPED_TRACE(phase_name(ph));
+      const PhaseCounters& a = per_task.at(ph);
+      const PhaseCounters& b = plan.at(ph);
+      const bool aux = ph == Phase::AUX;
+      EXPECT_EQ(b.instr_cycles, a.instr_cycles + (aux ? groups.size() * 4 : 0));
+      EXPECT_EQ(b.mram_bytes_read,
+                a.mram_bytes_read + (aux ? groups.size() * sizeof(KernelTask) : 0));
+      EXPECT_DOUBLE_EQ(b.dma_cycles, a.dma_cycles + (aux ? descriptor_dma : 0.0));
+      EXPECT_EQ(b.mram_bytes_written, a.mram_bytes_written);
+      EXPECT_EQ(b.mul_count, a.mul_count);
+    }
+    EXPECT_GT(per_task.at(Phase::DC).mram_bytes_read, 0u);
+  }
 }
 
 // ---- engine-level bit-identity ----

@@ -463,5 +463,78 @@ TEST_F(PlatformTest, BothPlatformsRejectTheSameOutOfRangeTransfers) {
   }
 }
 
+// Wide codes (cb > 256 forces 16-bit codes) run through the same shared DC
+// loop as byte codes. Sim and analytic must agree exactly on them too —
+// identical neighbors and per-phase counters — unfused and at the widest
+// feasible fuse_width, and fusion must leave the neighbors untouched.
+TEST(PlatformWideCodes, SimEqualsAnalyticExactlyAcrossFuseWidths) {
+  SyntheticSpec spec;
+  spec.num_base = 3000;
+  spec.num_queries = 32;
+  spec.num_learn = 1500;
+  spec.num_components = 24;
+  const SyntheticData data = make_sift_like(spec);
+  IvfPqParams p;
+  p.nlist = 24;
+  p.pq.m = 8;
+  p.pq.cb_entries = 300;
+  IvfPqIndex index;
+  index.train(data.learn, p);
+  index.add(data.base);
+  ASSERT_TRUE(index.pq().wide_codes());
+
+  const auto options = [](PimPlatformKind platform, std::size_t fuse_width) {
+    DrimEngineOptions o;
+    o.pim.num_dpus = 8;
+    o.layout.split_threshold = 128;
+    o.heat_nprobe = 8;
+    o.batch_size = 16;
+    o.platform = platform;
+    o.fuse_width = fuse_width;
+    return o;
+  };
+  const std::size_t k = 10;
+  const std::size_t widest =
+      DrimAnnEngine(index, data.learn, options(PimPlatformKind::kSim, 1))
+          .max_feasible_fuse_width(k);
+  ASSERT_GE(widest, 2u);
+
+  std::vector<std::vector<Neighbor>> reference;
+  for (const std::size_t width : {std::size_t{1}, widest}) {
+    SCOPED_TRACE("fuse_width " + std::to_string(width));
+    DrimAnnEngine sim(index, data.learn, options(PimPlatformKind::kSim, width));
+    DrimAnnEngine analytic(index, data.learn, options(PimPlatformKind::kAnalytic, width));
+    DrimSearchStats ss, as;
+    const auto rs = sim.search(data.queries, k, 8, &ss);
+    const auto ra = analytic.search(data.queries, k, 8, &as);
+    if (reference.empty()) reference = rs;
+    for (const auto* r : {&rs, &ra}) {
+      ASSERT_EQ(r->size(), reference.size());
+      for (std::size_t q = 0; q < r->size(); ++q) {
+        ASSERT_EQ((*r)[q].size(), reference[q].size()) << "query " << q;
+        for (std::size_t i = 0; i < (*r)[q].size(); ++i) {
+          EXPECT_EQ((*r)[q][i].id, reference[q][i].id) << "query " << q << " rank " << i;
+          EXPECT_EQ((*r)[q][i].dist, reference[q][i].dist) << "query " << q << " rank " << i;
+        }
+      }
+    }
+    for (std::size_t ph = 0; ph < kNumPhases; ++ph) {
+      SCOPED_TRACE(phase_name(static_cast<Phase>(ph)));
+      const PhaseCounters& a = ss.counters.phases[ph];
+      const PhaseCounters& b = as.counters.phases[ph];
+      EXPECT_EQ(a.instr_cycles, b.instr_cycles);
+      EXPECT_EQ(a.dma_cycles, b.dma_cycles);
+      EXPECT_EQ(a.mram_bytes_read, b.mram_bytes_read);
+      EXPECT_EQ(a.mram_bytes_written, b.mram_bytes_written);
+      EXPECT_EQ(a.mul_count, b.mul_count);
+    }
+    EXPECT_EQ(ss.total_seconds, as.total_seconds);
+    EXPECT_GT(ss.counters.at(Phase::DC).mram_bytes_read, 0u);
+    if (width > 1) {
+      EXPECT_GT(ss.dc_bytes_saved, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace drim

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 #include "core/distances.hpp"
 #include "core/pq.hpp"
@@ -47,6 +50,49 @@ TEST(PQ, WideCodesWhenCbExceeds256) {
   const ProductQuantizer pq = train_pq(pts, 4, 300);
   EXPECT_TRUE(pq.wide_codes());
   EXPECT_EQ(pq.code_size(), 8u);  // 4 subs * 2 bytes
+}
+
+/// Expect `fn` to throw std::invalid_argument whose message names `bound`.
+template <typename Fn>
+void expect_invalid(const Fn& fn, const std::string& bound) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument naming " << bound;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(bound), std::string::npos) << e.what();
+  }
+}
+
+// The geometry bounds hold in release builds too (NDEBUG compiles asserts
+// out): m = 0 would divide by zero, and an m that does not divide dim would
+// silently drop the trailing dimensions from every code.
+TEST(PQ, TrainRejectsInvalidGeometry) {
+  Rng rng(11);
+  const FloatMatrix pts = random_points(64, 12, rng);
+  expect_invalid([&] { train_pq(pts, 0, 16); }, "m must be > 0");
+  expect_invalid([&] { train_pq(pts, 5, 16); }, "must be divisible by m 5");
+  expect_invalid([&] { train_pq(pts, 4, 1); }, "cb_entries 1");
+  expect_invalid([&] { train_pq(pts, 4, 65537); }, "cb_entries 65537");
+}
+
+TEST(PQ, RestoreRejectsInvalidGeometryAndCodebooks) {
+  const auto books = [](std::size_t n, std::size_t rows, std::size_t cols) {
+    return std::vector<FloatMatrix>(n, FloatMatrix(rows, cols));
+  };
+  ProductQuantizer pq;
+  expect_invalid([&] { pq.restore(12, 0, 16, {}); }, "m must be > 0");
+  expect_invalid([&] { pq.restore(12, 5, 16, books(5, 16, 2)); },
+                 "must be divisible by m 5");
+  expect_invalid([&] { pq.restore(12, 4, 1, books(4, 1, 3)); }, "cb_entries 1");
+  expect_invalid([&] { pq.restore(12, 4, 65537, books(4, 1, 3)); },
+                 "cb_entries 65537");
+  expect_invalid([&] { pq.restore(12, 4, 16, books(3, 16, 3)); },
+                 "expected m 4 codebooks, got 3");
+  expect_invalid([&] { pq.restore(12, 4, 16, books(4, 15, 3)); }, "codebook shape 15 x 3");
+  expect_invalid([&] { pq.restore(12, 4, 16, books(4, 16, 4)); }, "codebook shape 16 x 4");
+  // The well-formed state restores.
+  pq.restore(12, 4, 16, books(4, 16, 3));
+  EXPECT_EQ(pq.dsub(), 3u);
 }
 
 TEST(PQ, EncodePicksNearestCodeword) {

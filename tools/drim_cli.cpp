@@ -43,7 +43,7 @@
 // results are bit-identical at every depth, only the modeled timeline moves).
 // --fuse-width G fuses up to G co-cluster tasks per DPU so each cluster's
 // codes stream from MRAM once per batch (results bit-identical at any width;
-// 1 keeps the literal per-task kernels and their exact modeled times).
+// 1 runs each task as its own group, with the per-task modeled times).
 //
 // --precision picks the rung of the quantization ladder (drim backend only):
 // `full` is the stock 8-bit PQ path, `q4` runs the packed 4-bit codes with
@@ -112,7 +112,9 @@ class Args {
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[++i];
       } else {
-        values_[key] = "1";  // boolean flag
+        // Boolean flag. Assigned as a std::string: GCC 12 flags the
+        // const char* assignment with a false-positive -Wrestrict under -O2.
+        values_[key] = std::string("1");
       }
     }
   }
@@ -348,8 +350,8 @@ std::unique_ptr<AnnBackend> backend_from_args(const Args& args, const IvfPqIndex
   opts.pipeline_depth =
       args.get_size_checked("pipeline-depth", opts.pipeline_depth, 1, 64);
   opts.batch_size = args.get_size_checked("batch-size", opts.batch_size, 0, 1 << 20);
-  // Cluster-major task fusion width (DESIGN.md §16); 1 keeps the literal
-  // per-task kernels, wider amortizes each cluster's MRAM code stream across
+  // Cluster-major task fusion width (DESIGN.md §16); 1 runs each task as its
+  // own group, wider amortizes each cluster's MRAM code stream across
   // co-cluster queries of a batch (bounded by WRAM; the engine validates).
   opts.fuse_width = args.get_size_checked("fuse-width", opts.fuse_width, 1, 64);
   // Any request for the cheap rung — static (--precision q4) or adaptive
