@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
   opts.pipeline_depth = pipeline_depth;
   CpuBackendOptions cpu_opts;
   cpu_opts.platform = scaled_cpu_platform(scale.num_dpus);
-  cpu_opts.pipeline_depth = pipeline_depth;
 
   std::printf("serve_latency — open-loop tail latency vs offered load (%s)\n",
               smoke ? "smoke" : "full");
@@ -356,10 +355,8 @@ int main(int argc, char** argv) {
     DrimEngineOptions d_opts = opts;
     d_opts.batch_size = sweep_batch;
     d_opts.pipeline_depth = depth;
-    CpuBackendOptions d_cpu = cpu_opts;
-    d_cpu.pipeline_depth = depth;
     std::unique_ptr<AnnBackend> swept =
-        make_backend(backend_kind, index, bench.data.learn, d_opts, d_cpu);
+        make_backend(backend_kind, index, bench.data.learn, d_opts, cpu_opts);
     const double total_s = stream_total_seconds(*swept, bench.data.queries,
                                                 scale.k, nprobe, sweep_batch);
     if (depth == 1) serial_total_s = total_s;

@@ -37,8 +37,9 @@ struct BackendStepStats {
   /// effective submit time and the completion time. With a pipelined backend
   /// (pipeline_depth() >= 2) `complete - submit` can be less than the step's
   /// stage sum because consecutive steps overlap; step_seconds is the
-  /// timeline delta the step contributed. Backends without a timeline report
-  /// submit = previous complete and complete = submit + step_seconds.
+  /// timeline delta the step contributed. Serial backends report submit =
+  /// the later of the previous complete and the set_step_start() instant,
+  /// and complete = submit + step_seconds.
   double submit_seconds = 0.0;
   double complete_seconds = 0.0;
 };
@@ -140,9 +141,11 @@ class AnnBackend {
   /// to this many steps in flight.
   virtual std::size_t pipeline_depth() const { return 1; }
   /// Tell the backend when (on the caller's clock) the next step() is being
-  /// submitted, so a pipelined backend can anchor the step's timeline floor
-  /// to real arrival/launch times instead of packing steps back-to-back.
-  /// No-op for serial backends.
+  /// submitted, so it anchors the step's timeline floor to real launch
+  /// times instead of packing steps back-to-back: the step starts no earlier
+  /// than this instant nor than the previous step's completion. Every
+  /// shipped backend honours it, serial ones included — the serving runtime
+  /// reads complete_seconds at every depth. reset_stream() clears it.
   virtual void set_step_start(double submit_seconds) { (void)submit_seconds; }
   /// Work deferred by previous steps still awaiting execution.
   virtual bool has_deferred() const = 0;

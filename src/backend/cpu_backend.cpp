@@ -1,5 +1,6 @@
 #include "backend/cpu_backend.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <stdexcept>
@@ -82,6 +83,8 @@ void CpuBackend::reset_stream() {
   next_query_ = 0;
   handle_base_ = 0;
   live_handles_ = 0;
+  submit_hint_seconds_ = 0.0;
+  last_complete_seconds_ = 0.0;
   stats_ = BackendStats{};
 }
 
@@ -149,9 +152,9 @@ BackendStepStats CpuBackend::step(std::size_t max_queries, bool flush) {
   out.step_seconds = out.exec_seconds;
   if (trace_ != nullptr) trace_->advance(out.step_seconds);
 
-  // Serial timeline: steps pack back-to-back on the cumulative model clock.
-  out.submit_seconds = stats_.total_seconds;
-  out.complete_seconds = stats_.total_seconds + out.step_seconds;
+  out.submit_seconds = std::max(last_complete_seconds_, submit_hint_seconds_);
+  out.complete_seconds = out.submit_seconds + out.step_seconds;
+  last_complete_seconds_ = out.complete_seconds;
   stats_.total_seconds += out.step_seconds;
   stats_.host_wall_seconds += now_seconds() - t0;
   stats_.queries += out.fresh_queries;

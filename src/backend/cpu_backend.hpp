@@ -19,11 +19,6 @@ struct CpuBackendOptions {
   /// Comparator platform for modeled step times.
   PlatformParams platform = cpu_platform();
   bool multiplier_less = false;  ///< CPU squares natively; kept for ablations
-  /// Accepted for CLI parity with the DRIM backends' --pipeline-depth knob,
-  /// but the CPU baseline has no separable transfer stage to overlap, so the
-  /// backend always executes (and reports) serial steps: pipeline_depth()
-  /// stays 1 regardless of this value.
-  std::size_t pipeline_depth = 1;
 };
 
 class CpuBackend final : public AnnBackend {
@@ -47,6 +42,9 @@ class CpuBackend final : public AnnBackend {
   std::uint32_t enqueue(std::span<const float> query, std::size_t k,
                         std::size_t nprobe) override;
   BackendStepStats step(std::size_t max_queries, bool flush) override;
+  void set_step_start(double submit_seconds) override {
+    submit_hint_seconds_ = submit_seconds;
+  }
   bool has_deferred() const override { return false; }
   void set_trace(obs::TraceRecorder* trace) override { trace_ = trace; }
   bool finished(std::uint32_t handle) const override;
@@ -92,6 +90,10 @@ class CpuBackend final : public AnnBackend {
   std::size_t next_query_ = 0;         ///< first pending query no step consumed
   std::uint32_t handle_base_ = 0;
   std::size_t live_handles_ = 0;
+  /// Serial timeline: a step starts at the later of the caller's submit
+  /// hint and the previous step's completion.
+  double submit_hint_seconds_ = 0.0;
+  double last_complete_seconds_ = 0.0;
   BackendStats stats_;
 };
 

@@ -5,9 +5,11 @@
 // admission control (predicted queue delay vs the SLO budget), wait in the
 // dynamic batcher until a size or deadline trigger fires, execute as one
 // barrier-synchronized backend step, and complete — possibly a step late when
-// the inter-batch filter deferred some of their tasks. Each request leaves a
-// RequestRecord with its full latency decomposition; run() returns them plus
-// the aggregate ServeReport and the backend's accumulated search stats.
+// the inter-batch filter deferred some of their tasks. One event loop serves
+// every backend, keeping up to pipeline_depth() steps in flight (depth 1 is
+// a pipe with one slot). Each request leaves a RequestRecord with its full
+// latency decomposition; run() returns them plus the aggregate ServeReport
+// and the backend's accumulated search stats.
 
 #include <cstddef>
 #include <memory>
@@ -47,13 +49,15 @@ struct ServeParams {
 };
 
 /// Binds the mutable-index write path into the serving loop (DESIGN.md §14).
-/// run() applies each op to the writer when the virtual clock passes its
-/// arrival, and every `publish_every_batches` backend steps it publishes the
-/// writer's pending mutations and stages the snapshot onto the backend — in
-/// between steps, so serving never pauses; the modeled install cost extends
-/// the virtual timeline. Queries batched before a publish are answered by
-/// the old version (the backends flush before installing), queries admitted
-/// after see the new one. The counters are written back by run().
+/// Every `publish_every_batches` backend steps run() publishes the writer's
+/// pending mutations and stages the snapshot onto the backend — in between
+/// steps, so serving never pauses. The install lands at the install instant
+/// (the newest in-flight step's completion) and its modeled cost extends the
+/// virtual timeline; every op that arrived by then is in the publish.
+/// Queries batched before a publish are answered by the old version (the
+/// backends flush before installing); queries that arrive by the install
+/// instant, or later, see the new one. The counters are written back by
+/// run().
 struct UpdateStream {
   const UpdateTrace* trace = nullptr;  ///< ops + insert payloads (not owned)
   IndexWriter* writer = nullptr;       ///< mutable state (not owned)
@@ -119,16 +123,6 @@ class ServingRuntime {
   void set_update_stream(UpdateStream* updates) { updates_ = updates; }
 
  private:
-  /// The serial event loop (backend pipeline_depth() == 1): one step in
-  /// flight at a time, the clock jumping across each step's critical path.
-  ServeResult run_serial(const std::vector<Request>& trace, ServeResult result,
-                         std::uint32_t max_k, std::uint32_t max_nprobe);
-  /// The pipelined event loop (depth >= 2): keeps up to `depth` steps in
-  /// flight, launching while earlier steps' modeled completions are still in
-  /// the future, so transfer stages overlap compute across steps.
-  ServeResult run_pipelined(const std::vector<Request>& trace, ServeResult result,
-                            std::uint32_t max_k, std::uint32_t max_nprobe);
-
   std::unique_ptr<AnnBackend> owned_backend_;  ///< compat-ctor wrapper only
   AnnBackend& backend_;
   const FloatMatrix& pool_;

@@ -358,18 +358,15 @@ std::unique_ptr<AnnBackend> backend_from_args(const Args& args, const IvfPqIndex
   // (--min-rung >= 1) — needs the engine's q4 tables built.
   opts.enable_q4 = precision_from_args(args) == Precision::kQ4 ||
                    min_rung_from_args(args) >= 1;
-  CpuBackendOptions cpu_opts;
-  cpu_opts.pipeline_depth = opts.pipeline_depth;
   const std::size_t shards = args.get_size_checked("shards", 1, 1, 4096);
   if (shards > 1 || args.has("shard-replication")) {
     cluster::ClusterOptions copts;
     copts.num_shards = shards;
     copts.replication_fraction = args.get_double_checked(
         "shard-replication", copts.replication_fraction, 0.0, 1.0);
-    return cluster::make_cluster_backend(kind, index, sample_queries, opts, copts,
-                                         cpu_opts);
+    return cluster::make_cluster_backend(kind, index, sample_queries, opts, copts);
   }
-  return make_backend(kind, index, sample_queries, opts, cpu_opts);
+  return make_backend(kind, index, sample_queries, opts);
 }
 
 /// Print the cluster tier's per-shard health table (serve, sharded runs).
