@@ -1,13 +1,39 @@
 #include "cluster/cluster_backend.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 
 #include "backend/drim_backend.hpp"
+#include "common/parallel.hpp"
 #include "drim/host_exact.hpp"
 #include "drim/layout.hpp"
 
 namespace drim::cluster {
+namespace {
+
+// Run body(s) for every shard under ONE parallel_for over shards; each
+// shard's own engine loops then run inline on its lane (nested loops never
+// re-enter the pool). Exceptions are caught per shard, so every shard runs
+// to completion, and the lowest shard's is returned whatever the
+// interleaving (null when none threw).
+std::exception_ptr run_per_shard(std::size_t num_shards,
+                                 const std::function<void(std::uint32_t)>& body) {
+  std::vector<std::exception_ptr> errors(num_shards);
+  parallel_for(0, num_shards, [&](std::size_t s) {
+    try {
+      body(static_cast<std::uint32_t>(s));
+    } catch (...) {
+      errors[s] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) return e;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 ClusterBackend::ClusterBackend(const IvfPqIndex& index, ShardPlan plan,
                                std::vector<std::unique_ptr<AnnBackend>> shards,
@@ -31,6 +57,7 @@ ClusterBackend::ClusterBackend(const IvfPqIndex& index, ShardPlan plan,
   }
   drained_.assign(shards_.size(), 0);
   health_.resize(shards_.size());
+  shard_traces_.resize(shards_.size());
   for (std::uint32_t s = 0; s < shards_.size(); ++s) health_[s].shard = s;
 }
 
@@ -72,10 +99,11 @@ void ClusterBackend::set_trace(obs::TraceRecorder* trace) {
     shards_[0]->set_trace(trace);
     return;
   }
-  // Routed mode: shards get the recorder too, but the router brackets each
-  // shard's step with its lane prefix (step_shard), so one recorder renders
-  // one lane group per shard.
-  for (auto& s : shards_) s->set_trace(trace);
+  // Routed mode: each shard emits into its private recorder, which
+  // for_each_shard splices into `trace` under the shard's lane prefix.
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->set_trace(trace != nullptr ? &shard_traces_[s] : nullptr);
+  }
 }
 
 void ClusterBackend::reset_stream() {
@@ -164,14 +192,19 @@ double ClusterBackend::fallback_scan_group(std::uint32_t cluster, std::uint32_t 
   return bytes / opts_.fallback_bytes_per_sec;
 }
 
-BackendStepStats ClusterBackend::step_shard(std::uint32_t s, bool flush, double now_s) {
+void ClusterBackend::for_each_shard(const std::function<void(std::uint32_t)>& body) {
   if (trace_ != nullptr) {
-    trace_->set_lane_prefix("shard" + std::to_string(s) + "/");
-    trace_->set_now(now_s);
+    for (obs::TraceRecorder& t : shard_traces_) t.set_now(trace_->now());
   }
-  const BackendStepStats st = shards_[s]->step(0, flush);
-  if (trace_ != nullptr) trace_->set_lane_prefix({});
-  return st;
+  const std::exception_ptr error = run_per_shard(shards_.size(), body);
+  if (trace_ != nullptr) {
+    // Shard order reproduces the lane registration and event order of
+    // stepping the shards one after another into one recorder.
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      trace_->splice(shard_traces_[s], "shard" + std::to_string(s) + "/");
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 BackendStepStats ClusterBackend::step(std::size_t max_queries, bool flush) {
@@ -289,15 +322,19 @@ BackendStepStats ClusterBackend::step(std::size_t max_queries, bool flush) {
     }
   }
 
-  // ---- barrier-step the shards ----
+  // ---- step the shards concurrently, then barrier ----
   // Every shard with queued work steps, drained ones included: drain blocks
   // new dispatches, never work already accepted (zero dropped queries).
+  // Health and the exec max fold serially in shard order after the barrier.
   const double step_start =
       std::max(last_complete_seconds_, submit_hint_seconds_);
   const double trace_now = trace_ != nullptr ? trace_->now() : 0.0;
+  std::vector<BackendStepStats> shard_steps(shards_.size());
+  for_each_shard(
+      [&](std::uint32_t s) { shard_steps[s] = shards_[s]->step(0, flush); });
   double exec_seconds = 0.0;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    const BackendStepStats st = step_shard(s, flush, trace_now);
+    const BackendStepStats& st = shard_steps[s];
     exec_seconds = std::max(exec_seconds, st.step_seconds);
     out.deferred += st.deferred;
     health_[s].busy_seconds += st.step_seconds;
@@ -441,15 +478,12 @@ bool ClusterBackend::supports_updates() const {
 }
 
 void ClusterBackend::flush_all() {
-  const double trace_now = trace_ != nullptr ? trace_->now() : 0.0;
-  bool again = true;
-  while (again) {
-    again = false;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      if (!shards_[s]->has_deferred()) continue;
-      step_shard(s, true, trace_now);
-      again = true;
-    }
+  // Each round steps every shard still carrying work. The router's cursor
+  // does not move, so every round's spans anchor at the flush's start.
+  while (has_deferred()) {
+    for_each_shard([&](std::uint32_t s) {
+      if (shards_[s]->has_deferred()) shards_[s]->step(0, /*flush=*/true);
+    });
   }
 }
 
@@ -474,8 +508,10 @@ double ClusterBackend::stage_snapshot(const IndexSnapshot& snapshot,
                             snapshot.index->list(sr.child).size());
     }
   }
-  double cost = 0.0;
-  for (auto& s : shards_) cost = std::max(cost, s->stage_snapshot(snapshot, delta));
+  std::vector<double> costs(shards_.size());
+  for_each_shard(
+      [&](std::uint32_t s) { costs[s] = shards_[s]->stage_snapshot(snapshot, delta); });
+  const double cost = *std::max_element(costs.begin(), costs.end());
   snapshot_ = snapshot;
   fallback_data_.reset();
   return cost;
@@ -484,9 +520,9 @@ double ClusterBackend::stage_snapshot(const IndexSnapshot& snapshot,
 double ClusterBackend::stage_relayout() {
   if (passthrough()) return shards_[0]->stage_relayout();
   flush_all();
-  double cost = 0.0;
-  for (auto& s : shards_) cost = std::max(cost, s->stage_relayout());
-  return cost;
+  std::vector<double> costs(shards_.size());
+  for_each_shard([&](std::uint32_t s) { costs[s] = shards_[s]->stage_relayout(); });
+  return *std::max_element(costs.begin(), costs.end());
 }
 
 void ClusterBackend::stash_partials(std::uint32_t s) {
@@ -569,10 +605,14 @@ ClusterBackend::RecoveryReport ClusterBackend::recover_shard(std::uint32_t faile
     rep.moved_bytes += index().list(c).size() * bytes_per_point;
   }
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    if (rebuild[s]) stash_partials(s);
+  }
+  for_each_shard([&](std::uint32_t s) {
+    if (rebuild[s]) shards_[s] = shard_factory_(s, snapshot_, plan_.owned_mask(s));
+  });
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (!rebuild[s]) continue;
-    stash_partials(s);
-    shards_[s] = shard_factory_(s, snapshot_, plan_.owned_mask(s));
-    if (trace_ != nullptr) shards_[s]->set_trace(trace_);
+    if (trace_ != nullptr) shards_[s]->set_trace(&shard_traces_[s]);
     ++rep.rebuilt_shards;
   }
   // The degraded path is closed — every cluster has a live owner again — so
@@ -623,20 +663,20 @@ std::unique_ptr<AnnBackend> make_cluster_backend(
   ShardPlan plan(index.list_sizes(),
                  estimate_heat(index, sample_queries, engine_options.heat_nprobe), pp);
 
-  std::vector<std::unique_ptr<AnnBackend>> shards;
-  shards.reserve(S);
-  for (std::uint32_t s = 0; s < S; ++s) {
+  // Shards are independent nodes, so they are built concurrently.
+  std::vector<std::unique_ptr<AnnBackend>> shards(S);
+  const std::exception_ptr error = run_per_shard(S, [&](std::uint32_t s) {
     if (kind == BackendKind::kCpu) {
-      shards.push_back(std::make_unique<CpuBackend>(index, cpu_options));
+      shards[s] = std::make_unique<CpuBackend>(index, cpu_options);
     } else {
       DrimEngineOptions per_shard = engine_options;
       // Each shard is a full PIM node with its own num_dpus-DPU array; its
       // intra-array layout only places the clusters the plan assigned it.
       if (S > 1) per_shard.layout.owned_clusters = plan.owned_mask(s);
-      shards.push_back(
-          std::make_unique<DrimBackend>(index, sample_queries, per_shard));
+      shards[s] = std::make_unique<DrimBackend>(index, sample_queries, per_shard);
     }
-  }
+  });
+  if (error) std::rethrow_exception(error);
   auto backend = std::make_unique<ClusterBackend>(index, std::move(plan),
                                                   std::move(shards), cluster_options);
   if (S > 1 && kind == BackendKind::kDrim) {

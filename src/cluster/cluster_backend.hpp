@@ -52,7 +52,8 @@ struct ClusterOptions {
 /// strict passthrough to its single shard (bit-identical results AND modeled
 /// times, at any pipeline depth); with more shards it runs the routed
 /// protocol: locate clusters once at the front-end, enqueue_routed() the
-/// owned subsets per shard, barrier-step the shards, merge on take.
+/// owned subsets per shard, step the shards concurrently up to a barrier,
+/// merge on take.
 class ClusterBackend final : public AnnBackend {
  public:
   /// Rebuilds one shard backend from the current snapshot and its (possibly
@@ -162,9 +163,14 @@ class ClusterBackend final : public AnnBackend {
 
   bool passthrough() const { return shards_.size() == 1; }
   void maybe_compact();
-  /// Step one shard with the trace cursor anchored at `now_s` under its
-  /// per-shard lane prefix; returns the shard's step stats.
-  BackendStepStats step_shard(std::uint32_t s, bool flush, double now_s);
+  /// The one per-shard loop (DESIGN.md §13): runs body(s) for every shard
+  /// under a single parallel_for over shards, each shard's engine loops
+  /// inline on its lane. While tracing, shard s emits into its private
+  /// recorder with the cursor at the router's now(); after the barrier the
+  /// recorders are spliced into the router's in shard order under "shardN/"
+  /// lane prefixes. Callers fold per-shard results serially in shard order
+  /// afterwards. If bodies threw, rethrows the lowest shard's exception.
+  void for_each_shard(const std::function<void(std::uint32_t)>& body);
   /// Exact-scan one whole cluster on the host for every query in `members`
   /// at search depth `k` (tombstone-aware: the snapshot's dead flags filter
   /// before the top-k, like the kernels), appending each member's hits to
@@ -203,6 +209,8 @@ class ClusterBackend final : public AnnBackend {
   double submit_hint_seconds_ = 0.0;
   double last_complete_seconds_ = 0.0;
   obs::TraceRecorder* trace_ = nullptr;
+  /// Shard s's private trace sink in routed mode (see for_each_shard).
+  std::vector<obs::TraceRecorder> shard_traces_;
 
   /// Quantized-index copy for the fallback exact scan, built on first use
   /// (only drain scenarios pay for it); invalidated by stage_snapshot().

@@ -52,12 +52,24 @@ void write_args(std::ostream& out, const std::vector<TraceArg>& args) {
 }  // namespace
 
 std::uint32_t TraceRecorder::lane(const std::string& name) {
-  const std::string full = lane_prefix_.empty() ? name : lane_prefix_ + name;
   for (std::size_t i = 0; i < lane_names_.size(); ++i) {
-    if (lane_names_[i] == full) return static_cast<std::uint32_t>(i);
+    if (lane_names_[i] == name) return static_cast<std::uint32_t>(i);
   }
-  lane_names_.push_back(full);
+  lane_names_.push_back(name);
   return static_cast<std::uint32_t>(lane_names_.size() - 1);
+}
+
+void TraceRecorder::splice(TraceRecorder& child, const std::string& lane_prefix) {
+  std::vector<std::uint32_t> tid(child.lane_names_.size());
+  for (std::size_t i = 0; i < tid.size(); ++i) {
+    tid[i] = lane(lane_prefix + child.lane_names_[i]);
+  }
+  for (Event& e : child.events_) {
+    if (e.ph != 'C') e.tid = tid[e.tid];  // counters are process-wide tracks
+    events_.push_back(std::move(e));
+  }
+  child.lane_names_.clear();
+  child.events_.clear();
 }
 
 void TraceRecorder::span(std::uint32_t lane, std::string name, std::string cat,

@@ -7,10 +7,13 @@
 // --trace file drops straight into ui.perfetto.dev or chrome://tracing.
 //
 // The recorder is a passive sink: producers (DrimAnnEngine, the backends,
-// ServingRuntime) position the shared `now` cursor on their virtual clock
-// and emit events at absolute times. Single-threaded by design — all span
-// emission happens on the host thread after a batch completes, never inside
-// the parallel kernel loops.
+// ServingRuntime) position the `now` cursor on their virtual clock and emit
+// events at absolute times. One recorder has one producer thread at a time;
+// spans are emitted after a batch completes, never inside the parallel
+// kernel loops. Producers that step concurrently (the cluster router's
+// shards) each emit into a private per-shard recorder, and the owner splices
+// those into its own in shard order after the barrier (splice()), which
+// reproduces the lane table and event order of emitting serially.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,12 +43,14 @@ class TraceRecorder {
   /// host lanes registered first stay above the per-DPU lanes.
   std::uint32_t lane(const std::string& name);
 
-  /// Prefix prepended to every lane() lookup while set (e.g. "shard0/"):
-  /// the cluster router brackets each shard's step with its prefix so one
-  /// recorder renders per-shard lane groups without the producers knowing
-  /// they are sharded. Empty (the default) leaves lane names untouched.
-  void set_lane_prefix(std::string prefix) { lane_prefix_ = std::move(prefix); }
-  const std::string& lane_prefix() const { return lane_prefix_; }
+  /// Move every lane and event of `child` into this recorder, lane names
+  /// prefixed with `lane_prefix` (e.g. "shard0/"). Child lanes are looked
+  /// up here in the child's registration order and events append in the
+  /// child's order, so splicing per-shard children in shard order yields
+  /// exactly the trace those shards would have emitted into this recorder
+  /// one after another. Leaves `child` with no lanes and no events; neither
+  /// cursor moves.
+  void splice(TraceRecorder& child, const std::string& lane_prefix);
 
   // ---- events (times in absolute virtual seconds) ----
   void span(std::uint32_t lane, std::string name, std::string cat,
@@ -80,7 +85,6 @@ class TraceRecorder {
   std::vector<std::string> lane_names_;
   std::vector<Event> events_;
   double now_s_ = 0.0;
-  std::string lane_prefix_;
 };
 
 }  // namespace drim::obs
