@@ -807,11 +807,27 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   std::vector<std::size_t> dpu_output_off(num_dpus, 0);
   std::vector<std::size_t> dpu_need(num_dpus, 0);
 
-  // Per-DPU dedup is independent (private task lists), so it fans out across
-  // host threads; nothing is pushed yet so an oversized batch can still be
-  // rejected cleanly below. Dedup uses the reusable stamped flat maps: a
-  // fresh stamp per (step, dpu) makes stale entries invisible without
-  // clearing, and first-occurrence slot order matches the old hashed path.
+  // ---- cluster-major fusion plan (DESIGN.md §16) ----
+  // Group each DPU's tasks by (cluster, rung) so the kernel streams every
+  // fused group's codes from MRAM once. Planned host-side (the kernel is
+  // shipped the plan, so both platforms launch the identical grouping);
+  // the saved re-stream bytes are tallied from the plan alone, per DPU
+  // inside the dedup fan-out below and summed serially in DPU order.
+  const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
+  struct FusionTally {
+    std::uint64_t saved_bytes = 0;
+    std::size_t groups = 0;
+    std::size_t fused_tasks = 0;
+  };
+  std::vector<std::vector<FusedTaskGroup>> dpu_groups(fuse_width > 1 ? num_dpus : 0);
+  std::vector<FusionTally> dpu_fusion(dpu_groups.size());
+
+  // Per-DPU dedup and fusion planning are independent (private task lists),
+  // so they fan out across host threads together; nothing is pushed yet so
+  // an oversized batch can still be rejected cleanly below. Dedup uses the
+  // reusable stamped flat maps: a fresh stamp per (step, dpu) makes stale
+  // entries invisible without clearing, and first-occurrence slot order
+  // matches the old hashed path.
   const std::uint64_t epoch_base =
       g_dedup_epoch.fetch_add(num_dpus, std::memory_order_relaxed);
   const std::size_t id_space = state.quantized.size();
@@ -854,7 +870,31 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     const std::size_t output_bytes = tasks.size() * k * sizeof(KernelHit);
     dpu_output_off[d] = slot_base + ((queries_bytes + 7) & ~std::size_t{7});
     dpu_need[d] = dpu_output_off[d] + output_bytes;
+
+    if (fuse_width <= 1) return;
+    dpu_groups[d] = plan_task_fusion(dpu_tasks[d], fuse_width);
+    FusionTally& tally = dpu_fusion[d];
+    tally.groups = dpu_groups[d].size();
+    for (const FusedTaskGroup& g : dpu_groups[d]) {
+      if (g.tasks.size() <= 1) continue;
+      tally.fused_tasks += g.tasks.size();
+      const ShardRegion& sh = dpu_shard_regions_[d][g.shard_slot];
+      const std::size_t code_size =
+          ladder && g.q4 ? data_.code_size_q4() : data_.code_size();
+      std::uint64_t bytes = static_cast<std::uint64_t>(sh.size) * code_size;
+      // The tombstone-flag stream is also shared by the group.
+      if (sh.dead != nullptr) bytes += sh.size;
+      tally.saved_bytes += (g.tasks.size() - 1) * bytes;
+    }
   });
+  std::uint64_t dc_bytes_saved = 0;
+  std::size_t fused_groups = 0;
+  std::size_t fused_tasks = 0;
+  for (const FusionTally& tally : dpu_fusion) {
+    dc_bytes_saved += tally.saved_bytes;
+    fused_groups += tally.groups;
+    fused_tasks += tally.fused_tasks;
+  }
 
   // Capacity check, serially and before any bytes move (throwing from inside
   // a worker lambda mid-staging left the byte tallies half-updated). The
@@ -885,39 +925,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                  {reinterpret_cast<const std::uint8_t*>(qv.data()), dim * 2});
     }
   });
-
-  // ---- cluster-major fusion plan (DESIGN.md §16) ----
-  // Group each DPU's tasks by (cluster, rung) so the kernel streams every
-  // fused group's codes from MRAM once. Planned host-side (the kernel is
-  // shipped the plan, so both platforms launch the identical grouping);
-  // the saved re-stream bytes are tallied here from the plan alone.
-  const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  std::vector<std::vector<FusedTaskGroup>> dpu_groups;
-  std::uint64_t dc_bytes_saved = 0;
-  std::size_t fused_groups = 0;
-  std::size_t fused_tasks = 0;
-  if (fuse_width > 1) {
-    dpu_groups.resize(num_dpus);
-    parallel_for(0, num_dpus, [&](std::size_t d) {
-      if (!dpu_tasks[d].empty()) {
-        dpu_groups[d] = plan_task_fusion(dpu_tasks[d], fuse_width);
-      }
-    });
-    for (std::size_t d = 0; d < num_dpus; ++d) {
-      fused_groups += dpu_groups[d].size();
-      for (const FusedTaskGroup& g : dpu_groups[d]) {
-        if (g.tasks.size() <= 1) continue;
-        fused_tasks += g.tasks.size();
-        const ShardRegion& sh = dpu_shard_regions_[d][g.shard_slot];
-        const std::size_t code_size =
-            ladder && g.q4 ? data_.code_size_q4() : data_.code_size();
-        std::uint64_t bytes = static_cast<std::uint64_t>(sh.size) * code_size;
-        // The tombstone-flag stream is also shared by the group.
-        if (sh.dead != nullptr) bytes += sh.size;
-        dc_bytes_saved += (g.tasks.size() - 1) * bytes;
-      }
-    }
-  }
 
   // ---- launch ----
   SearchKernelArgs args;
