@@ -6,7 +6,9 @@
 // shards on the analytic platform — each shard a full PIM node with its own
 // DPU array, clusters partitioned by the heat-balancing ShardPlan with the
 // hottest fraction replicated. Reports modeled qps per shard count plus the
-// router's per-shard dispatch balance.
+// router's per-shard dispatch balance, and the host wall-clock of each
+// replay — the only column that moves with DRIM_THREADS (a router step runs
+// its shards concurrently, one host lane per shard).
 //
 // Self-checks (exit status, run under ctest and the release CI job):
 //   - results are identical (ids AND distances) at every shard count, so
@@ -26,6 +28,7 @@
 
 #include "backend/drim_backend.hpp"
 #include "cluster/cluster_backend.hpp"
+#include "common/timer.hpp"
 #include "data/recall.hpp"
 #include "serve/workload.hpp"
 #include "support/harness.hpp"
@@ -184,9 +187,9 @@ int main(int argc, char** argv) {
               base_recall);
 
   print_title("Modeled throughput vs shard count");
-  std::printf("%7s | %12s | %9s | %8s | %s\n", "shards", "qps", "speedup",
-              "recall", "per-shard tasks");
-  print_rule(78);
+  std::printf("%7s | %12s | %9s | %8s | %13s | %s\n", "shards", "qps", "speedup",
+              "recall", "host wall ms", "per-shard tasks");
+  print_rule(94);
 
   double qps1 = 0.0;
   std::vector<double> speedups;
@@ -196,8 +199,10 @@ int main(int argc, char** argv) {
     copts.replication_fraction = replication;
     std::unique_ptr<AnnBackend> backend = cluster::make_cluster_backend(
         BackendKind::kDrim, index, bench.data.learn, opts, copts);
+    const WallTimer wall;
     const StreamRun run = stream_requests(*backend, bench.data.queries, requests,
                                           scale.k, nprobe, batch);
+    const double wall_seconds = wall.seconds();
     const double recall = mean_recall_at_k(run.results, gt, scale.k);
     if (S == 1) qps1 = run.qps;
     const double speedup = qps1 > 0 ? run.qps / qps1 : 0.0;
@@ -208,8 +213,8 @@ int main(int argc, char** argv) {
       tasks += (tasks.empty() ? "" : " / ") + std::to_string(h.dispatched_tasks);
     }
     if (tasks.empty()) tasks = "-";
-    std::printf("%7zu | %12.1f | %8.2fx | %8.4f | %s\n", S, run.qps, speedup,
-                recall, tasks.c_str());
+    std::printf("%7zu | %12.1f | %8.2fx | %8.4f | %13.1f | %s\n", S, run.qps, speedup,
+                recall, wall_seconds * 1e3, tasks.c_str());
 
     report.add_row("shards " + std::to_string(S));
     report.add_metric("shards", static_cast<double>(S));
@@ -217,6 +222,7 @@ int main(int argc, char** argv) {
     report.add_metric("speedup", speedup);
     report.add_metric("recall", recall);
     report.add_metric("total_seconds", run.total_seconds);
+    report.add_metric("host_wall_seconds", wall_seconds);
 
     // Results (hence recall) must be identical to the single-shard baseline
     // at every shard count — sharding moves work, never answers.
