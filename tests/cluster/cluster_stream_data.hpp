@@ -1,7 +1,7 @@
 #pragma once
 // Shared fixture for the traced cluster-stream tests: one small SIFT-like
 // corpus and trained IVF-PQ index per test binary, a factory for routed
-// clusters on the analytic platform, and a driver that pushes one traced
+// clusters on the analytic platform, and a runner that pushes one traced
 // stream through a ClusterBackend and keeps everything it produced (answers,
 // per-step stats, shard health and the Chrome-trace bytes), plus a 64-bit
 // FNV-1a digest to pin them with.
@@ -97,7 +97,7 @@ struct TracedStream {
   }
 };
 
-/// How the driver perturbs the stream mid-way.
+/// How run_stream perturbs the stream mid-way.
 struct StreamPlan {
   std::size_t step_queries = 12;  ///< fresh queries per unflushed step
   /// Drain this shard after the first step (no drain when >= num_shards).
