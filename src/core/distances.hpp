@@ -1,13 +1,14 @@
 #pragma once
 // Scalar L2 / inner-product kernels plus a runtime-dispatched SIMD seam for
 // the host hot paths. The free functions below are the seed scalar kernels
-// (strictly sequential accumulation); the DPU kernels in src/drim
-// deliberately do NOT use them — they go through the cycle-charging
-// DpuContext instead.
+// (strictly sequential accumulation).
 //
 // The `DistanceKernels` table is the AVX2 seam: the CPU baseline's ADC scan,
-// the LUT build, host_exact's integer LUT build and integer scan, and
-// flat-search/rerank route through `kernels()`, which points at either the
+// the LUT build, the integer LUT build and integer scan (shared by
+// host_exact's replay and the functional DPU search kernel in
+// src/drim/kernels.cpp, whose cycle charges stay with its DpuContext and
+// never depend on the table), and flat-search/rerank route through
+// `kernels()`, which points at either the
 // scalar reference or the AVX2 implementations (src/core/distances_avx2.cpp)
 // picked at startup. Both implementations of every table entry produce
 // bit-identical results:
@@ -65,12 +66,13 @@ struct DistanceKernels {
                        const std::uint8_t* codes, std::size_t stride, bool wide,
                        std::size_t n, float* out);
 
-  /// Integer ADC scan (host_exact's uint32 pipeline, wraparound included).
+  /// Integer ADC scan (the DPU kernel's uint32 pipeline, wraparound
+  /// included).
   void (*adc_scan_u32)(const std::uint32_t* lut, std::size_t cb, std::size_t m,
                        const std::uint8_t* codes, std::size_t stride, bool wide,
                        std::size_t n, std::uint32_t* out);
 
-  /// Integer ADC table (host_exact's LC front end): for every subquantizer
+  /// Integer ADC table (the DPU kernel's LC): for every subquantizer
   /// sub < m and entry e < cb,
   ///   lut[sub*cb + e] = sum over d < dsub of
   ///     ((query[j] - centroid[j]) - codebooks[(sub*cb + e)*dsub + d])^2,

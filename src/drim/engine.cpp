@@ -39,6 +39,19 @@ void dedup_reserve(std::size_t id_space) {
     tl_dedup_slot.resize(id_space, 0);
   }
 }
+
+// Per-thread full-precision table for the collect stage's q4 rerank, so a
+// sim step allocates nothing per DPU. Like the dedup maps, a buffer far
+// larger than the current index needs is released rather than pinned.
+thread_local std::vector<std::uint32_t> tl_rerank_lut;
+
+std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
+  if (tl_rerank_lut.capacity() > std::max<std::size_t>(4096, n * 8)) {
+    std::vector<std::uint32_t>().swap(tl_rerank_lut);
+  }
+  if (tl_rerank_lut.size() < n) tl_rerank_lut.resize(n);
+  return {tl_rerank_lut.data(), n};
+}
 }  // namespace
 
 SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
@@ -1010,6 +1023,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                 q4_rows.push_back(static_cast<std::uint32_t>(t));
               }
             }
+            if (q4_rows.empty()) return;
             std::stable_sort(q4_rows.begin(), q4_rows.end(),
                              [&](std::uint32_t a, std::uint32_t b) {
                                if (dpu_task_query[d][a] != dpu_task_query[d][b]) {
@@ -1017,7 +1031,8 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                                }
                                return row_shard(a).cluster < row_shard(b).cluster;
                              });
-            std::vector<std::uint32_t> lut(data_.m() * data_.cb_entries());
+            const std::span<std::uint32_t> lut =
+                rerank_lut_scratch(data_.m() * data_.cb_entries());
             bool lut_valid = false;
             std::uint64_t lut_key = 0;
             for (const std::uint32_t t : q4_rows) {

@@ -94,7 +94,8 @@ struct ReplayEntry {
 /// instance per thread suffices.
 struct Scratch {
   std::vector<std::uint32_t> lut;   ///< full-precision tables
-  std::vector<std::uint32_t> lut4;  ///< coarse q4 tables
+  std::vector<std::uint32_t> lut4;  ///< q4 byte-pair tables
+  std::vector<std::uint32_t> lut4_rows;  ///< one query's coarse q4 rows
   std::vector<std::uint32_t> dists; ///< one tile's distances
   std::vector<std::uint64_t> keys;  ///< one bounded top-k per lane
   std::vector<BoundedTopK> topk;
@@ -127,25 +128,29 @@ BoundedTopK* lane_topk(Scratch& s, std::size_t lanes, std::uint32_t kk) {
   return topk;
 }
 
-/// DC + TS of every lane over the full-precision codes of `shard`: rows get
-/// global ids, exactly run_search_kernel's.
-void scan_full(const PimIndexData& data, const Shard& shard,
-               const std::uint8_t* dead, std::uint32_t k,
-               std::span<const Lane> lanes, Scratch& s) {
-  const std::size_t m = data.m();
-  const std::size_t cb = data.cb_entries();
+/// DC + TS of every lane over `shard`'s codes on one rung. Full-rung rows
+/// get global ids, exactly run_search_kernel's. Q4 lanes score the packed
+/// 4-bit codes with byte-pair tables (build_q4_lut), one lookup per byte
+/// like the kernel, and keep LOCAL indices unless the lane carries a rerank
+/// table.
+void scan(const PimIndexData& data, const Shard& shard, bool q4,
+          const std::uint8_t* dead, std::uint32_t k, std::span<const Lane> lanes,
+          Scratch& s) {
+  const std::size_t entries = q4 ? 256 : data.cb_entries();
+  const std::size_t lookups = q4 ? data.code_size_q4() : data.m();
+  const std::size_t stride = q4 ? data.code_size_q4() : data.code_size();
   const std::uint32_t size = shard.size();
   const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
   BoundedTopK* topk = lane_topk(s, lanes.size(), kk);
   std::uint32_t* dists = scratch_buffer(s.dists, std::min(size, kTile));
-  const auto codes = data.cluster_codes(shard.cluster);
-  const auto ids = data.cluster_ids(shard.cluster);
+  const auto codes =
+      q4 ? data.cluster_codes_q4(shard.cluster) : data.cluster_codes(shard.cluster);
   for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
     const std::uint32_t n = std::min(kTile, size - t0);
-    const std::uint8_t* tile = codes.data() + (shard.begin + t0) * data.code_size();
+    const std::uint8_t* tile = codes.data() + (shard.begin + t0) * stride;
     for (std::size_t w = 0; w < lanes.size(); ++w) {
-      kernels().adc_scan_u32(lanes[w].lut, cb, m, tile, data.code_size(),
-                             data.wide_codes(), n, dists);
+      kernels().adc_scan_u32(lanes[w].lut, entries, lookups, tile, stride,
+                             !q4 && data.wide_codes(), n, dists);
       for (std::uint32_t i = 0; i < n; ++i) {
         // Tombstoned positions never enter the bounded top-k.
         if (dead && dead[shard.begin + t0 + i]) continue;
@@ -153,8 +158,17 @@ void scan_full(const PimIndexData& data, const Shard& shard,
       }
     }
   }
+  const auto ids = data.cluster_ids(shard.cluster);
   for (std::size_t w = 0; w < lanes.size(); ++w) {
     topk[w].sorted_into(lanes[w].out);  // sentinel-pads short shards
+    if (q4) {
+      if (lanes[w].rerank_lut != nullptr) {
+        host_rerank_q4_row_with_lut(
+            data, {lanes[w].rerank_lut, data.m() * data.cb_entries()}, shard,
+            lanes[w].out);
+      }
+      continue;
+    }
     for (KernelHit& h : lanes[w].out) {
       if (is_pad(h)) break;
       h.id = ids[shard.begin + h.id];
@@ -162,71 +176,29 @@ void scan_full(const PimIndexData& data, const Shard& shard,
   }
 }
 
-/// DC + TS of every lane over the packed 4-bit codes of `shard` (low nibble
-/// = even subquantizer). Rows keep LOCAL indices unless the lane carries a
-/// rerank table.
-void scan_q4(const PimIndexData& data, const Shard& shard,
-             const std::uint8_t* dead, std::uint32_t k,
-             std::span<const Lane> lanes, Scratch& s) {
-  const std::size_t m = data.m();
-  const std::size_t cb4 = data.cb4();
-  const std::size_t cs4 = data.code_size_q4();
-  const std::uint32_t size = shard.size();
-  const std::uint32_t kk = std::min<std::uint32_t>(k, std::max<std::uint32_t>(size, 1));
-  BoundedTopK* topk = lane_topk(s, lanes.size(), kk);
-  const auto codes = data.cluster_codes_q4(shard.cluster);
-  for (std::uint32_t t0 = 0; t0 < size; t0 += kTile) {
-    const std::uint32_t n = std::min(kTile, size - t0);
-    for (std::size_t w = 0; w < lanes.size(); ++w) {
-      const std::uint32_t* lut4 = lanes[w].lut;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (dead && dead[shard.begin + t0 + i]) continue;
-        const std::uint8_t* code = codes.data() + (shard.begin + t0 + i) * cs4;
-        std::uint32_t dist = 0;
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          const std::uint32_t g = (code[sub / 2] >> ((sub % 2) * 4)) & 0xF;
-          dist += lut4[sub * cb4 + g];
-        }
-        topk[w].push(dist, t0 + i);
-      }
-    }
-  }
-  for (std::size_t w = 0; w < lanes.size(); ++w) {
-    topk[w].sorted_into(lanes[w].out);  // sentinel-pads short shards
-    if (lanes[w].rerank_lut != nullptr) {
-      host_rerank_q4_row_with_lut(
-          data, {lanes[w].rerank_lut, data.m() * data.cb_entries()}, shard,
-          lanes[w].out);
-    }
-  }
+/// Size of one q4 byte-pair table (build_q4_lut's output).
+std::size_t q4_table_size(const PimIndexData& data) {
+  return data.code_size_q4() * 256;
 }
 
-/// RC + LC of the 4-bit rung: cb4-entry coarse sub-LUTs over the cluster's
-/// shifted residual (arithmetic right shift, exactly the kernel's), codeword
-/// components shifted to match. `lut4` holds m * cb4 values.
+/// RC + LC of the 4-bit rung, exactly the kernel's: the cb4-entry coarse
+/// rows of every subquantizer (q4_lut_row, over the cluster's shifted
+/// residual), folded into byte-pair tables (q4_fold_pairs). `pair_lut`
+/// holds q4_table_size(data) values.
 void build_q4_lut(const PimIndexData& data, const std::int16_t* query,
-                  std::uint32_t cluster, std::uint32_t* lut4) {
+                  std::uint32_t cluster, std::uint32_t* pair_lut, Scratch& s) {
   const std::size_t m = data.m();
   const std::size_t dsub = data.dsub();
   const std::size_t cb4 = data.cb4();
   const std::uint32_t shift = data.cluster_shift(cluster);
   const std::int16_t* centroid = data.centroid(cluster).data();
   const std::int16_t* books = data.codebooks_q4().data();
+  std::uint32_t* lut4 = scratch_buffer(s.lut4_rows, m * cb4);
   for (std::size_t sub = 0; sub < m; ++sub) {
-    const std::int16_t* q = query + sub * dsub;
-    const std::int16_t* c = centroid + sub * dsub;
-    for (std::size_t g = 0; g < cb4; ++g) {
-      const std::int16_t* cw = books + (sub * cb4 + g) * dsub;
-      std::uint32_t acc = 0;
-      for (std::size_t d = 0; d < dsub; ++d) {
-        const std::int32_t res = (static_cast<std::int32_t>(q[d]) - c[d]) >> shift;
-        const std::int32_t diff = res - (cw[d] >> shift);
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        acc += a * a;
-      }
-      lut4[sub * cb4 + g] = acc;
-    }
+    q4_lut_row(query + sub * dsub, centroid + sub * dsub, books + sub * cb4 * dsub, dsub,
+               cb4, shift, lut4 + sub * cb4);
   }
+  q4_fold_pairs(lut4, m, cb4, pair_lut);
 }
 
 /// One work item of host_replay_batch: `items` indexes tasks of ONE cluster,
@@ -238,7 +210,7 @@ void replay_chunk(const PimIndexData& data, std::span<const HostReplayTask> task
                   KernelHit* rows) {
   Scratch& s = scratch();
   const std::size_t table = data.m() * data.cb_entries();
-  const std::size_t table4 = data.m() * data.cb4();
+  const std::size_t table4 = q4_table_size(data);
   const std::uint32_t cluster = tasks[items.front()].cluster;
 
   // Members: the item's distinct queries. Every member needs its full
@@ -267,7 +239,7 @@ void replay_chunk(const PimIndexData& data, std::span<const HostReplayTask> task
       const HostReplayTask& t = tasks[items[i]];
       if (t.q4 && entries[i].member != built) {
         built = entries[i].member;
-        build_q4_lut(data, t.query, cluster, luts4 + built * table4);
+        build_q4_lut(data, t.query, cluster, luts4 + built * table4, s);
       }
     }
   }
@@ -306,12 +278,7 @@ void replay_chunk(const PimIndexData& data, std::span<const HostReplayTask> task
     slice.cluster = cluster;
     slice.begin = head.begin;
     slice.end = head.end;
-    const std::span<const Lane> group(lanes, g1 - g0);
-    if (head.q4) {
-      scan_q4(data, slice, head.dead, k, group, s);
-    } else {
-      scan_full(data, slice, head.dead, k, group, s);
-    }
+    scan(data, slice, head.q4, head.dead, k, {lanes, g1 - g0}, s);
     g0 = g1;
   }
 }
@@ -327,7 +294,7 @@ void host_search_task_into(const PimIndexData& data,
   std::uint32_t* lut = scratch_buffer(s.lut, table);
   host_build_adc_lut(data, query, shard.cluster, {lut, table});
   const Lane lane{lut, out, nullptr};
-  scan_full(data, shard, dead, k, {&lane, 1}, s);
+  scan(data, shard, false, dead, k, {&lane, 1}, s);
 }
 
 std::vector<KernelHit> host_search_task(const PimIndexData& data,
@@ -346,26 +313,20 @@ void host_search_tasks_fused_into(const PimIndexData& data,
   if (tasks.empty()) return;
   Scratch& s = scratch();
   const std::size_t width = tasks.size();
-  const std::size_t table =
-      q4 ? data.m() * data.cb4() : data.m() * data.cb_entries();
+  const std::size_t table = q4 ? q4_table_size(data) : data.m() * data.cb_entries();
   std::uint32_t* luts = scratch_buffer(q4 ? s.lut4 : s.lut, width * table);
   Lane* lanes = scratch_buffer(s.lanes, width);
   for (std::size_t w = 0; w < width; ++w) {
     std::uint32_t* lut = luts + w * table;
     if (q4) {
-      build_q4_lut(data, tasks[w].query, shard.cluster, lut);
+      build_q4_lut(data, tasks[w].query, shard.cluster, lut, s);
     } else {
       host_build_adc_lut(data, {tasks[w].query, data.dim()}, shard.cluster,
                          {lut, table});
     }
     lanes[w] = {lut, std::span<KernelHit>(tasks[w].out, k), nullptr};
   }
-  const std::span<const Lane> group(lanes, width);
-  if (q4) {
-    scan_q4(data, shard, dead, k, group, s);
-  } else {
-    scan_full(data, shard, dead, k, group, s);
-  }
+  scan(data, shard, q4, dead, k, {lanes, width}, s);
 }
 
 void host_replay_batch(const PimIndexData& data,
@@ -439,10 +400,10 @@ void host_search_task_q4_into(const PimIndexData& data,
                               std::span<KernelHit> out,
                               const std::uint8_t* dead) {
   Scratch& s = scratch();
-  std::uint32_t* lut4 = scratch_buffer(s.lut4, data.m() * data.cb4());
-  build_q4_lut(data, query.data(), shard.cluster, lut4);
+  std::uint32_t* lut4 = scratch_buffer(s.lut4, q4_table_size(data));
+  build_q4_lut(data, query.data(), shard.cluster, lut4, s);
   const Lane lane{lut4, out, nullptr};
-  scan_q4(data, shard, dead, k, {&lane, 1}, s);
+  scan(data, shard, true, dead, k, {&lane, 1}, s);
 }
 
 void host_rerank_q4_row(const PimIndexData& data,

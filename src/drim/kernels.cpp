@@ -1,8 +1,9 @@
 #include "drim/kernels.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
+
+#include "core/distances.hpp"
 
 namespace drim {
 namespace {
@@ -15,7 +16,10 @@ namespace {
 // blocks, and the two DMA helpers below are the only place the instantiations
 // differ in how a transfer is billed (mram_read/mram_write bill exactly what
 // charge_mram_read/charge_mram_write bill for the same size), so both
-// platforms charge identical per-phase counters by construction.
+// platforms charge identical per-phase counters by construction. The
+// functional search arithmetic runs on the integer ADC primitives of the
+// SIMD seam (core/distances.hpp) and the q4 table helpers declared in
+// kernels.hpp: the same code the host-exact replay runs.
 
 /// One MRAM -> WRAM DMA transfer of `bytes` into `dst` (ignored, and may be
 /// null, in the charge-only instantiation).
@@ -210,13 +214,16 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
   check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
   auto query = wram_buffer<kFunctional, std::int16_t>(dim);
   auto centroid = wram_buffer<kFunctional, std::int16_t>(dim);
-  auto residual = wram_buffer<kFunctional, std::int32_t>(dim);
   auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
       std::max<std::size_t>(full_width, 1) * m * cb);
   auto cb_slice = wram_buffer<kFunctional, std::int16_t>(cb * dsub);  // one book
   auto code_block = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
   auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
   auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
+  // One code block's distances for one member. Host-side only: the DPU
+  // accumulates each point in registers before its top-k push, so this row
+  // is not part of the WRAM working set.
+  std::vector<std::uint32_t> dists(kFunctional ? kMaxDmaBytes : 0);
   std::vector<WramTopK> heaps;  // one k-entry heap per group member
 
   // The task list (and, with a plan, the fused-group descriptor table)
@@ -247,11 +254,8 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       ctx.set_phase(Phase::RC);
       dma_read<kFunctional>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
                             query.data(), dim * 2);
-      if constexpr (kFunctional) {
-        for (std::size_t d = 0; d < dim; ++d) {
-          residual[d] = (static_cast<std::int32_t>(query[d]) - centroid[d]) >> shift;
-        }
-      }
+      // The residual is formed inside the LC table builders below, one
+      // subvector at a time; the charges bill it here, as its own phase.
       ctx.charge_adds(dim);
       ctx.charge_wram(dim * 3);  // two loads + one store per component
       // Per-cluster residual scalar quantization on the q4 rung: arithmetic
@@ -260,7 +264,9 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       if (q4) ctx.charge_cycles(dim);
 
       // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
-      // The q4 rung scores each subquantizer against its cb4-entry coarse
+      // The full rung builds each row from the codebook slice just DMA'd
+      // with the shared integer table builder (kernels().adc_lut_u32, the
+      // host-exact replay's arithmetic). The q4 rung scores each subquantizer against its cb4-entry coarse
       // codebook (shifted into the cluster's residual scale) into the shared
       // lut4 scratch, then folds pairs of sub-LUTs into this member's
       // 256-entry pair-LUT rows so DC scores two subquantizers per byte.
@@ -271,17 +277,13 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
         mram_read_chunked<kFunctional>(ctx, books + sub * entries * dsub * 2,
                                        cb_slice.data(), entries * dsub * 2);
         if constexpr (kFunctional) {
-          std::uint32_t* lut_g = q4 ? lut4.data() : lut.data() + g * m * cb;
-          const std::int32_t* res = residual.data() + sub * dsub;
-          for (std::size_t e = 0; e < entries; ++e) {
-            const std::int16_t* cw = cb_slice.data() + e * dsub;
-            std::uint32_t acc = 0;
-            for (std::size_t d = 0; d < dsub; ++d) {
-              const std::int32_t diff = res[d] - (cw[d] >> shift);
-              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-              acc += a * a;
-            }
-            lut_g[sub * entries + e] = acc;
+          const std::int16_t* q = query.data() + sub * dsub;
+          const std::int16_t* c = centroid.data() + sub * dsub;
+          if (q4) {
+            q4_lut_row(q, c, cb_slice.data(), dsub, cb4, shift, lut4.data() + sub * cb4);
+          } else {
+            kernels().adc_lut_u32(q, c, cb_slice.data(), 1, dsub, cb,
+                                  lut.data() + (g * m + sub) * cb);
           }
         }
         // Cost per dimension of each entry: one subtract, one square (square-
@@ -295,19 +297,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       }
       if (q4) {
         if constexpr (kFunctional) {
-          std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-          for (std::size_t p = 0; p < pairs; ++p) {
-            const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-            const std::uint32_t* hi_row =
-                2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-            for (std::size_t b = 0; b < 256; ++b) {
-              const std::size_t lo = b & 0xF;
-              const std::size_t hi = b >> 4;
-              std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-              if (hi_row && hi < cb4) v += hi_row[hi];
-              pair_g[p * 256 + b] = v;
-            }
-          }
+          q4_fold_pairs(lut4.data(), m, cb4, pair_lut.data() + g * pairs * 256);
         }
         ctx.charge_adds(pairs * 256);
         ctx.charge_wram(pairs * 256);
@@ -315,9 +305,9 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     }
 
     // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
-    // against each block before advancing (member-major inside the block,
-    // with the rung and code-width branches hoisted out of the point loop).
-    // Per-point compute (lookups + accumulate adds) is billed per member —
+    // against each block before advancing (member-major inside the block:
+    // the shared integer scan kernels().adc_scan_u32 scores the block into
+    // a distance row, pushed in ascending point order). Per-point compute (lookups + accumulate adds) is billed per member —
     // only the DMA is amortized. The block schedule is the shared
     // for_each_code_block iterator (whole codes per block; packed q4 codes
     // fit twice as many). ----
@@ -340,40 +330,16 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
         const auto first = static_cast<std::uint32_t>(block_off / code_size);
         const std::uint8_t* dead = shard.dead ? shard.dead + shard.begin + first : nullptr;
         for (std::size_t g = 0; g < width; ++g) {
+          kernels().adc_scan_u32(q4 ? pair_lut.data() + g * pairs * 256
+                                    : lut.data() + g * m * cb,
+                                 q4 ? 256 : cb, lookups, code_block.data(), code_size,
+                                 !q4 && args.wide_codes, points_in_block, dists.data());
           // Tombstoned entries are skipped before the top-k push: a dead
           // point can never evict a live candidate, so the surviving
           // (dist, id) stream equals a cold rebuild of the live set.
-          const auto scan = [&](auto score) {
-            for (std::size_t i = 0; i < points_in_block; ++i) {
-              if (dead && dead[i]) continue;
-              heaps[g].push(score(code_block.data() + i * code_size),
-                            first + static_cast<std::uint32_t>(i));
-            }
-          };
-          const std::uint32_t* lut_g =
-              q4 ? pair_lut.data() + g * pairs * 256 : lut.data() + g * m * cb;
-          if (q4) {
-            scan([&](const std::uint8_t* code) {
-              std::uint32_t dist = 0;
-              for (std::size_t p = 0; p < pairs; ++p) dist += lut_g[p * 256 + code[p]];
-              return dist;
-            });
-          } else if (args.wide_codes) {
-            scan([&](const std::uint8_t* code) {
-              std::uint32_t dist = 0;
-              for (std::size_t sub = 0; sub < m; ++sub) {
-                std::uint16_t v = 0;
-                std::memcpy(&v, code + sub * 2, 2);
-                dist += lut_g[sub * cb + v];
-              }
-              return dist;
-            });
-          } else {
-            scan([&](const std::uint8_t* code) {
-              std::uint32_t dist = 0;
-              for (std::size_t sub = 0; sub < m; ++sub) dist += lut_g[sub * cb + code[sub]];
-              return dist;
-            });
+          for (std::size_t i = 0; i < points_in_block; ++i) {
+            if (dead && dead[i]) continue;
+            heaps[g].push(dists[i], first + static_cast<std::uint32_t>(i));
           }
         }
       }
@@ -434,6 +400,37 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
 }
 
 }  // namespace
+
+void q4_lut_row(const std::int16_t* query, const std::int16_t* centroid,
+                const std::int16_t* book, std::size_t dsub, std::size_t cb4,
+                std::uint32_t shift, std::uint32_t* row) {
+  for (std::size_t e = 0; e < cb4; ++e) {
+    const std::int16_t* cw = book + e * dsub;
+    std::uint32_t acc = 0;
+    for (std::size_t d = 0; d < dsub; ++d) {
+      const std::int32_t res = (static_cast<std::int32_t>(query[d]) - centroid[d]) >> shift;
+      const std::int32_t diff = res - (cw[d] >> shift);
+      const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+      acc += a * a;
+    }
+    row[e] = acc;
+  }
+}
+
+void q4_fold_pairs(const std::uint32_t* lut4, std::size_t m, std::size_t cb4,
+                   std::uint32_t* pair_lut) {
+  for (std::size_t p = 0; p < (m + 1) / 2; ++p) {
+    const std::uint32_t* lo_row = lut4 + (2 * p) * cb4;
+    const std::uint32_t* hi_row = 2 * p + 1 < m ? lut4 + (2 * p + 1) * cb4 : nullptr;
+    for (std::size_t b = 0; b < 256; ++b) {
+      const std::size_t lo = b & 0xF;
+      const std::size_t hi = b >> 4;
+      std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
+      if (hi_row && hi < cb4) v += hi_row[hi];
+      pair_lut[p * 256 + b] = v;
+    }
+  }
+}
 
 std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
                                              std::size_t fuse_width) {

@@ -131,6 +131,27 @@ struct SearchKernelArgs {
   std::size_t codebooks_q4_offset = 0;  ///< int16[m * cb4 * dsub]
 };
 
+// ---- 4-bit rung table arithmetic ----
+// One definition of the q4 coarse tables, shared by the search kernel's LC
+// phase and the host-exact replay (host_exact.cpp), so the two cannot drift.
+
+/// One subquantizer's coarse table: for each codeword e < cb4 of `book`
+/// (cb4 x dsub int16), row[e] = sum over d < dsub of
+/// (((query[d] - centroid[d]) >> shift) - (book[e*dsub + d] >> shift))^2 —
+/// the residual and the codeword both arithmetic-shifted into the cluster's
+/// scale, each square and the sum taken in uint32 wraparound arithmetic.
+void q4_lut_row(const std::int16_t* query, const std::int16_t* centroid,
+                const std::int16_t* book, std::size_t dsub, std::size_t cb4,
+                std::uint32_t shift, std::uint32_t* row);
+
+/// Fold the m coarse rows of `lut4` (m x cb4) into (m + 1) / 2 byte tables
+/// of 256 entries: pair_lut[p*256 + b] = lut4[2p][b & 0xF] +
+/// lut4[2p+1][b >> 4], where a nibble >= cb4 (and the missing odd row when
+/// m is odd) adds 0. One lookup per packed byte then scores two
+/// subquantizers, in the same uint32 sum as two coarse lookups.
+void q4_fold_pairs(const std::uint32_t* lut4, std::size_t m, std::size_t cb4,
+                   std::uint32_t* pair_lut);
+
 /// Execute the search kernel for `tasks` against the shard catalog. Results
 /// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
 /// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has

@@ -1,11 +1,15 @@
 // Direct tests of the DPU search kernel against a hand-computed reference:
 // exact integer ADC distances, sentinel padding, phase counter placement,
-// and WRAM budget enforcement.
+// and WRAM budget enforcement; and of the functional kernel through the
+// SIMD seam against an in-test scalar oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 
+#include "core/distances.hpp"
 #include "drim/kernels.hpp"
 #include "drim/square_lut.hpp"
 #include "pim/pim_system.hpp"
@@ -227,6 +231,276 @@ TEST(Kernel, EmptyTaskListIsNoop) {
   DpuContext ctx = world.dpu->context();
   run_search_kernel(ctx, world.args, world.shards, {});
   EXPECT_EQ(world.dpu->counters().at(Phase::LC).instr_cycles, 0u);
+}
+
+// ---- the functional kernel through the SIMD seam ----
+// The functional kernel computes LC and DC with the DistanceKernels integer
+// primitives, the same code the host-exact replay runs, so sim == analytic
+// no longer checks that arithmetic independently. These tests run a random
+// world at the benchmark's shape under both dispatch levels and against an
+// in-test scalar oracle: the per-element loops the kernel used to carry.
+
+/// A random MRAM world: dim 128, m 16, `cb` entries (cb > 256 stores wide
+/// uint16 codes), the 4-bit rung with per-shard shifts, a shard with
+/// tombstones and a nonzero cluster offset, several queries, and a
+/// width-4 fusion plan over a mixed-rung task list.
+struct SeamWorld {
+  static constexpr std::size_t kDim = 128;
+  static constexpr std::size_t kM = 16;
+  static constexpr std::size_t kDsub = kDim / kM;
+  static constexpr std::size_t kCb4 = 16;
+  static constexpr std::size_t kQueries = 6;
+  static constexpr std::size_t kClusters = 3;
+
+  struct ShardData {
+    std::vector<std::uint8_t> codes;   // size x code_size
+    std::vector<std::uint8_t> codes4;  // size x code_size_q4
+    std::vector<std::uint32_t> ids;
+    std::vector<std::uint8_t> dead;    // begin + size flags, or empty
+  };
+
+  PimConfig cfg;
+  std::unique_ptr<Dpu> dpu;
+  SearchKernelArgs args;
+  std::size_t cb = 0;
+  std::vector<std::int16_t> queries, centroids, books, books4;
+  std::vector<ShardData> data;
+  std::vector<ShardRegion> shards;
+  std::vector<KernelTask> tasks;
+  std::vector<FusedTaskGroup> plan;
+
+  /// Operands are drawn from [-max_abs, max_abs].
+  SeamWorld(std::size_t cb_entries, int max_abs, std::uint32_t seed) : cb(cb_entries) {
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int> val(-max_abs, max_abs);
+    const auto fill = [&](std::vector<std::int16_t>& v, std::size_t n) {
+      v.resize(n);
+      for (auto& x : v) x = static_cast<std::int16_t>(val(rng));
+    };
+    fill(queries, kQueries * kDim);
+    fill(centroids, kClusters * kDim);
+    fill(books, kM * cb * kDsub);
+    fill(books4, kM * kCb4 * kDsub);
+
+    cfg.num_dpus = 1;
+    cfg.mram_bytes = 16u << 20;
+    cfg.wram_bytes = 1u << 20;  // a width-4 slab at cb 512 exceeds 64 KB
+    dpu = std::make_unique<Dpu>(cfg);
+    Mram& mram = dpu->mram();
+    const auto put = [&](const void* src, std::size_t bytes) {
+      const std::size_t off = mram.alloc(bytes);
+      mram.write(off, {static_cast<const std::uint8_t*>(src), bytes});
+      return off;
+    };
+
+    const SquareLut sq(64);
+    args.dim = kDim;
+    args.m = kM;
+    args.cb = static_cast<std::uint32_t>(cb);
+    args.wide_codes = cb > 256;
+    args.code_size = static_cast<std::uint32_t>(kM * (args.wide_codes ? 2 : 1));
+    args.k = 10;
+    args.sq_lut_max_abs = 64;
+    args.sq_lut_offset = put(sq.raw().data(), sq.size_bytes());
+    args.codebooks_offset = put(books.data(), books.size() * 2);
+    args.centroids_offset = put(centroids.data(), centroids.size() * 2);
+    args.queries_offset = put(queries.data(), queries.size() * 2);
+    args.has_q4 = true;
+    args.cb4 = kCb4;
+    args.code_size_q4 = (kM + 1) / 2;
+    args.codebooks_q4_offset = put(books4.data(), books4.size() * 2);
+
+    // (size, cluster, begin, tombstoned): one shard spans several code
+    // blocks with a partial last block, one is shorter than k.
+    const struct { std::uint32_t size, cluster, begin; bool dead; } spec[] = {
+        {300, 0, 0, false}, {517, 1, 40, true}, {7, 2, 0, false}, {1000, 0, 300, false}};
+    std::uniform_int_distribution<std::uint32_t> code(0, static_cast<std::uint32_t>(cb - 1));
+    std::uniform_int_distribution<int> byte(0, 255);
+    std::uniform_int_distribution<int> coin(0, 3);
+    data.reserve(std::size(spec));  // shards point into data's flag vectors
+    for (const auto& sp : spec) {
+      ShardData d;
+      d.codes.resize(sp.size * args.code_size);
+      for (std::size_t i = 0; i < sp.size * kM; ++i) {
+        if (args.wide_codes) {
+          const auto v = static_cast<std::uint16_t>(code(rng));
+          std::memcpy(d.codes.data() + i * 2, &v, 2);
+        } else {
+          d.codes[i] = static_cast<std::uint8_t>(code(rng));
+        }
+      }
+      d.codes4.resize(sp.size * args.code_size_q4);
+      for (auto& b : d.codes4) b = static_cast<std::uint8_t>(byte(rng));
+      for (std::uint32_t i = 0; i < sp.size; ++i) d.ids.push_back(7000 + 13 * i + sp.cluster);
+      if (sp.dead) {
+        d.dead.assign(sp.begin + sp.size, 0);
+        for (std::uint32_t i = 0; i < sp.size; ++i) d.dead[sp.begin + i] = coin(rng) == 0;
+      }
+      ShardRegion r;
+      r.size = sp.size;
+      r.cluster = sp.cluster;
+      r.begin = sp.begin;
+      r.codes_offset = put(d.codes.data(), d.codes.size());
+      r.ids_offset = put(d.ids.data(), d.ids.size() * 4);
+      r.q4_codes_offset = put(d.codes4.data(), d.codes4.size());
+      r.q4_shift = static_cast<std::uint32_t>(shards.size());  // 0..3
+      data.push_back(std::move(d));
+      shards.push_back(r);
+      if (!data.back().dead.empty()) {
+        shards.back().dead = data.back().dead.data();
+        shards.back().live = 0;
+        for (std::uint32_t i = 0; i < sp.size; ++i) {
+          shards.back().live += data.back().dead[sp.begin + i] == 0;
+        }
+      }
+    }
+
+    // Every query probes every shard; every third task on the q4 rung.
+    for (std::uint32_t t = 0; t < kQueries * shards.size(); ++t) {
+      const auto q = static_cast<std::uint32_t>(t % kQueries);
+      tasks.push_back({q | (t % 3 == 0 ? kTaskQ4Bit : 0u),
+                       static_cast<std::uint32_t>(t / kQueries)});
+    }
+    plan = plan_task_fusion(tasks, 4);
+    args.output_offset = mram.alloc(tasks.size() * args.k * sizeof(KernelHit));
+  }
+
+  struct Run {
+    std::vector<KernelHit> rows;
+    DpuCounters counters;
+  };
+
+  Run run(SimdLevel level) {
+    const SimdLevel saved = simd_level();
+    set_simd_level(level);
+    dpu->reset_counters();
+    DpuContext ctx = dpu->context();
+    run_fused_search_kernel(ctx, args, shards, tasks, plan);
+    set_simd_level(saved);
+    Run r{std::vector<KernelHit>(tasks.size() * args.k), dpu->counters()};
+    dpu->mram().read(args.output_offset, {reinterpret_cast<std::uint8_t*>(r.rows.data()),
+                                          r.rows.size() * sizeof(KernelHit)});
+    return r;
+  }
+
+  /// The oracle: per-element table and scan loops, then a full sort of the
+  /// live points under the kernel's (distance, local index) order.
+  std::vector<KernelHit> oracle() const {
+    std::vector<KernelHit> rows;
+    for (const KernelTask& t : tasks) {
+      const ShardRegion& sh = shards[t.shard_slot];
+      const ShardData& d = data[t.shard_slot];
+      const bool q4 = task_is_q4(t);
+      const std::uint32_t shift = q4 ? sh.q4_shift : 0;
+      const std::size_t entries = q4 ? kCb4 : cb;
+      const std::int16_t* q = queries.data() + task_query_slot(t) * kDim;
+      const std::int16_t* c = centroids.data() + sh.cluster * kDim;
+      const std::int16_t* book = q4 ? books4.data() : books.data();
+      std::vector<std::uint32_t> lut(kM * entries);
+      for (std::size_t sub = 0; sub < kM; ++sub) {
+        for (std::size_t e = 0; e < entries; ++e) {
+          std::uint32_t acc = 0;
+          for (std::size_t dd = 0; dd < kDsub; ++dd) {
+            const std::size_t j = sub * kDsub + dd;
+            const std::int32_t res = (static_cast<std::int32_t>(q[j]) - c[j]) >> shift;
+            const std::int32_t diff = res - (book[(sub * entries + e) * kDsub + dd] >> shift);
+            const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+            acc += a * a;
+          }
+          lut[sub * entries + e] = acc;
+        }
+      }
+      std::vector<KernelHit> all;
+      for (std::uint32_t i = 0; i < sh.size; ++i) {
+        if (!d.dead.empty() && d.dead[sh.begin + i]) continue;
+        std::uint32_t dist = 0;
+        for (std::size_t sub = 0; sub < kM; ++sub) {
+          std::uint32_t e = 0;
+          if (q4) {
+            e = (d.codes4[i * args.code_size_q4 + sub / 2] >> (sub % 2 * 4)) & 0xF;
+          } else if (args.wide_codes) {
+            std::uint16_t v = 0;
+            std::memcpy(&v, d.codes.data() + i * args.code_size + sub * 2, 2);
+            e = v;
+          } else {
+            e = d.codes[i * args.code_size + sub];
+          }
+          dist += lut[sub * entries + e];
+        }
+        all.push_back({dist, i});
+      }
+      std::sort(all.begin(), all.end(), [](const KernelHit& a, const KernelHit& b) {
+        return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+      });
+      all.resize(args.k, KernelHit{});
+      // Full-rung rows carry base-point ids; q4 rows keep local indices.
+      for (KernelHit& h : all) {
+        if (!q4 && h.id != 0xFFFFFFFFu) h.id = d.ids[h.id];
+      }
+      rows.insert(rows.end(), all.begin(), all.end());
+    }
+    return rows;
+  }
+};
+
+void expect_same_rows(const std::vector<KernelHit>& a, const std::vector<KernelHit>& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].dist, b[i].dist) << what << " row " << i / 10 << " rank " << i % 10;
+    ASSERT_EQ(a[i].id, b[i].id) << what << " row " << i / 10 << " rank " << i % 10;
+  }
+}
+
+void expect_same_counters(const DpuCounters& a, const DpuCounters& b) {
+  for (std::size_t p = 0; p < kNumPhases; ++p) {
+    const auto ph = static_cast<Phase>(p);
+    EXPECT_EQ(a.at(ph).instr_cycles, b.at(ph).instr_cycles) << phase_name(ph);
+    EXPECT_EQ(a.at(ph).mul_count, b.at(ph).mul_count) << phase_name(ph);
+    EXPECT_EQ(a.at(ph).mram_bytes_read, b.at(ph).mram_bytes_read) << phase_name(ph);
+    EXPECT_EQ(a.at(ph).mram_bytes_written, b.at(ph).mram_bytes_written) << phase_name(ph);
+    EXPECT_DOUBLE_EQ(a.at(ph).dma_cycles, b.at(ph).dma_cycles) << phase_name(ph);
+  }
+}
+
+void check_seam_world(SeamWorld& world) {
+  const auto oracle = world.oracle();
+  const auto scalar = world.run(SimdLevel::kScalar);
+  expect_same_rows(scalar.rows, oracle, "scalar vs oracle");
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernels unavailable on this build/CPU";
+  const auto avx2 = world.run(SimdLevel::kAvx2);
+  expect_same_rows(avx2.rows, oracle, "avx2 vs oracle");
+  expect_same_counters(scalar.counters, avx2.counters);
+}
+
+TEST(KernelSeam, BenchmarkShapeMatchesOracleAtBothSimdLevels) {
+  // Moderate operands: the int16 multiply-add table path's range.
+  SeamWorld world(256, 3000, 41);
+  check_seam_world(world);
+}
+
+TEST(KernelSeam, WideCodesFullRangeOperandsMatchOracleAtBothSimdLevels) {
+  // Full int16 operands: squares wrap uint32 and tables take the int32 path.
+  SeamWorld world(512, 32767, 43);
+  check_seam_world(world);
+}
+
+TEST(KernelSeam, OracleSeesLiveQ4AndTombstonedRows) {
+  // Guard the world itself: it must exercise both rungs, a tombstone skip
+  // and a short (sentinel-padded) shard, or the tests above prove little.
+  SeamWorld world(256, 3000, 41);
+  const auto rows = world.oracle();
+  bool q4_row = false;
+  bool padded = false;
+  for (std::size_t t = 0; t < world.tasks.size(); ++t) {
+    q4_row |= task_is_q4(world.tasks[t]);
+    padded |= rows[t * world.args.k + world.args.k - 1].id == 0xFFFFFFFFu;
+  }
+  EXPECT_TRUE(q4_row);
+  EXPECT_TRUE(padded);
+  EXPECT_LT(world.shards[1].live, world.shards[1].size);
+  EXPECT_GT(world.shards[1].live, 0u);
+  EXPECT_LT(world.plan.size(), world.tasks.size());  // some group is fused
 }
 
 }  // namespace
