@@ -9,7 +9,9 @@
 //    scalar loop, so each lane's float rounding is identical.
 //  - adc_lut_u32 squares 8 int32 differences per vector and reduces them
 //    with hadd; uint32 wraparound sums are order-independent, so any
-//    reduction tree matches the scalar loop bit for bit.
+//    reduction tree matches the scalar loop bit for bit. At dsub 8 a
+//    guarded int16 multiply-add path takes blocks whose operands are small
+//    enough for every intermediate to be exact (see lut_row_dsub8).
 //  - l2_sq_* vectorize WITHIN a vector using 8 lane accumulators; the
 //    horizontal reduction (vextractf128+addps, movehl+addps, shufps+addss)
 //    is mirrored step for step by the scalar reference's reduce8.
@@ -221,6 +223,103 @@ inline std::uint32_t lut_entry_u32(const std::int16_t* q, const std::int16_t* c,
   return acc;
 }
 
+/// Sums of entries e..e+7 (codewords `dsub` components apart from `base`)
+/// for dsub >= 8: each entry gets its own 8-lane accumulator over the
+/// 8-component chunks of its codeword; a three-level hadd tree plus a
+/// cross-lane add folds them into one vector of 8 sums. The dsub % 8 tail
+/// is added per entry.
+inline __m256i lut8_entries(const std::int16_t* q, const std::int16_t* c,
+                            const std::int16_t* base, std::size_t dsub) {
+  const std::size_t body = dsub & ~std::size_t{7};
+  __m256i acc[8];
+  for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_setzero_si256();
+  for (std::size_t d = 0; d < body; d += 8) {
+    const __m256i res = residual8(q + d, c + d);
+    for (std::size_t j = 0; j < 8; ++j) {
+      acc[j] = _mm256_add_epi32(acc[j], sq_diff(res, base + j * dsub + d));
+    }
+  }
+  const __m256i h01 = _mm256_hadd_epi32(acc[0], acc[1]);
+  const __m256i h23 = _mm256_hadd_epi32(acc[2], acc[3]);
+  const __m256i h45 = _mm256_hadd_epi32(acc[4], acc[5]);
+  const __m256i h67 = _mm256_hadd_epi32(acc[6], acc[7]);
+  const __m256i h03 = _mm256_hadd_epi32(h01, h23);  // lo/hi halves of e0..e3
+  const __m256i h47 = _mm256_hadd_epi32(h45, h67);  // lo/hi halves of e4..e7
+  __m256i sums = _mm256_add_epi32(_mm256_permute2x128_si256(h03, h47, 0x20),
+                                  _mm256_permute2x128_si256(h03, h47, 0x31));
+  if (body < dsub) {
+    alignas(32) std::uint32_t tail[8];
+    for (std::size_t j = 0; j < 8; ++j) {
+      tail[j] = lut_entry_u32(q, c, base + j * dsub, body, dsub);
+    }
+    sums = _mm256_add_epi32(sums, _mm256_load_si256(reinterpret_cast<const __m256i*>(tail)));
+  }
+  return sums;
+}
+
+// ---- guarded int16 multiply-add path (dsub == 8) ----
+// mullo_epi32 bounds the table build above. When every residual component
+// and every codeword component of a block lies within +-kMaddBound, each
+// difference lies within +-32766 and fits int16, and madd_epi16's sum of
+// two such squares stays below 2^31, so it is the exact non-negative int32
+// value; later sums wrap in uint32 like the scalar loop. Out-of-range
+// operands fall back to the int32 path, so results are bit-exact always.
+constexpr std::int16_t kMaddBound = 16383;
+
+/// True when all 16 int16 lanes of `lo`..`hi`'s envelope are within
+/// +-kMaddBound (`lo`/`hi` are lane-wise minima and maxima).
+inline bool madd_safe(__m256i lo, __m256i hi) {
+  const __m256i out =
+      _mm256_or_si256(_mm256_cmpgt_epi16(hi, _mm256_set1_epi16(kMaddBound)),
+                      _mm256_cmpgt_epi16(_mm256_set1_epi16(-kMaddBound), lo));
+  return _mm256_testz_si256(out, out) != 0;
+}
+
+/// One dsub == 8 table row. Each vector holds two codewords against the
+/// int16 residual repeated in both halves; madd leaves four pair sums per
+/// codeword, and the dsub == 4 path's two-level hadd + permute order
+/// finishes eight entries.
+void lut_row_dsub8(const std::int16_t* q, const std::int16_t* c,
+                   const std::int16_t* book, std::size_t cb, std::uint32_t* row) {
+  alignas(32) std::int16_t res16[16];
+  bool res_safe = true;
+  for (std::size_t d = 0; d < 8; ++d) {
+    const std::int32_t r = static_cast<std::int32_t>(q[d]) - c[d];
+    res_safe = res_safe && r >= -kMaddBound && r <= kMaddBound;
+    res16[d] = res16[d + 8] = static_cast<std::int16_t>(r);
+  }
+  const __m256i res = _mm256_load_si256(reinterpret_cast<const __m256i*>(res16));
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  std::size_t e = 0;
+  for (; e + 8 <= cb; e += 8) {
+    const std::int16_t* base = book + e * 8;
+    __m256i cw[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      cw[j] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + 16 * j));
+    }
+    const __m256i lo = _mm256_min_epi16(_mm256_min_epi16(cw[0], cw[1]),
+                                        _mm256_min_epi16(cw[2], cw[3]));
+    const __m256i hi = _mm256_max_epi16(_mm256_max_epi16(cw[0], cw[1]),
+                                        _mm256_max_epi16(cw[2], cw[3]));
+    __m256i sums;
+    if (res_safe && madd_safe(lo, hi)) {
+      __m256i sq[4];
+      for (std::size_t j = 0; j < 4; ++j) {
+        const __m256i diff = _mm256_sub_epi16(res, cw[j]);
+        sq[j] = _mm256_madd_epi16(diff, diff);
+      }
+      sums = _mm256_permutevar8x32_epi32(
+          _mm256_hadd_epi32(_mm256_hadd_epi32(sq[0], sq[1]),
+                            _mm256_hadd_epi32(sq[2], sq[3])),
+          order);
+    } else {
+      sums = lut8_entries(q, c, base, 8);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e), sums);
+  }
+  for (; e < cb; ++e) row[e] = lut_entry_u32(q, c, book + e * 8, 0, 8);
+}
+
 void avx2_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
                       const std::int16_t* codebooks, std::size_t m,
                       std::size_t dsub, std::size_t cb, std::uint32_t* lut) {
@@ -230,6 +329,10 @@ void avx2_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
     const std::int16_t* book = codebooks + sub * cb * dsub;
     std::uint32_t* row = lut + sub * cb;
     std::size_t e = 0;
+    if (dsub == 8) {
+      lut_row_dsub8(q, c, book, cb, row);
+      continue;
+    }
     if (dsub == 4) {
       // Two codewords per 8-lane vector (the residual repeated in both
       // halves). Two hadd levels leave (e0 e2 e4 e6 | e1 e3 e5 e7); one
@@ -248,38 +351,9 @@ void avx2_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
                             _mm256_permutevar8x32_epi32(sums, order));
       }
     } else if (dsub >= 8) {
-      // Eight entries per step, each with its own 8-lane accumulator over
-      // the 8-component chunks of its codeword; a three-level hadd tree
-      // plus a cross-lane add folds them into one vector of 8 sums. The
-      // dsub % 8 tail is added per entry.
-      const std::size_t body = dsub & ~std::size_t{7};
       for (; e + 8 <= cb; e += 8) {
-        const std::int16_t* base = book + e * dsub;
-        __m256i acc[8];
-        for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_setzero_si256();
-        for (std::size_t d = 0; d < body; d += 8) {
-          const __m256i res = residual8(q + d, c + d);
-          for (std::size_t j = 0; j < 8; ++j) {
-            acc[j] = _mm256_add_epi32(acc[j], sq_diff(res, base + j * dsub + d));
-          }
-        }
-        const __m256i h01 = _mm256_hadd_epi32(acc[0], acc[1]);
-        const __m256i h23 = _mm256_hadd_epi32(acc[2], acc[3]);
-        const __m256i h45 = _mm256_hadd_epi32(acc[4], acc[5]);
-        const __m256i h67 = _mm256_hadd_epi32(acc[6], acc[7]);
-        const __m256i h03 = _mm256_hadd_epi32(h01, h23);  // lo/hi halves of e0..e3
-        const __m256i h47 = _mm256_hadd_epi32(h45, h67);  // lo/hi halves of e4..e7
-        __m256i sums = _mm256_add_epi32(_mm256_permute2x128_si256(h03, h47, 0x20),
-                                        _mm256_permute2x128_si256(h03, h47, 0x31));
-        if (body < dsub) {
-          alignas(32) std::uint32_t tail[8];
-          for (std::size_t j = 0; j < 8; ++j) {
-            tail[j] = lut_entry_u32(q, c, base + j * dsub, body, dsub);
-          }
-          sums = _mm256_add_epi32(
-              sums, _mm256_load_si256(reinterpret_cast<const __m256i*>(tail)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e), sums);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e),
+                            lut8_entries(q, c, book + e * dsub, dsub));
       }
     }
     for (; e < cb; ++e) row[e] = lut_entry_u32(q, c, book + e * dsub, 0, dsub);

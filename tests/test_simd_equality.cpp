@@ -230,6 +230,72 @@ TEST(SimdEquality, AdcLutU32ScalarMatchesSeedLoop) {
   }
 }
 
+TEST(SimdEquality, AdcLutU32MaddGuardBoundaryIsBitExact) {
+  // dsub == 8 takes the int16 multiply-add path only while every residual
+  // and codeword component is within +-16383; just past it (+-16384, 32767,
+  // -32768) the block falls back to the int32 path. Both sides of the
+  // boundary, and a codebook with a single out-of-range entry, must match
+  // the scalar table and the seed loop bit for bit.
+  REQUIRE_AVX2();
+  const DistanceKernels& sc = scalar_kernels();
+  const DistanceKernels& vx = *avx2_kernels();
+  const std::size_t m = 2, dsub = 8, cb = 19;  // two 8-entry blocks + a tail
+  std::mt19937 rng(31);
+  const auto check = [&](const std::vector<std::int16_t>& query,
+                         const std::vector<std::int16_t>& centroid,
+                         const std::vector<std::int16_t>& books, const char* what) {
+    const auto ref = seed_lut_u32(query, centroid, books, m, dsub, cb);
+    std::vector<std::uint32_t> lut_sc(m * cb), lut_vx(m * cb);
+    sc.adc_lut_u32(query.data(), centroid.data(), books.data(), m, dsub, cb,
+                   lut_sc.data());
+    vx.adc_lut_u32(query.data(), centroid.data(), books.data(), m, dsub, cb,
+                   lut_vx.data());
+    for (std::size_t i = 0; i < m * cb; ++i) {
+      ASSERT_EQ(lut_sc[i], ref[i]) << what << " sub=" << i / cb << " e=" << i % cb;
+      ASSERT_EQ(lut_vx[i], ref[i]) << what << " sub=" << i / cb << " e=" << i % cb;
+    }
+  };
+  // Components drawn from {+v, -v}, so differences reach +-2v.
+  const auto signs = [&](std::size_t n, int v) {
+    std::uniform_int_distribution<int> coin(0, 1);
+    std::vector<std::int16_t> out(n);
+    for (auto& x : out) x = static_cast<std::int16_t>(coin(rng) ? v : -v);
+    return out;
+  };
+  const std::vector<std::int16_t> zero(m * dsub, 0);
+
+  // Fast path at its edge: residual and codewords at +-16383 (|diff| up to
+  // 32766, pair sums of squares just under 2^31).
+  check(signs(m * dsub, 16383), zero, signs(m * cb * dsub, 16383), "fast +-16383");
+
+  // Residual just past the bound, codewords inside it.
+  for (const int v : {16384, 32767}) {
+    check(signs(m * dsub, v), zero, signs(m * cb * dsub, 16383), "residual past bound");
+  }
+  std::vector<std::int16_t> low(m * dsub, -32768);
+  check(low, zero, signs(m * cb * dsub, 16383), "residual -32768");
+  // A residual past the bound formed from in-range query and centroid.
+  check(signs(m * dsub, 12000), signs(m * dsub, 12000), signs(m * cb * dsub, 16383),
+        "residual up to +-24000");
+
+  // Codewords just past the bound, residual inside it.
+  for (const int v : {16384, 32767}) {
+    check(signs(m * dsub, 16383), zero, signs(m * cb * dsub, v), "codewords past bound");
+  }
+  std::vector<std::int16_t> books_low(m * cb * dsub, -32768);
+  check(signs(m * dsub, 16383), zero, books_low, "codewords -32768");
+
+  // One out-of-range component in one entry of each block; every other
+  // entry stays on the fast path.
+  for (const int bad : {16384, -16384, 32767, -32768}) {
+    auto books = signs(m * cb * dsub, 16383);
+    books[(0 * cb + 3) * dsub + 5] = static_cast<std::int16_t>(bad);
+    books[(1 * cb + 12) * dsub + 0] = static_cast<std::int16_t>(bad);
+    books[(1 * cb + 17) * dsub + 7] = static_cast<std::int16_t>(bad);  // the tail
+    check(signs(m * dsub, 16383), zero, books, "one entry out of range");
+  }
+}
+
 TEST(SimdEquality, L2KernelsMatchOnRandomAndTailSizes) {
   REQUIRE_AVX2();
   const DistanceKernels& sc = scalar_kernels();
