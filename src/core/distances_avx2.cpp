@@ -258,12 +258,13 @@ inline __m256i lut8_entries(const std::int16_t* q, const std::int16_t* c,
 }
 
 // ---- guarded int16 multiply-add path (dsub == 8) ----
-// mullo_epi32 bounds the table build above. When every residual component
-// and every codeword component of a block lies within +-kMaddBound, each
-// difference lies within +-32766 and fits int16, and madd_epi16's sum of
-// two such squares stays below 2^31, so it is the exact non-negative int32
-// value; later sums wrap in uint32 like the scalar loop. Out-of-range
-// operands fall back to the int32 path, so results are bit-exact always.
+// The int32 path above is limited by mullo_epi32. When every residual
+// component and every codeword component of a block lies within
+// +-kMaddBound, each difference lies within +-32766 and fits int16, and
+// madd_epi16's sum of two such squares stays below 2^31, so it is the
+// exact non-negative int32 value; later sums wrap in uint32 like the
+// scalar loop. Out-of-range operands fall back to the int32 path, so
+// results are bit-exact always.
 constexpr std::int16_t kMaddBound = 16383;
 
 /// True when all 16 int16 lanes of `lo`..`hi`'s envelope are within

@@ -254,8 +254,8 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       ctx.set_phase(Phase::RC);
       dma_read<kFunctional>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
                             query.data(), dim * 2);
-      // The residual is formed inside the LC table builders below, one
-      // subvector at a time; the charges bill it here, as its own phase.
+      // The table builders below form the residual one subvector at a
+      // time; its cost is billed here, in its own phase.
       ctx.charge_adds(dim);
       ctx.charge_wram(dim * 3);  // two loads + one store per component
       // Per-cluster residual scalar quantization on the q4 rung: arithmetic
@@ -266,10 +266,11 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
       // The full rung builds each row from the codebook slice just DMA'd
       // with the shared integer table builder (kernels().adc_lut_u32, the
-      // host-exact replay's arithmetic). The q4 rung scores each subquantizer against its cb4-entry coarse
-      // codebook (shifted into the cluster's residual scale) into the shared
-      // lut4 scratch, then folds pairs of sub-LUTs into this member's
-      // 256-entry pair-LUT rows so DC scores two subquantizers per byte.
+      // host-exact replay's arithmetic). The q4 rung scores each
+      // subquantizer against its cb4-entry coarse codebook (shifted into
+      // the cluster's residual scale) into the shared lut4 scratch, then
+      // folds pairs of sub-LUTs into this member's 256-entry pair-LUT rows
+      // so DC scores two subquantizers per byte.
       ctx.set_phase(Phase::LC);
       const std::size_t entries = q4 ? cb4 : cb;
       const std::size_t books = q4 ? args.codebooks_q4_offset : args.codebooks_offset;
@@ -307,8 +308,9 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
     // against each block before advancing (member-major inside the block:
     // the shared integer scan kernels().adc_scan_u32 scores the block into
-    // a distance row, pushed in ascending point order). Per-point compute (lookups + accumulate adds) is billed per member —
-    // only the DMA is amortized. The block schedule is the shared
+    // a distance row, pushed in ascending point order). Per-point compute
+    // (lookups + accumulate adds) is billed per member — only the DMA is
+    // amortized. The block schedule is the shared
     // for_each_code_block iterator (whole codes per block; packed q4 codes
     // fit twice as many). ----
     const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
