@@ -220,10 +220,14 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
   auto code_block = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
   auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
   auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
-  // One code block's distances for one member. Host-side only: the DPU
-  // accumulates each point in registers before its top-k push, so this row
-  // is not part of the WRAM working set.
-  std::vector<std::uint32_t> dists(kFunctional ? kMaxDmaBytes : 0);
+  // One code block's distances for one member (the packed q4 codes are
+  // never wider than the full ones, so they fit the most per block).
+  // Host-side only: the DPU accumulates each point in registers before its
+  // top-k push, so this row is not part of the WRAM working set.
+  std::vector<std::uint32_t> dists(
+      kFunctional ? kMaxDmaBytes / std::max<std::uint32_t>(
+                                       1, args.has_q4 ? args.code_size_q4 : args.code_size)
+                  : 0);
   std::vector<WramTopK> heaps;  // one k-entry heap per group member
 
   // The task list (and, with a plan, the fused-group descriptor table)
