@@ -1,6 +1,7 @@
 #include "common/executor.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 namespace drim {
 
@@ -21,6 +22,20 @@ constexpr std::size_t unpack_lo(std::uint64_t r) {
 }
 constexpr std::size_t unpack_hi(std::uint64_t r) {
   return static_cast<std::size_t>(r & 0xFFFFFFFFu);
+}
+
+// How long the caller polls for the last chunks before it sleeps. A caller
+// asleep on sync_cv has to be woken and rescheduled once the workers finish,
+// and on a loaded host that wake-up can wait out another thread's time
+// slice: far longer than the few µs a small loop's stragglers need.
+constexpr auto kCallerSpin = std::chrono::microseconds(100);
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
 }
 
 std::size_t default_parallelism() {
@@ -113,7 +128,6 @@ void Executor::run_loop(Loop& loop, std::size_t begin, std::size_t end,
     loop.slots[j].store(pack(lo, hi), std::memory_order_relaxed);
   }
   const std::size_t pool_workers = lanes - 1;  // caller is lane 0
-  loop.workers_in_flight = pool_workers;
   {
     std::lock_guard<std::mutex> lk(pool_mu_);
     ensure_workers_locked(pool_workers);
@@ -127,17 +141,36 @@ void Executor::run_loop(Loop& loop, std::size_t begin, std::size_t end,
   participate(loop, 0);
   tl_in_loop = false;
 
-  // The loop lives on this stack frame: wait until every index has executed
-  // AND every pool participant has checked out, so no worker still holds a
-  // pointer into `loop` when it is destroyed.
-  {
-    std::unique_lock<std::mutex> lk(loop.sync_mu);
-    loop.sync_cv.wait(
-        lk, [&] { return loop.work_done && loop.workers_in_flight == 0; });
-  }
+  // The caller ran dry only after stealing whatever a lane that never arrived
+  // left behind, so every index is claimed or parked with a running thief.
+  // Close check-in: a worker the scheduler wakes only after this point skips
+  // the loop instead of holding up the caller. The loop lives on this stack
+  // frame: wait until every index has executed AND every worker that did
+  // check in has checked out, so no worker still holds a pointer into `loop`
+  // when it is destroyed.
   {
     std::lock_guard<std::mutex> lk(pool_mu_);
     current_ = nullptr;
+  }
+  // Poll only when every lane has a core: oversubscribed, the spin would
+  // take the core from the worker it waits for.
+  if (lanes <= default_parallelism()) {
+    const auto deadline = std::chrono::steady_clock::now() + kCallerSpin;
+    for (unsigned i = 1;; ++i) {
+      if (loop.pending.load(std::memory_order_acquire) == 0 &&
+          loop.workers_in_flight.load(std::memory_order_acquire) == 0) {
+        break;
+      }
+      if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) break;
+      cpu_relax();
+    }
+  }
+  {
+    // Taken even when the poll saw the loop drain: the last worker to check
+    // out holds sync_mu until it has stopped touching `loop`.
+    std::unique_lock<std::mutex> lk(loop.sync_mu);
+    loop.sync_cv.wait(
+        lk, [&] { return loop.work_done && loop.workers_in_flight == 0; });
   }
   if (loop.error) std::rethrow_exception(loop.error);
 }
@@ -155,13 +188,19 @@ void Executor::worker_main(std::size_t index) {
     // for the loop that spawned its predecessors; only participants whose
     // check-in was counted may touch the loop.
     if (loop == nullptr || index >= wanted_workers_) continue;
+    {
+      // Check in while pool_mu_ still publishes the loop: the caller closes
+      // check-in under pool_mu_ before it waits for the count to drain.
+      std::lock_guard<std::mutex> slk(loop->sync_mu);
+      loop->workers_in_flight.fetch_add(1, std::memory_order_relaxed);
+    }
     lk.unlock();
     participate(*loop, index + 1);
     {
       // Check out: once the last participant leaves, the caller may destroy
       // the loop object.
       std::lock_guard<std::mutex> slk(loop->sync_mu);
-      --loop->workers_in_flight;
+      loop->workers_in_flight.fetch_sub(1, std::memory_order_release);
       loop->sync_cv.notify_all();
     }
     lk.lock();

@@ -97,7 +97,8 @@ class Executor {
 
   /// Control block of one loop, owned by the calling thread's stack frame.
   /// Workers hold a pointer only between check-in and check-out, and the
-  /// caller does not return before every participant has checked out.
+  /// caller does not return before every participant has checked out. Check-in
+  /// closes once the caller runs dry, so a worker woken late skips the loop.
   struct Loop {
     InvokeFn invoke = nullptr;
     const void* body = nullptr;
@@ -107,10 +108,11 @@ class Executor {
     std::atomic<std::size_t> pending{0};  // indices not yet executed/skipped
     std::atomic<bool> abort{false};
     std::exception_ptr error;
-    std::mutex sync_mu;  // guards error, work_done, workers_in_flight
+    std::mutex sync_mu;  // guards error, work_done, workers_in_flight updates
     std::condition_variable sync_cv;
     bool work_done = false;
-    std::size_t workers_in_flight = 0;
+    // Changed only under sync_mu; atomic so the caller can poll it.
+    std::atomic<std::size_t> workers_in_flight{0};
   };
 
   template <typename Body>

@@ -52,6 +52,25 @@ std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
   if (tl_rerank_lut.size() < n) tl_rerank_lut.resize(n);
   return {tl_rerank_lut.data(), n};
 }
+
+// A step's per-DPU staging, pull and merge loops do little host work per
+// task (a q4 row adds one table build), so in a step with fewer tasks than
+// this a fork-join hand-off costs more than those loops save, and stalls
+// the step whenever one host thread is descheduled. Such steps run them on
+// the calling thread; the kernel fan-out (run_batch) always spans the pool.
+constexpr std::size_t kMinFanOutTasks = 64;
+
+/// body(i) for i in [0, n): across the host threads when `fan_out`, else in
+/// order on the calling thread. Every body touches only slot i's data, so
+/// both give the same result.
+template <typename Body>
+void step_loop(bool fan_out, std::size_t n, const Body& body) {
+  if (fan_out) {
+    parallel_for(0, n, body);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
 }  // namespace
 
 SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
@@ -810,6 +829,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   for (std::size_t d = 0; d < num_dpus; ++d) {
     row_off[d + 1] = row_off[d] + assignment.per_dpu[d].size();
   }
+  const bool fan_out = row_off[num_dpus] >= kMinFanOutTasks;
   // A non-functional platform computes no rows: the host replays the whole
   // batch from this task list, task i filling row i (see the collect stage).
   const bool functional = pim_->functional();
@@ -836,16 +856,17 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   std::vector<FusionTally> dpu_fusion(dpu_groups.size());
 
   // Per-DPU dedup and fusion planning are independent (private task lists),
-  // so they fan out across host threads together; nothing is pushed yet so
-  // an oversized batch can still be rejected cleanly below. Dedup uses the
-  // reusable stamped flat maps: a fresh stamp per (step, dpu) makes stale
-  // entries invisible without clearing, and first-occurrence slot order
-  // matches the old hashed path.
+  // so they fan out across host threads together (in a step of at least
+  // kMinFanOutTasks tasks, like the pushes, pulls and merge below); nothing
+  // is pushed yet so an oversized batch can still be rejected cleanly below.
+  // Dedup uses the reusable stamped flat maps: a fresh stamp per (step, dpu)
+  // makes stale entries invisible without clearing, and first-occurrence
+  // slot order matches the old hashed path.
   const std::uint64_t epoch_base =
       g_dedup_epoch.fetch_add(num_dpus, std::memory_order_relaxed);
   const std::size_t id_space = state.quantized.size();
   const bool ladder = q4_ready();
-  parallel_for(0, num_dpus, [&](std::size_t d) {
+  step_loop(fan_out, num_dpus, [&](std::size_t d) {
     const auto& tasks = assignment.per_dpu[d];
     if (tasks.empty()) return;
     dedup_reserve(id_space);
@@ -930,7 +951,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   std::vector<KernelHit> hits(row_off[num_dpus] * k);
 
   // Query pushes fan out per DPU (private MRAM; the byte tally is atomic).
-  parallel_for(0, num_dpus, [&](std::size_t d) {
+  step_loop(fan_out, num_dpus, [&](std::size_t d) {
     const auto& slot_query = dpu_slot_query[d];
     for (std::size_t s = 0; s < slot_query.size(); ++s) {
       const auto& qv = state.quantized[slot_query[s]];
@@ -1002,7 +1023,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
             if (!dpu_tasks[d].empty()) pull_rows(d);
           }
         } else {
-          parallel_for(0, num_dpus, [&](std::size_t d) {
+          step_loop(fan_out, num_dpus, [&](std::size_t d) {
             if (dpu_tasks[d].empty()) return;
             pull_rows(d);
             if (!ladder) return;
@@ -1071,7 +1092,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                 static_cast<std::uint32_t>(row_off[d] + t);
           }
         }
-        parallel_for(0, id_space, [&](std::size_t q) {
+        step_loop(fan_out, id_space, [&](std::size_t q) {
           for (std::uint32_t v = visit_off[q]; v < visit_off[q + 1]; ++v) {
             const KernelHit* row = hits.data() + std::size_t{visits[v]} * k;
             for (std::size_t i = 0; i < k; ++i) {

@@ -187,6 +187,29 @@ TEST(Executor, CapAboveHardwareGrowsPool) {
             static_cast<std::size_t>(want - 1));
 }
 
+TEST(Executor, BackToBackTinyLoopsWithLateWorkers) {
+  // Loops far shorter than a worker's wake-up: the caller often drains one
+  // alone and closes check-in, so a worker woken for it arrives late, skips
+  // it and joins a later loop instead. Every index of every loop must still
+  // run exactly once, and no loop may return while a checked-in worker is
+  // still inside it (TSan flags the stack frame reuse if one does).
+  CapGuard guard(4);
+  constexpr std::size_t kLoops = 1'000;
+  constexpr std::size_t kN = 8;
+  std::vector<std::atomic<std::uint32_t>> hits(kLoops * kN);
+  for (std::size_t l = 0; l < kLoops; ++l) {
+    std::uint32_t local[kN] = {};
+    Executor::instance().parallel_for(0, kN, [&](std::size_t i) {
+      local[i] = 1;
+      hits[l * kN + i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(local[i], 1u);
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1u) << "loop " << i / kN << " index " << i % kN;
+  }
+}
+
 // ---- satellite: set_num_threads must be honored by every backend ----
 
 TEST(ParallelModes, ThreadCapHonoredOffOpenMP) {
