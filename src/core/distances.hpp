@@ -8,7 +8,10 @@
 // host_exact's replay and the functional DPU search kernel in
 // src/drim/kernels.cpp, whose cycle charges stay with its DpuContext and
 // never depend on the table), and flat-search/rerank route through
-// `kernels()`, which points at either the
+// `kernels()`. So does index build: adc_lut_row is the distance row of every
+// nearest-centroid search (core/kmeans: k-means assignment and k-means++
+// passes, PQ encode, IVF coarse assignment and host CL, the index writer)
+// and of DPQ's softmin weights. `kernels()` points at either the
 // scalar reference or the AVX2 implementations (src/core/distances_avx2.cpp)
 // picked at startup. Both implementations of every table entry produce
 // bit-identical results:

@@ -92,6 +92,27 @@ void avx2_adc_lut_row(const float* sv, const float* codebook, std::size_t dsub,
       }
       _mm256_storeu_ps(row + e, acc);
     }
+  } else if (dsub % 8 == 0) {
+    // Whole 8-float chunks (the coarse quantizer's dim 128, a k-means++ pass
+    // over the points): the same transpose, one chunk of 8 components at a
+    // time in ascending d, so lane j still sums entry e+j over d in order.
+    for (; e + 8 <= cb; e += 8) {
+      const float* base = codebook + e * dsub;
+      __m256 acc = _mm256_setzero_ps();
+      for (std::size_t d0 = 0; d0 < dsub; d0 += 8) {
+        const float* chunk = base + d0;
+        __m256 c[8];
+        transpose8x8(_mm256_loadu_ps(chunk), _mm256_loadu_ps(chunk + dsub),
+                     _mm256_loadu_ps(chunk + 2 * dsub), _mm256_loadu_ps(chunk + 3 * dsub),
+                     _mm256_loadu_ps(chunk + 4 * dsub), _mm256_loadu_ps(chunk + 5 * dsub),
+                     _mm256_loadu_ps(chunk + 6 * dsub), _mm256_loadu_ps(chunk + 7 * dsub), c);
+        for (std::size_t d = 0; d < 8; ++d) {
+          const __m256 diff = _mm256_sub_ps(_mm256_set1_ps(sv[d0 + d]), c[d]);
+          acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+        }
+      }
+      _mm256_storeu_ps(row + e, acc);
+    }
   } else {
     // General shape: lane j of the gather reads entry (e+j)'s component d
     // (codewords are row-major [cb x dsub], entries `dsub` floats apart).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -15,23 +16,27 @@ double dpq_refine(ProductQuantizer& pq, const FloatMatrix& points, const DPQPara
   const std::size_t cb = pq.cb_entries();
   assert(points.dim() == pq.dim());
 
-  std::vector<double> weights(cb);
-  std::vector<double> weight_sums(cb);
-  std::vector<double> weighted_means(cb * dsub);
-
-  double temperature = params.temperature;
-  for (std::size_t epoch = 0; epoch < params.iters; ++epoch) {
-    for (std::size_t sub = 0; sub < m; ++sub) {
-      FloatMatrix& book = pq.codebook(sub);
+  // Each subquantizer's codebook moves only on its own subvectors, so the
+  // subspaces refine concurrently; within one, every sum runs in point order.
+  const DistanceKernels& kern = kernels();
+  parallel_for(0, m, [&](std::size_t sub) {
+    FloatMatrix& book = pq.codebook(sub);
+    std::vector<float> dists(cb);
+    std::vector<double> weights(cb);
+    std::vector<double> weight_sums(cb);
+    std::vector<double> weighted_means(cb * dsub);
+    double temperature = params.temperature;
+    for (std::size_t epoch = 0; epoch < params.iters; ++epoch) {
       std::fill(weight_sums.begin(), weight_sums.end(), 0.0);
       std::fill(weighted_means.begin(), weighted_means.end(), 0.0);
 
       for (std::size_t i = 0; i < points.count(); ++i) {
         const std::span<const float> sv = points.row(i).subspan(sub * dsub, dsub);
         // Softmin over codeword distances (numerically stabilized).
+        kern.adc_lut_row(sv.data(), book.data(), dsub, cb, dists.data());
         double min_d = 1e300;
         for (std::size_t e = 0; e < cb; ++e) {
-          weights[e] = l2_sq(sv, book.row(e));
+          weights[e] = dists[e];
           min_d = std::min(min_d, weights[e]);
         }
         double z = 0.0;
@@ -58,9 +63,9 @@ double dpq_refine(ProductQuantizer& pq, const FloatMatrix& points, const DPQPara
           cw[d] = static_cast<float>(cw[d] + params.learning_rate * (target - cw[d]));
         }
       }
+      temperature *= params.temperature_decay;
     }
-    temperature *= params.temperature_decay;
-  }
+  });
   return pq.reconstruction_error(points);
 }
 

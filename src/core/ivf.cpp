@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -122,15 +123,16 @@ void IvfPqIndex::reconstruct(std::uint32_t cluster, std::size_t i,
 void IvfPqIndex::encode_residual(std::span<const float> v, std::uint32_t cluster,
                                  std::span<std::uint8_t> code) const {
   const std::size_t dim = centroids_.dim();
-  std::vector<float> residual(dim);
+  thread_local std::vector<float> tl_residual;
+  float* residual = scratch_buffer(tl_residual, 2 * dim);
   auto cen = centroids_.row(cluster);
   for (std::size_t d = 0; d < dim; ++d) residual[d] = v[d] - cen[d];
   if (opq_) {
-    std::vector<float> rotated(dim);
-    opq_->rotate(residual, rotated);
+    const std::span<float> rotated(residual + dim, dim);
+    opq_->rotate({residual, dim}, rotated);
     pq_.encode(rotated, code);
   } else {
-    pq_.encode(residual, code);
+    pq_.encode({residual, dim}, code);
   }
 }
 
@@ -139,31 +141,35 @@ void IvfPqIndex::add(const ByteDataset& base) {
   assert(base.dim() == dim());
   const std::size_t n = base.count();
   const std::size_t cs = code_size();
-
-  // Assign points to clusters in parallel, then fill lists serially (cheap).
-  std::vector<std::uint32_t> assign(n);
-  parallel_for(0, n, [&](std::size_t i) {
-    std::vector<float> v(dim());
+  auto point = [&](std::size_t i) {
+    thread_local std::vector<float> tl_point;
+    const std::span<float> v(scratch_buffer(tl_point, dim()), dim());
     base.row_as_float(i, v);
-    assign[i] = nearest_centroid(centroids_, v);
-  });
+    return v;
+  };
+
+  // Assign in parallel; give every point its slot at the end of its list in
+  // id order; then encode in parallel straight into those slots.
+  std::vector<std::uint32_t> assign(n);
+  parallel_for(0, n, [&](std::size_t i) { assign[i] = nearest_centroid(centroids_, point(i)); });
 
   std::vector<std::size_t> counts(params_.nlist, 0);
   for (std::size_t i = 0; i < n; ++i) ++counts[assign[i]];
   for (std::size_t c = 0; c < params_.nlist; ++c) {
     lists_[c].ids.reserve(lists_[c].ids.size() + counts[c]);
-    lists_[c].codes.reserve(lists_[c].codes.size() + counts[c] * cs);
+    lists_[c].codes.resize(lists_[c].codes.size() + counts[c] * cs);
   }
   const auto id_base = static_cast<std::uint32_t>(ntotal_);
-  std::vector<float> v(dim());
-  std::vector<std::uint8_t> code(cs);
+  std::vector<std::uint32_t> slot(n);
   for (std::size_t i = 0; i < n; ++i) {
-    base.row_as_float(i, v);
-    encode_residual(v, assign[i], code);
     InvertedList& list = lists_[assign[i]];
+    slot[i] = static_cast<std::uint32_t>(list.ids.size());
     list.ids.push_back(id_base + static_cast<std::uint32_t>(i));
-    list.codes.insert(list.codes.end(), code.begin(), code.end());
   }
+  parallel_for(0, n, [&](std::size_t i) {
+    encode_residual(point(i), assign[i],
+                    {lists_[assign[i]].codes.data() + slot[i] * cs, cs});
+  });
   ntotal_ += n;
 }
 

@@ -7,28 +7,52 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 #include "core/topk.hpp"
 
 namespace drim {
 namespace {
 
+// A k-means++ pass over fewer point floats than this runs on the calling
+// thread: a fork-join would cost more than it saves, and the index writer's
+// online 2-means split runs inside a serving step.
+constexpr std::size_t kSeedFanOutFloats = std::size_t{1} << 18;
+// Points per block of a parallel k-means++ pass.
+constexpr std::size_t kSeedBlock = 512;
+
 FloatMatrix seed_kmeanspp(const FloatMatrix& points, std::size_t k, Rng& rng) {
   const std::size_t n = points.count();
-  FloatMatrix centroids(k, points.dim());
+  const std::size_t dim = points.dim();
+  FloatMatrix centroids(k, dim);
 
   std::vector<float> min_dist(n, std::numeric_limits<float>::max());
+  std::vector<float> newest(n);
   std::size_t first = static_cast<std::size_t>(rng.next_below(n));
-  std::copy_n(points.row(first).data(), points.dim(), centroids.row(0).data());
+  std::copy_n(points.row(first).data(), dim, centroids.row(0).data());
 
+  const DistanceKernels& kern = kernels();
+  const bool fan_out = n * dim >= kSeedFanOutFloats;
+  const std::size_t block = fan_out ? kSeedBlock : n;
   for (std::size_t c = 1; c < k; ++c) {
-    // Update min distance to the most recent centroid, then D^2-sample.
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float d = l2_sq(points.row(i), centroids.row(c - 1));
-      min_dist[i] = std::min(min_dist[i], d);
-      total += min_dist[i];
+    // Distances to the most recent centroid, one block of points per call:
+    // the points are the "codebook" of the kernel's distance row, and each
+    // entry rounds like l2_sq(point, centroid).
+    const float* cen = centroids.row(c - 1).data();
+    auto pass = [&](std::size_t b) {
+      const std::size_t lo = b * block;
+      const std::size_t hi = std::min(n, lo + block);
+      kern.adc_lut_row(cen, points.row(lo).data(), dim, hi - lo, newest.data() + lo);
+      for (std::size_t i = lo; i < hi; ++i) min_dist[i] = std::min(min_dist[i], newest[i]);
+    };
+    if (fan_out) {
+      parallel_for(0, (n + block - 1) / block, pass);
+    } else {
+      pass(0);
     }
+    // D^2-sample; the running total sums in point order.
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) total += min_dist[i];
     std::size_t chosen = 0;
     if (total > 0.0) {
       double target = rng.next_double() * total;
@@ -42,7 +66,7 @@ FloatMatrix seed_kmeanspp(const FloatMatrix& points, std::size_t k, Rng& rng) {
     } else {
       chosen = static_cast<std::size_t>(rng.next_below(n));
     }
-    std::copy_n(points.row(chosen).data(), points.dim(), centroids.row(c).data());
+    std::copy_n(points.row(chosen).data(), dim, centroids.row(c).data());
   }
   return centroids;
 }
@@ -56,6 +80,19 @@ FloatMatrix seed_uniform(const FloatMatrix& points, std::size_t k, Rng& rng) {
     std::copy_n(points.row(picks[c]).data(), points.dim(), centroids.row(c).data());
   }
   return centroids;
+}
+
+/// Squared distances from `v` to every centroid, in a per-thread row (a
+/// scratch_buffer, so one wide codebook's row is not pinned on a pool worker).
+/// Entry c is l2_sq(centroid c, v) bit for bit: each entry accumulates
+/// sequentially over the components, and (a-b)^2 and (b-a)^2 round the same.
+const float* distance_row(const FloatMatrix& centroids, std::span<const float> v) {
+  assert(v.size() == centroids.dim());
+  thread_local std::vector<float> row;
+  const std::size_t k = centroids.count();
+  float* out = scratch_buffer(row, k);
+  kernels().adc_lut_row(v.data(), centroids.data(), centroids.dim(), k, out);
+  return out;
 }
 
 }  // namespace
@@ -82,9 +119,7 @@ KMeansResult kmeans(const FloatMatrix& points, const KMeansParams& params) {
 
     // Assignment step (parallel over points).
     parallel_for(0, n, [&](std::size_t i) {
-      const std::uint32_t c = nearest_centroid(res.centroids, points.row(i));
-      res.assignment[i] = c;
-      point_dist[i] = l2_sq(points.row(i), res.centroids.row(c));
+      res.assignment[i] = nearest_centroid(res.centroids, points.row(i), &point_dist[i]);
     });
 
     res.inertia = 0.0;
@@ -131,24 +166,27 @@ KMeansResult kmeans(const FloatMatrix& points, const KMeansParams& params) {
   return res;
 }
 
-std::uint32_t nearest_centroid(const FloatMatrix& centroids, std::span<const float> v) {
+std::uint32_t nearest_centroid(const FloatMatrix& centroids, std::span<const float> v,
+                               float* dist) {
+  const float* row = distance_row(centroids, v);
   std::uint32_t best = 0;
   float best_d = std::numeric_limits<float>::max();
   for (std::size_t c = 0; c < centroids.count(); ++c) {
-    const float d = l2_sq(centroids.row(c), v);
-    if (d < best_d) {
-      best_d = d;
+    if (row[c] < best_d) {
+      best_d = row[c];
       best = static_cast<std::uint32_t>(c);
     }
   }
+  if (dist != nullptr) *dist = best_d;
   return best;
 }
 
 std::vector<std::uint32_t> nearest_centroids(const FloatMatrix& centroids,
                                              std::span<const float> v, std::size_t n) {
+  const float* row = distance_row(centroids, v);
   TopK topk(std::min(n, centroids.count()));
   for (std::size_t c = 0; c < centroids.count(); ++c) {
-    topk.push(l2_sq(centroids.row(c), v), static_cast<std::uint32_t>(c));
+    topk.push(row[c], static_cast<std::uint32_t>(c));
   }
   std::vector<std::uint32_t> out;
   for (const Neighbor& nb : topk.take_sorted()) out.push_back(nb.id);

@@ -1,7 +1,11 @@
 #pragma once
 // Lloyd's k-means with k-means++ seeding. Used for (a) the IVF coarse
 // quantizer (nlist centroids over the learn set) and (b) per-subspace PQ
-// codebook training. Host-side, OpenMP-parallel.
+// codebook training. Host-side: every distance goes through the SIMD seam's
+// distance row (`kernels().adc_lut_row`, core/distances.hpp); assignment and
+// k-means++ passes fan out over points through drim::parallel_for, and every
+// sum over points runs serially in point order, so a run is bit-identical at
+// any thread count and either DRIM_SIMD level.
 
 #include <cstdint>
 #include <vector>
@@ -32,10 +36,14 @@ struct KMeansResult {
 /// live (Faiss does the same).
 KMeansResult kmeans(const FloatMatrix& points, const KMeansParams& params);
 
-/// Index of the nearest centroid to `v` (L2).
-std::uint32_t nearest_centroid(const FloatMatrix& centroids, std::span<const float> v);
+/// Index of the nearest centroid to `v` (L2; the first strict minimum wins
+/// ties). When `dist` is non-null it receives that centroid's squared
+/// distance, rounded exactly like l2_sq. One kernel call fills the row of all
+/// distances.
+std::uint32_t nearest_centroid(const FloatMatrix& centroids, std::span<const float> v,
+                               float* dist = nullptr);
 
-/// Indices of the `n` nearest centroids, ascending by distance.
+/// Indices of the `n` nearest centroids, ascending by distance (ties by id).
 std::vector<std::uint32_t> nearest_centroids(const FloatMatrix& centroids,
                                              std::span<const float> v, std::size_t n);
 

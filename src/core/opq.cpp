@@ -1,17 +1,22 @@
 #include "core/opq.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <vector>
 
-#include "core/distances.hpp"
+#include "common/parallel.hpp"
+#include "common/scratch.hpp"
 
 namespace drim {
 namespace {
 
+// Rows of the Procrustes accumulator each parallel work item owns.
+constexpr std::size_t kProcrustesRows = 8;
+
 FloatMatrix apply_rotation(const Matrix& r, const FloatMatrix& points) {
   const std::size_t dim = points.dim();
   FloatMatrix out(points.count(), dim);
-  for (std::size_t i = 0; i < points.count(); ++i) {
+  parallel_for(0, points.count(), [&](std::size_t i) {
     auto src = points.row(i);
     auto dst = out.row(i);
     for (std::size_t row = 0; row < dim; ++row) {
@@ -19,18 +24,57 @@ FloatMatrix apply_rotation(const Matrix& r, const FloatMatrix& points) {
       for (std::size_t col = 0; col < dim; ++col) acc += r.at(row, col) * src[col];
       dst[row] = static_cast<float>(acc);
     }
-  }
+  });
   return out;
+}
+
+/// PQ reconstruction (encode then decode) of every row, in parallel.
+FloatMatrix reconstruct_all(const ProductQuantizer& pq, const FloatMatrix& points) {
+  FloatMatrix recon(points.count(), points.dim());
+  parallel_for(0, points.count(), [&](std::size_t i) {
+    thread_local std::vector<std::uint8_t> tl_code;
+    const std::span<std::uint8_t> code(scratch_buffer(tl_code, pq.code_size()),
+                                       pq.code_size());
+    pq.encode(points.row(i), code);
+    pq.decode(code, recon.row(i));
+  });
+  return recon;
+}
+
+/// M = sum over points i of recon_i * x_i^T, i.e. M(c, r) accumulates
+/// recon_i[c] * x_i[r] over i in point order (skipping x_i[r] == 0). Each
+/// work item owns kProcrustesRows rows of M and keeps that order, so M is the
+/// same at any thread count.
+Matrix procrustes_target(const FloatMatrix& points, const FloatMatrix& recon) {
+  const std::size_t dim = points.dim();
+  Matrix m(dim, dim);
+  const std::size_t blocks = (dim + kProcrustesRows - 1) / kProcrustesRows;
+  parallel_for(0, blocks, [&](std::size_t b) {
+    const std::size_t c0 = b * kProcrustesRows;
+    const std::size_t width = std::min(kProcrustesRows, dim - c0);
+    // Transposed block: acc[r * width + j] is M(c0 + j, r).
+    std::vector<double> acc(dim * width, 0.0);
+    for (std::size_t i = 0; i < points.count(); ++i) {
+      auto x = points.row(i);
+      const float* rec = recon.row(i).data() + c0;
+      for (std::size_t r = 0; r < dim; ++r) {
+        const double xr = x[r];
+        if (xr == 0.0) continue;
+        double* out = acc.data() + r * width;
+        for (std::size_t j = 0; j < width; ++j) out[j] += rec[j] * xr;
+      }
+    }
+    for (std::size_t r = 0; r < dim; ++r) {
+      for (std::size_t j = 0; j < width; ++j) m.at(c0 + j, r) = acc[r * width + j];
+    }
+  });
+  return m;
 }
 
 }  // namespace
 
 void OptimizedProductQuantizer::train(const FloatMatrix& points, const OPQParams& params) {
-  const std::size_t dim = points.dim();
-  rotation_ = Matrix::identity(dim);
-
-  std::vector<std::uint8_t> code;
-  std::vector<float> recon(dim);
+  rotation_ = Matrix::identity(points.dim());
 
   for (std::size_t it = 0; it < params.outer_iters; ++it) {
     // (1) Train PQ in the current rotated space.
@@ -43,22 +87,10 @@ void OptimizedProductQuantizer::train(const FloatMatrix& points, const OPQParams
 
     // (2) Procrustes: R = polar(X^T X_hat), where X_hat is the reconstruction
     // mapped back through the identity (reconstructions live in rotated
-    // space, originals in input space). Accumulate M = sum_i x_i * xhat_i^T.
-    code.resize(pq_.code_size());
-    Matrix m(dim, dim);
-    for (std::size_t i = 0; i < points.count(); ++i) {
-      pq_.encode(rotated.row(i), code);
-      pq_.decode(code, recon);
-      auto x = points.row(i);
-      for (std::size_t r = 0; r < dim; ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        for (std::size_t c = 0; c < dim; ++c) m.at(c, r) += recon[c] * xr;
-      }
-    }
-    // min_R ||R X - Xhat||_F over orthogonal R has solution R = U V^T where
-    // Xhat X^T = U S V^T; `m` above is exactly Xhat X^T.
-    rotation_ = procrustes_rotation(m);
+    // space, originals in input space). min_R ||R X - Xhat||_F over
+    // orthogonal R has solution R = U V^T where Xhat X^T = U S V^T, and
+    // procrustes_target() is exactly Xhat X^T.
+    rotation_ = procrustes_rotation(procrustes_target(points, reconstruct_all(pq_, rotated)));
   }
 }
 
@@ -80,17 +112,7 @@ void OptimizedProductQuantizer::encode(std::span<const float> v,
 }
 
 double OptimizedProductQuantizer::reconstruction_error(const FloatMatrix& points) const {
-  std::vector<std::uint8_t> code(pq_.code_size());
-  std::vector<float> rotated(points.dim());
-  std::vector<float> recon(points.dim());
-  double total = 0.0;
-  for (std::size_t i = 0; i < points.count(); ++i) {
-    rotate(points.row(i), rotated);
-    pq_.encode(rotated, code);
-    pq_.decode(code, recon);
-    total += l2_sq(std::span<const float>(rotated), std::span<const float>(recon));
-  }
-  return points.count() > 0 ? total / static_cast<double>(points.count()) : 0.0;
+  return pq_.reconstruction_error(apply_rotation(rotation_, points));
 }
 
 }  // namespace drim

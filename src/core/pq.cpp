@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/parallel.hpp"
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -36,9 +38,10 @@ void ProductQuantizer::train(const FloatMatrix& points, const PQParams& params) 
   cb_ = params.cb_entries;
   const std::size_t dsub = dim_ / m_;
 
-  codebooks_.clear();
-  codebooks_.reserve(m_);
-  for (std::size_t sub = 0; sub < m_; ++sub) {
+  // One k-means per subspace, each with its own seed, so they train
+  // concurrently; each one's own loops are nested and run inline on its lane.
+  codebooks_.assign(m_, FloatMatrix());
+  parallel_for(0, m_, [&](std::size_t sub) {
     // Slice out this subspace from every training row.
     FloatMatrix slice(points.count(), dsub);
     for (std::size_t i = 0; i < points.count(); ++i) {
@@ -50,8 +53,8 @@ void ProductQuantizer::train(const FloatMatrix& points, const PQParams& params) 
     km.k = cb_;
     km.max_iters = params.train_iters;
     km.seed = params.seed + sub;  // independent stream per subspace
-    codebooks_.push_back(kmeans(slice, km).centroids);
-  }
+    codebooks_[sub] = kmeans(slice, km).centroids;
+  });
 }
 
 void ProductQuantizer::restore(std::size_t dim, std::size_t m, std::size_t cb,
@@ -155,14 +158,19 @@ float ProductQuantizer::sdc_distance(std::span<const std::uint8_t> a,
 }
 
 double ProductQuantizer::reconstruction_error(const FloatMatrix& points) const {
-  std::vector<std::uint8_t> code(code_size());
-  std::vector<float> recon(dim_);
-  double total = 0.0;
-  for (std::size_t i = 0; i < points.count(); ++i) {
+  // Per-point errors in parallel, summed serially in point order.
+  std::vector<float> err(points.count());
+  parallel_for(0, points.count(), [&](std::size_t i) {
+    thread_local std::vector<std::uint8_t> tl_code;
+    thread_local std::vector<float> tl_recon;
+    const std::span<std::uint8_t> code(scratch_buffer(tl_code, code_size()), code_size());
+    const std::span<float> recon(scratch_buffer(tl_recon, dim_), dim_);
     encode(points.row(i), code);
     decode(code, recon);
-    total += l2_sq(points.row(i), recon);
-  }
+    err[i] = l2_sq(points.row(i), recon);
+  });
+  double total = 0.0;
+  for (const float e : err) total += e;
   return points.count() > 0 ? total / static_cast<double>(points.count()) : 0.0;
 }
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/parallel.hpp"
+#include "common/scratch.hpp"
 #include "drim/host_exact.hpp"
 
 namespace drim {
@@ -46,11 +47,7 @@ void dedup_reserve(std::size_t id_space) {
 thread_local std::vector<std::uint32_t> tl_rerank_lut;
 
 std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
-  if (tl_rerank_lut.capacity() > std::max<std::size_t>(4096, n * 8)) {
-    std::vector<std::uint32_t>().swap(tl_rerank_lut);
-  }
-  if (tl_rerank_lut.size() < n) tl_rerank_lut.resize(n);
-  return {tl_rerank_lut.data(), n};
+  return {scratch_buffer(tl_rerank_lut, n), n};
 }
 
 // A step's per-DPU staging, pull and merge loops do little host work per

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/parallel.hpp"
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -106,17 +107,6 @@ struct Scratch {
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
-}
-
-/// At least `n` elements of `v`. The persistent executor's workers outlive
-/// every backend, so a buffer far larger than the current call needs (one
-/// backend's big k or wide codebook) is released instead of pinned for the
-/// rest of the process.
-template <typename T>
-T* scratch_buffer(std::vector<T>& v, std::size_t n) {
-  if (v.capacity() > std::max<std::size_t>(4096, n * 8)) std::vector<T>().swap(v);
-  if (v.size() < n) v.resize(n);
-  return v.data();
 }
 
 /// One bounded top-k per lane, each over its own kk-key slot of the key

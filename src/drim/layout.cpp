@@ -5,16 +5,25 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
+
 namespace drim {
 
 std::vector<double> estimate_heat(const IvfPqIndex& index, const FloatMatrix& sample_queries,
                                   std::size_t nprobe) {
+  // Locate every sample query in parallel, then count serially in query
+  // order. The counts are whole numbers, so the heat is exact either way.
+  const std::size_t nq = sample_queries.count();
+  const std::size_t width = std::min(nprobe, index.nlist());
+  std::vector<std::uint32_t> probes(nq * width);
+  parallel_for(0, nq, [&](std::size_t q) {
+    const std::vector<std::uint32_t> located =
+        index.locate_clusters(sample_queries.row(q), nprobe);
+    assert(located.size() == width);
+    std::copy(located.begin(), located.end(), probes.begin() + q * width);
+  });
   std::vector<double> heat(index.nlist(), 0.0);
-  for (std::size_t q = 0; q < sample_queries.count(); ++q) {
-    for (std::uint32_t c : index.locate_clusters(sample_queries.row(q), nprobe)) {
-      heat[c] += 1.0;
-    }
-  }
+  for (const std::uint32_t c : probes) heat[c] += 1.0;
   // Laplace smoothing: unseen clusters still carry their size-proportional
   // base cost so the allocator does not pile them all on one DPU.
   for (auto& h : heat) h += 0.5;

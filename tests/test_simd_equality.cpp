@@ -46,7 +46,9 @@ TEST(SimdEquality, AdcLutRowMatchesBitExact) {
   const DistanceKernels& sc = scalar_kernels();
   const DistanceKernels& vx = *avx2_kernels();
   std::mt19937 rng(7);
-  for (const std::size_t dsub : {1u, 3u, 6u, 8u, 16u}) {
+  // dsub 128 is the coarse quantizer's shape: nearest-centroid search runs
+  // the whole vector as one codeword, on the gather path.
+  for (const std::size_t dsub : {1u, 3u, 6u, 8u, 16u, 128u}) {
     for (const std::size_t cb : {1u, 7u, 8u, 16u, 100u, 256u}) {
       const auto sv = random_floats(rng, dsub);
       const auto codebook = random_floats(rng, cb * dsub);
