@@ -120,20 +120,25 @@ void IvfPqIndex::reconstruct(std::uint32_t cluster, std::size_t i,
   }
 }
 
-void IvfPqIndex::encode_residual(std::span<const float> v, std::uint32_t cluster,
-                                 std::span<std::uint8_t> code) const {
-  const std::size_t dim = centroids_.dim();
+void encode_residual(const ProductQuantizer& pq, const OptimizedProductQuantizer* opq,
+                     std::span<const float> centroid, std::span<const float> v,
+                     std::span<std::uint8_t> code) {
+  const std::size_t dim = centroid.size();
   thread_local std::vector<float> tl_residual;
   float* residual = scratch_buffer(tl_residual, 2 * dim);
-  auto cen = centroids_.row(cluster);
-  for (std::size_t d = 0; d < dim; ++d) residual[d] = v[d] - cen[d];
-  if (opq_) {
+  for (std::size_t d = 0; d < dim; ++d) residual[d] = v[d] - centroid[d];
+  if (opq != nullptr) {
     const std::span<float> rotated(residual + dim, dim);
-    opq_->rotate({residual, dim}, rotated);
-    pq_.encode(rotated, code);
+    opq->rotate({residual, dim}, rotated);
+    pq.encode(rotated, code);
   } else {
-    pq_.encode({residual, dim}, code);
+    pq.encode({residual, dim}, code);
   }
+}
+
+void IvfPqIndex::encode_residual(std::span<const float> v, std::uint32_t cluster,
+                                 std::span<std::uint8_t> code) const {
+  drim::encode_residual(pq_, opq_.get(), centroids_.row(cluster), v, code);
 }
 
 void IvfPqIndex::add(const ByteDataset& base) {

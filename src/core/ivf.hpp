@@ -88,6 +88,14 @@ struct InvertedList {
   }
 };
 
+/// The one residual-encode path: residual of `v` against `centroid`, rotated
+/// by `opq` when non-null, PQ-encoded into `code`. Works in per-thread
+/// scratch, so it allocates nothing once warm. IvfPqIndex::add and the
+/// mutable-index writer (streamed inserts, online splits) both encode here.
+void encode_residual(const ProductQuantizer& pq, const OptimizedProductQuantizer* opq,
+                     std::span<const float> centroid, std::span<const float> v,
+                     std::span<std::uint8_t> code);
+
 /// Trained, populated IVF-PQ index.
 class IvfPqIndex {
  public:

@@ -14,10 +14,12 @@
 namespace drim {
 namespace {
 
-// A k-means++ pass over fewer point floats than this runs on the calling
-// thread: a fork-join would cost more than it saves, and the index writer's
-// online 2-means split runs inside a serving step.
-constexpr std::size_t kSeedFanOutFloats = std::size_t{1} << 18;
+// A k-means++ pass, Lloyd assignment or final assignment over fewer point
+// floats than this runs on the calling thread: a fork-join would cost more
+// than it saves, and the index writer's online 2-means split runs inside a
+// serving step. Points are assigned independently, so both give the same
+// result.
+constexpr std::size_t kFanOutFloats = std::size_t{1} << 18;
 // Points per block of a parallel k-means++ pass.
 constexpr std::size_t kSeedBlock = 512;
 
@@ -32,7 +34,7 @@ FloatMatrix seed_kmeanspp(const FloatMatrix& points, std::size_t k, Rng& rng) {
   std::copy_n(points.row(first).data(), dim, centroids.row(0).data());
 
   const DistanceKernels& kern = kernels();
-  const bool fan_out = n * dim >= kSeedFanOutFloats;
+  const bool fan_out = n * dim >= kFanOutFloats;
   const std::size_t block = fan_out ? kSeedBlock : n;
   for (std::size_t c = 1; c < k; ++c) {
     // Distances to the most recent centroid, one block of points per call:
@@ -112,13 +114,20 @@ KMeansResult kmeans(const FloatMatrix& points, const KMeansParams& params) {
   std::vector<double> sums(k * dim);
   std::vector<std::size_t> counts(k);
   std::vector<float> point_dist(n);
+  const auto for_each_point = [&, fan_out = n * dim >= kFanOutFloats](const auto& body) {
+    if (fan_out) {
+      parallel_for(0, n, body);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+    }
+  };
 
   double prev_inertia = std::numeric_limits<double>::max();
   for (std::size_t iter = 0; iter < params.max_iters; ++iter) {
     res.iters_run = iter + 1;
 
     // Assignment step (parallel over points).
-    parallel_for(0, n, [&](std::size_t i) {
+    for_each_point([&](std::size_t i) {
       res.assignment[i] = nearest_centroid(res.centroids, points.row(i), &point_dist[i]);
     });
 
@@ -160,7 +169,7 @@ KMeansResult kmeans(const FloatMatrix& points, const KMeansParams& params) {
   }
 
   // Final assignment against the converged centroids.
-  parallel_for(0, n, [&](std::size_t i) {
+  for_each_point([&](std::size_t i) {
     res.assignment[i] = nearest_centroid(res.centroids, points.row(i));
   });
   return res;

@@ -44,23 +44,14 @@ std::uint32_t IndexWriter::insert(std::span<const float> v) {
   assert(v.size() == centroids_.dim());
   const std::uint32_t c = nearest_centroid(centroids_, v);
   const std::size_t cs = pq_.code_size();
-  std::vector<std::uint8_t> code(cs);
-  // Residual against the assigned centroid, rotated when the variant is OPQ.
-  std::vector<float> residual(v.size());
-  auto cen = centroids_.row(c);
-  for (std::size_t d = 0; d < v.size(); ++d) residual[d] = v[d] - cen[d];
-  if (opq_) {
-    std::vector<float> rotated(v.size());
-    opq_->rotate(residual, rotated);
-    pq_.encode(rotated, code);
-  } else {
-    pq_.encode(residual, code);
-  }
+  // Encoded straight into the list's tail.
+  std::vector<std::uint8_t>& codes = lists_[c].codes;
+  codes.resize(codes.size() + cs);
+  encode_residual(pq_, opq_.get(), centroids_.row(c), v, {codes.data() + codes.size() - cs, cs});
 
   const auto id = static_cast<std::uint32_t>(ntotal_++);
   where_[id] = {c, static_cast<std::uint32_t>(lists_[c].size())};
   lists_[c].ids.push_back(id);
-  lists_[c].codes.insert(lists_[c].codes.end(), code.begin(), code.end());
   dead_[c].push_back(0);
   ++live_count_;
   ++pending_.inserts;
@@ -132,24 +123,15 @@ void IndexWriter::split_cluster(std::uint32_t c) {
   // Rebuild both halves in original relative order, re-encoding every member
   // against its new centroid (codes are residual codes; the centroid moved).
   InvertedList parent_list, child_list;
-  std::vector<std::uint8_t> code(cs);
-  std::vector<float> residual(dim), rotated(dim);
   for (std::size_t r = 0; r < live_pos.size(); ++r) {
     const std::uint32_t target = km.assignment[r] == 0 ? c : child;
-    auto cen = centroids_.row(target);
-    auto src = points.row(r);
-    for (std::size_t d = 0; d < dim; ++d) residual[d] = src[d] - cen[d];
-    if (opq_) {
-      opq_->rotate(residual, rotated);
-      pq_.encode(rotated, code);
-    } else {
-      pq_.encode(residual, code);
-    }
     InvertedList& dst = km.assignment[r] == 0 ? parent_list : child_list;
+    dst.codes.resize(dst.codes.size() + cs);
+    encode_residual(pq_, opq_.get(), centroids_.row(target), points.row(r),
+                    {dst.codes.data() + dst.codes.size() - cs, cs});
     const std::uint32_t id = lists_[c].ids[live_pos[r]];
     where_[id] = {target, static_cast<std::uint32_t>(dst.ids.size())};
     dst.ids.push_back(id);
-    dst.codes.insert(dst.codes.end(), code.begin(), code.end());
   }
   // Dropped tombstoned ids are gone for good; erase their locations.
   for (std::size_t i = 0; i < lists_[c].size(); ++i) {

@@ -50,24 +50,11 @@ std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
   return {scratch_buffer(tl_rerank_lut, n), n};
 }
 
-// A step's per-DPU staging, pull and merge loops do little host work per
-// task (a q4 row adds one table build), so in a step with fewer tasks than
-// this a fork-join hand-off costs more than those loops save, and stalls
-// the step whenever one host thread is descheduled. Such steps run them on
-// the calling thread; the kernel fan-out (run_batch) always spans the pool.
+// A step's merge does little host work per task, so in a step with fewer
+// tasks than this a fork-join hand-off costs more than the loop saves, and
+// stalls the step whenever one host thread is descheduled. Such steps merge
+// on the calling thread; the kernel fan-out (run_batch) always spans the pool.
 constexpr std::size_t kMinFanOutTasks = 64;
-
-/// body(i) for i in [0, n): across the host threads when `fan_out`, else in
-/// order on the calling thread. Every body touches only slot i's data, so
-/// both give the same result.
-template <typename Body>
-void step_loop(bool fan_out, std::size_t n, const Body& body) {
-  if (fan_out) {
-    parallel_for(0, n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
-}
 }  // namespace
 
 SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
@@ -826,7 +813,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   for (std::size_t d = 0; d < num_dpus; ++d) {
     row_off[d + 1] = row_off[d] + assignment.per_dpu[d].size();
   }
-  const bool fan_out = row_off[num_dpus] >= kMinFanOutTasks;
   // A non-functional platform computes no rows: the host replays the whole
   // batch from this task list, task i filling row i (see the collect stage).
   const bool functional = pim_->functional();
@@ -840,33 +826,27 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // ---- cluster-major fusion plan (DESIGN.md §16) ----
   // Group each DPU's tasks by (cluster, rung) so the kernel streams every
   // fused group's codes from MRAM once. Planned host-side (the kernel is
-  // shipped the plan, so both platforms launch the identical grouping);
-  // the saved re-stream bytes are tallied from the plan alone, per DPU
-  // inside the dedup fan-out below and summed serially in DPU order.
+  // shipped the plan, so both platforms launch the identical grouping); the
+  // saved re-stream bytes are tallied from the plan alone, in DPU order.
   const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  struct FusionTally {
-    std::uint64_t saved_bytes = 0;
-    std::size_t groups = 0;
-    std::size_t fused_tasks = 0;
-  };
   std::vector<std::vector<FusedTaskGroup>> dpu_groups(fuse_width > 1 ? num_dpus : 0);
-  std::vector<FusionTally> dpu_fusion(dpu_groups.size());
+  std::uint64_t dc_bytes_saved = 0;
+  std::size_t fused_groups = 0;
+  std::size_t fused_tasks = 0;
 
-  // Per-DPU dedup and fusion planning are independent (private task lists),
-  // so they fan out across host threads together (in a step of at least
-  // kMinFanOutTasks tasks, like the pushes, pulls and merge below); nothing
-  // is pushed yet so an oversized batch can still be rejected cleanly below.
-  // Dedup uses the reusable stamped flat maps: a fresh stamp per (step, dpu)
-  // makes stale entries invisible without clearing, and first-occurrence
-  // slot order matches the old hashed path.
+  // Per-DPU dedup and fusion planning run as a serial pre-pass on the
+  // calling thread: nothing is pushed yet, so an oversized batch can still
+  // be rejected cleanly below. Dedup uses the reusable stamped flat maps: a
+  // fresh stamp per (step, dpu) makes stale entries invisible without
+  // clearing, and first-occurrence slot order matches the old hashed path.
   const std::uint64_t epoch_base =
       g_dedup_epoch.fetch_add(num_dpus, std::memory_order_relaxed);
   const std::size_t id_space = state.quantized.size();
   const bool ladder = q4_ready();
-  step_loop(fan_out, num_dpus, [&](std::size_t d) {
+  dedup_reserve(id_space);
+  for (std::size_t d = 0; d < num_dpus; ++d) {
     const auto& tasks = assignment.per_dpu[d];
-    if (tasks.empty()) return;
-    dedup_reserve(id_space);
+    if (tasks.empty()) continue;
     const std::uint64_t stamp = epoch_base + d;
     auto& slot_query = dpu_slot_query[d];
     for (const Task& t : tasks) {
@@ -902,29 +882,20 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     dpu_output_off[d] = slot_base + ((queries_bytes + 7) & ~std::size_t{7});
     dpu_need[d] = dpu_output_off[d] + output_bytes;
 
-    if (fuse_width <= 1) return;
+    if (fuse_width <= 1) continue;
     dpu_groups[d] = plan_task_fusion(dpu_tasks[d], fuse_width);
-    FusionTally& tally = dpu_fusion[d];
-    tally.groups = dpu_groups[d].size();
+    fused_groups += dpu_groups[d].size();
     for (const FusedTaskGroup& g : dpu_groups[d]) {
       if (g.tasks.size() <= 1) continue;
-      tally.fused_tasks += g.tasks.size();
+      fused_tasks += g.tasks.size();
       const ShardRegion& sh = dpu_shard_regions_[d][g.shard_slot];
       const std::size_t code_size =
           ladder && g.q4 ? data_.code_size_q4() : data_.code_size();
       std::uint64_t bytes = static_cast<std::uint64_t>(sh.size) * code_size;
       // The tombstone-flag stream is also shared by the group.
       if (sh.dead != nullptr) bytes += sh.size;
-      tally.saved_bytes += (g.tasks.size() - 1) * bytes;
+      dc_bytes_saved += (g.tasks.size() - 1) * bytes;
     }
-  });
-  std::uint64_t dc_bytes_saved = 0;
-  std::size_t fused_groups = 0;
-  std::size_t fused_tasks = 0;
-  for (const FusionTally& tally : dpu_fusion) {
-    dc_bytes_saved += tally.saved_bytes;
-    fused_groups += tally.groups;
-    fused_tasks += tally.fused_tasks;
   }
 
   // Capacity check, serially and before any bytes move (throwing from inside
@@ -947,16 +918,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   }
   std::vector<KernelHit> hits(row_off[num_dpus] * k);
 
-  // Query pushes fan out per DPU (private MRAM; the byte tally is atomic).
-  step_loop(fan_out, num_dpus, [&](std::size_t d) {
-    const auto& slot_query = dpu_slot_query[d];
-    for (std::size_t s = 0; s < slot_query.size(); ++s) {
-      const auto& qv = state.quantized[slot_query[s]];
-      pim_->push(d, slot_base + s * dim * 2,
-                 {reinterpret_cast<const std::uint8_t*>(qv.data()), dim * 2});
-    }
-  });
-
   // ---- launch ----
   SearchKernelArgs args;
   args.dim = static_cast<std::uint32_t>(dim);
@@ -978,9 +939,58 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     args.codebooks_q4_offset = codebooks_q4_off_;
   }
 
+  // Exact-rerank tail of DPU d's q4 rows: each row's candidates are
+  // re-scored with the full-precision ADC LUT on the host and their global
+  // ids resolved, so what enters the merge heaps is exact. Rows sharing
+  // (query, cluster) — e.g. slices of one cluster — rebuild the table once;
+  // rows are rescored independently, so visiting them in (query, cluster)
+  // order leaves every row byte-identical to the per-row path.
+  const auto rerank_q4_rows = [&](std::size_t d) {
+    KernelHit* rows = hits.data() + row_off[d] * k;
+    const auto row_shard = [&](std::uint32_t t) -> const Shard& {
+      return layout_->shard(dpu_shard_ids_[d][dpu_tasks[d][t].shard_slot]);
+    };
+    std::vector<std::uint32_t> q4_rows;
+    for (std::size_t t = 0; t < dpu_tasks[d].size(); ++t) {
+      if (task_is_q4(dpu_tasks[d][t])) q4_rows.push_back(static_cast<std::uint32_t>(t));
+    }
+    if (q4_rows.empty()) return;
+    std::stable_sort(q4_rows.begin(), q4_rows.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (dpu_task_query[d][a] != dpu_task_query[d][b]) {
+        return dpu_task_query[d][a] < dpu_task_query[d][b];
+      }
+      return row_shard(a).cluster < row_shard(b).cluster;
+    });
+    const std::span<std::uint32_t> lut = rerank_lut_scratch(data_.m() * data_.cb_entries());
+    bool lut_valid = false;
+    std::uint64_t lut_key = 0;
+    for (const std::uint32_t t : q4_rows) {
+      const Shard& sh = row_shard(t);
+      const std::uint64_t key =
+          (static_cast<std::uint64_t>(dpu_task_query[d][t]) << 32) | sh.cluster;
+      if (!lut_valid || key != lut_key) {
+        host_build_adc_lut(data_, state.quantized[dpu_task_query[d][t]], sh.cluster, lut);
+        lut_valid = true;
+        lut_key = key;
+      }
+      host_rerank_q4_row_with_lut(data_, lut, sh, std::span<KernelHit>(rows + t * k, k));
+    }
+  };
+
+  // One fan-out per step: each DPU's lane pushes its staged queries, runs the
+  // kernel, pulls its output block whole (the same bytes billed as per-task
+  // pulls) and reranks its q4 rows. Every DPU touches only its own MRAM and
+  // rows, and run_batch bills the pushes and pulls made here to this batch,
+  // so byte totals and modeled times match staging outside the launch.
   BatchResult batch = pim_->run_batch(
       [&](std::size_t d, DpuContext& ctx) {
         if (dpu_tasks[d].empty()) return;
+        const auto& slot_query = dpu_slot_query[d];
+        for (std::size_t s = 0; s < slot_query.size(); ++s) {
+          const auto& qv = state.quantized[slot_query[s]];
+          pim_->push(d, slot_base + s * dim * 2,
+                     {reinterpret_cast<const std::uint8_t*>(qv.data()), dim * 2});
+        }
         SearchKernelArgs a = args;
         a.output_offset = dpu_output_off[d];
         // One kernel body serves both platforms and every width. At
@@ -996,79 +1006,20 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         } else {
           charge_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], plan);
         }
+        // On a non-functional platform pull() only bills the bytes; the rows
+        // are replayed on the host in the collect stage.
+        pim_->pull(d, dpu_output_off[d],
+                   {reinterpret_cast<std::uint8_t*>(hits.data() + row_off[d] * k),
+                    dpu_tasks[d].size() * k * sizeof(KernelHit)});
+        if (functional && ladder) rerank_q4_rows(d);
       },
       [&]() {
-        // Collect: each DPU's output block is pulled whole (same bytes billed
-        // as per-task pulls), then merged into the per-query heaps in fixed
-        // (dpu, task) order — accum[] heaps are shared across DPUs, and a
-        // fixed merge order keeps tie-breaking bit-identical to the serial
-        // path.
-        const auto pull_rows = [&](std::size_t d) {
-          pim_->pull(d, dpu_output_off[d],
-                     {reinterpret_cast<std::uint8_t*>(hits.data() + row_off[d] * k),
-                      dpu_tasks[d].size() * k * sizeof(KernelHit)});
-        };
-        if (!functional) {
-          // The host replays the whole batch cluster-major
-          // (host_replay_batch), building each (query, cluster) table once
-          // however many slices and DPUs the cluster spans. Rows are
-          // byte-identical to the functional kernel's — q4 rows already
-          // reranked — and every billed time is untouched: pull() only
-          // bills the bytes, so the pulls need no host threads.
-          host_replay_batch(data_, replay, static_cast<std::uint32_t>(k), hits);
-          for (std::size_t d = 0; d < num_dpus; ++d) {
-            if (!dpu_tasks[d].empty()) pull_rows(d);
-          }
-        } else {
-          step_loop(fan_out, num_dpus, [&](std::size_t d) {
-            if (dpu_tasks[d].empty()) return;
-            pull_rows(d);
-            if (!ladder) return;
-            // Exact-rerank tail of the q4 rows: each row's candidates are
-            // re-scored with the full-precision ADC LUT on the host and
-            // their global ids resolved, so what enters the merge heaps is
-            // exact. Rows sharing (query, cluster) — e.g. slices of one
-            // cluster — rebuild the table once; rows are rescored
-            // independently, so visiting them in (query, cluster) order
-            // leaves every row byte-identical to the per-row path.
-            KernelHit* rows = hits.data() + row_off[d] * k;
-            const auto row_shard = [&](std::uint32_t t) -> const Shard& {
-              return layout_->shard(dpu_shard_ids_[d][dpu_tasks[d][t].shard_slot]);
-            };
-            std::vector<std::uint32_t> q4_rows;
-            for (std::size_t t = 0; t < dpu_tasks[d].size(); ++t) {
-              if (task_is_q4(dpu_tasks[d][t])) {
-                q4_rows.push_back(static_cast<std::uint32_t>(t));
-              }
-            }
-            if (q4_rows.empty()) return;
-            std::stable_sort(q4_rows.begin(), q4_rows.end(),
-                             [&](std::uint32_t a, std::uint32_t b) {
-                               if (dpu_task_query[d][a] != dpu_task_query[d][b]) {
-                                 return dpu_task_query[d][a] < dpu_task_query[d][b];
-                               }
-                               return row_shard(a).cluster < row_shard(b).cluster;
-                             });
-            const std::span<std::uint32_t> lut =
-                rerank_lut_scratch(data_.m() * data_.cb_entries());
-            bool lut_valid = false;
-            std::uint64_t lut_key = 0;
-            for (const std::uint32_t t : q4_rows) {
-              const Shard& sh = row_shard(t);
-              const std::uint64_t key =
-                  (static_cast<std::uint64_t>(dpu_task_query[d][t]) << 32) |
-                  sh.cluster;
-              if (!lut_valid || key != lut_key) {
-                host_build_adc_lut(data_, state.quantized[dpu_task_query[d][t]],
-                                   sh.cluster, lut);
-                lut_valid = true;
-                lut_key = key;
-              }
-              host_rerank_q4_row_with_lut(data_, lut, sh,
-                                          std::span<KernelHit>(rows + t * k, k));
-            }
-          });
-        }
+        // The host replays a non-functional batch cluster-major
+        // (host_replay_batch), building each (query, cluster) table once
+        // however many slices and DPUs the cluster spans. Rows are
+        // byte-identical to the functional kernel's — q4 rows already
+        // reranked.
+        if (!functional) host_replay_batch(data_, replay, static_cast<std::uint32_t>(k), hits);
         // Merge into the shared per-query heaps in parallel across queries:
         // first index every (dpu, task) row per query in the fixed global
         // (dpu, task) order, then each host thread replays only its own
@@ -1089,7 +1040,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                 static_cast<std::uint32_t>(row_off[d] + t);
           }
         }
-        step_loop(fan_out, id_space, [&](std::size_t q) {
+        const auto merge_query = [&](std::size_t q) {
           for (std::uint32_t v = visit_off[q]; v < visit_off[q + 1]; ++v) {
             const KernelHit* row = hits.data() + std::size_t{visits[v]} * k;
             for (std::size_t i = 0; i < k; ++i) {
@@ -1098,7 +1049,12 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
               state.accum[q].push(static_cast<float>(h.dist), h.id);
             }
           }
-        });
+        };
+        if (row_off[num_dpus] >= kMinFanOutTasks) {
+          parallel_for(0, id_space, merge_query);
+        } else {
+          for (std::size_t q = 0; q < id_space; ++q) merge_query(q);
+        }
       });
 
   // ---- accounting. Depth 1 (serial): host work overlaps the PIM batch and

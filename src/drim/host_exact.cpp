@@ -30,50 +30,6 @@ bool hit_less(const KernelHit& a, const KernelHit& b) {
   return a.id < b.id;
 }
 
-/// Bounded top-k over (dist, idx) with the kernel's ascending total order —
-/// the WramTopK selection without the cycle charges. Entries are kept as
-/// sorted 64-bit keys dist << 32 | idx (one compare orders them exactly like
-/// (dist, idx)) in caller-provided storage for k keys. The kept set is the
-/// k smallest entries under a total order, so it matches any other exact
-/// selection bit for bit; a sorted array beats a heap here because slices
-/// are short (the first k pushes are most of the accepted ones) and a full
-/// array rejects a point with one compare.
-class BoundedTopK {
- public:
-  BoundedTopK() = default;
-  BoundedTopK(std::uint64_t* storage, std::uint32_t k) : keys_(storage), k_(k) {}
-
-  void push(std::uint32_t dist, std::uint32_t idx) {
-    const std::uint64_t key = std::uint64_t{dist} << 32 | idx;
-    std::uint32_t i = n_;
-    if (n_ == k_) {
-      if (k_ == 0 || key >= keys_[k_ - 1]) return;
-      i = k_ - 1;  // the current worst falls out
-    } else {
-      ++n_;
-    }
-    for (; i > 0 && key < keys_[i - 1]; --i) keys_[i] = keys_[i - 1];
-    keys_[i] = key;
-  }
-
-  /// Ascending (dist, idx) into `out`, sentinel-padding the tail; empties
-  /// the selection. `out` may be any size — extra entries become sentinels.
-  void sorted_into(std::span<KernelHit> out) {
-    const std::size_t n = std::min<std::size_t>(n_, out.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = {static_cast<std::uint32_t>(keys_[i] >> 32),
-                static_cast<std::uint32_t>(keys_[i])};
-    }
-    std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), KernelHit{});
-    n_ = 0;
-  }
-
- private:
-  std::uint64_t* keys_ = nullptr;
-  std::uint32_t n_ = 0;
-  std::uint32_t k_ = 0;
-};
-
 /// One member of a shared slice scan: the table it scores with, its output
 /// row, and — on the q4 rung — the full-precision table its survivors are
 /// reranked with (null: the row keeps LOCAL indices).

@@ -1,6 +1,8 @@
 #include "drim/kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <unordered_map>
 
 #include "core/distances.hpp"
@@ -13,13 +15,16 @@ namespace {
 // instantiation (SimPimPlatform) moves bytes and computes; the charge-only
 // instantiation (AnalyticPimPlatform) compiles the data movement and the
 // arithmetic out behind `if constexpr`. Every charge sits outside those
-// blocks, and the two DMA helpers below are the only place the instantiations
-// differ in how a transfer is billed (mram_read/mram_write bill exactly what
-// charge_mram_read/charge_mram_write bill for the same size), so both
-// platforms charge identical per-phase counters by construction. The
-// functional search arithmetic runs on the integer ADC primitives of the
-// SIMD seam (core/distances.hpp) and the q4 table helpers declared in
-// kernels.hpp: the same code the host-exact replay runs.
+// blocks, and the DMA helpers below are the only place the instantiations
+// differ in how a transfer is billed (mram_read, mram_read_view and
+// mram_write bill exactly what charge_mram_read/charge_mram_write bill for
+// the same size), so both platforms charge identical per-phase counters by
+// construction. The functional search arithmetic runs on the integer ADC
+// primitives of the SIMD seam (core/distances.hpp), the q4 table helpers
+// and the BoundedTopK declared in kernels.hpp: the same code the host-exact
+// replay runs. Functional reads of queries, centroids, codebook slices and
+// code blocks use the bytes in place inside simulated MRAM (one page holds
+// them almost always) and copy only a page-straddling range.
 
 /// One MRAM -> WRAM DMA transfer of `bytes` into `dst` (ignored, and may be
 /// null, in the charge-only instantiation).
@@ -29,6 +34,20 @@ void dma_read(DpuContext& ctx, std::size_t offset, void* dst, std::size_t bytes)
     ctx.mram_read(offset, {static_cast<std::uint8_t*>(dst), bytes});
   } else {
     ctx.charge_mram_read(bytes);
+  }
+}
+
+/// One MRAM -> WRAM DMA transfer billed like dma_read, returning where the
+/// bytes can be read: in place inside simulated MRAM when the range lies in
+/// one written page, else copied into `fallback`. Null when charge-only.
+template <bool kFunctional>
+const std::uint8_t* dma_read_view(DpuContext& ctx, std::size_t offset,
+                                  std::uint8_t* fallback, std::size_t bytes) {
+  if constexpr (kFunctional) {
+    return ctx.mram_read_view(offset, bytes, fallback);
+  } else {
+    ctx.charge_mram_read(bytes);
+    return nullptr;
   }
 }
 
@@ -42,15 +61,41 @@ void dma_write(DpuContext& ctx, std::size_t offset, const void* src, std::size_t
   }
 }
 
-/// DMA a region in <= kMaxDmaBytes chunks (UPMEM transfers are bounded).
+/// DMA a region in <= kMaxDmaBytes chunks (UPMEM transfers are bounded),
+/// each billed like dma_read_view, and return the region contiguously: in
+/// place when every chunk lies in one page, else gathered into `fallback`
+/// (>= bytes long). Null when charge-only.
 template <bool kFunctional>
-void mram_read_chunked(DpuContext& ctx, std::size_t offset, void* dst, std::size_t bytes) {
+const std::uint8_t* mram_read_chunked(DpuContext& ctx, std::size_t offset,
+                                      std::uint8_t* fallback, std::size_t bytes) {
+  const std::uint8_t* base = nullptr;
   for (std::size_t done = 0; done < bytes;) {
     const std::size_t n = std::min(kMaxDmaBytes, bytes - done);
-    dma_read<kFunctional>(ctx, offset + done,
-                          kFunctional ? static_cast<std::uint8_t*>(dst) + done : dst, n);
+    const std::uint8_t* p = dma_read_view<kFunctional>(
+        ctx, offset + done, kFunctional ? fallback + done : nullptr, n);
+    if constexpr (kFunctional) {
+      if (done == 0) {
+        base = p;
+      } else if (p != base + done) {
+        // The region left a page: gather every chunk in the fallback.
+        if (base != fallback) std::memcpy(fallback, base, done);
+        if (p != fallback + done) std::memcpy(fallback + done, p, n);
+        base = fallback;
+      }
+    }
     done += n;
   }
+  return base;
+}
+
+/// A view's bytes as the int16 operands the kernels compute on. The bytes
+/// live in unsigned-char storage filled by memcpy (an MRAM page or a WRAM
+/// buffer), which implicitly creates the int16 objects (C++20
+/// [intro.object]); std::launder yields a pointer to them. Every int16
+/// operand sits at an even MRAM offset, so the pointer is aligned. Null
+/// (the charge-only instantiation's view) stays null.
+inline const std::int16_t* as_i16(const std::uint8_t* p) {
+  return p == nullptr ? nullptr : std::launder(reinterpret_cast<const std::int16_t*>(p));
 }
 
 /// A WRAM scratch buffer: `n` elements when functional, empty otherwise (the
@@ -95,46 +140,6 @@ std::uint64_t amortized_topk_cycles(const DpuInstructionCosts& c, std::uint64_t 
          static_cast<std::uint64_t>(static_cast<double>(points) * sift + 0.5);
 }
 
-/// Fixed-capacity WRAM top-k (binary max-heap on distance, ties by id).
-/// Maintenance cycles are billed in bulk via amortized_topk_cycles, not per
-/// push, so the charge stream is identical in both instantiations.
-class WramTopK {
- public:
-  explicit WramTopK(std::uint32_t k) : k_(k) { heap_.reserve(k); }
-
-  void push(std::uint32_t dist, std::uint32_t local_idx) {
-    if (heap_.size() >= k_ && !less(dist, local_idx, heap_.front())) return;
-    if (heap_.size() < k_) {
-      heap_.push_back({dist, local_idx});
-      std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-    } else {
-      std::pop_heap(heap_.begin(), heap_.end(), heap_cmp);
-      heap_.back() = {dist, local_idx};
-      std::push_heap(heap_.begin(), heap_.end(), heap_cmp);
-    }
-  }
-
-  /// Ascending (distance, local index) pairs.
-  std::vector<KernelHit> sorted() {
-    std::sort_heap(heap_.begin(), heap_.end(), heap_cmp);
-    return heap_;
-  }
-
- private:
-  static bool heap_cmp(const KernelHit& a, const KernelHit& b) {
-    if (a.dist != b.dist) return a.dist < b.dist;
-    return a.id < b.id;
-  }
-  bool less(std::uint32_t dist, std::uint32_t idx, const KernelHit& h) const {
-    if (dist != h.dist) return dist < h.dist;
-    return idx < h.id;
-  }
-
-  std::uint32_t k_;
-  std::vector<KernelHit> heap_;  // .id holds the local point index until ids
-                                 // are resolved at task end
-};
-
 template <bool kFunctional>
 void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
   const std::size_t dim = args.dim;
@@ -144,18 +149,21 @@ void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
       dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
       (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
   check_wram_budget(ctx.config(), wram);
-  std::vector<std::int16_t> query = wram_buffer<kFunctional, std::int16_t>(dim);
-  std::vector<std::int16_t> centroid = wram_buffer<kFunctional, std::int16_t>(dim);
+  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
+  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
+  auto keys = wram_buffer<kFunctional, std::uint64_t>(args.nprobe);
+  auto row = wram_buffer<kFunctional, KernelHit>(args.nprobe);
 
   ctx.set_phase(Phase::CL);
   const std::uint64_t cnt = args.centroid_count;
   for (std::uint32_t q = 0; q < args.num_queries; ++q) {
-    dma_read<kFunctional>(ctx, args.queries_offset + q * dim * 2, query.data(), dim * 2);
-    WramTopK topk(kFunctional ? args.nprobe : 0);
+    const std::int16_t* query = as_i16(dma_read_view<kFunctional>(
+        ctx, args.queries_offset + q * dim * 2, query_buf.data(), dim * 2));
+    BoundedTopK topk(keys.data(), kFunctional ? args.nprobe : 0);
     for (std::uint32_t c = 0; c < args.centroid_count; ++c) {
       const std::uint32_t global = args.centroid_begin + c;
-      dma_read<kFunctional>(ctx, args.centroids_offset + global * dim * 2,
-                            centroid.data(), dim * 2);
+      const std::int16_t* centroid = as_i16(dma_read_view<kFunctional>(
+          ctx, args.centroids_offset + global * dim * 2, centroid_buf.data(), dim * 2));
       if constexpr (kFunctional) {
         std::uint32_t dist = 0;
         for (std::size_t d = 0; d < dim; ++d) {
@@ -171,13 +179,9 @@ void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
     charge_square_stream(ctx, args.use_square_lut, cnt * dim);
     ctx.charge_adds(cnt * 2 * dim);
     ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, cnt, args.nprobe));
-    std::vector<KernelHit> hits;
-    if constexpr (kFunctional) {
-      hits = topk.sorted();
-      hits.resize(args.nprobe, KernelHit{});
-    }
+    if constexpr (kFunctional) topk.sorted_into(row);
     dma_write<kFunctional>(ctx, args.output_offset + q * args.nprobe * sizeof(KernelHit),
-                           hits.data(), args.nprobe * sizeof(KernelHit));
+                           row.data(), args.nprobe * sizeof(KernelHit));
   }
 }
 
@@ -212,12 +216,14 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
   check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-  auto query = wram_buffer<kFunctional, std::int16_t>(dim);
-  auto centroid = wram_buffer<kFunctional, std::int16_t>(dim);
+  // The MRAM operands are read in place where they lie in one page (see
+  // dma_read_view); these buffers catch the page-straddling reads.
+  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
+  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
   auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
       std::max<std::size_t>(full_width, 1) * m * cb);
-  auto cb_slice = wram_buffer<kFunctional, std::int16_t>(cb * dsub);  // one book
-  auto code_block = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
+  auto cb_slice = wram_buffer<kFunctional, std::uint8_t>(cb * dsub * 2);  // one book
+  auto code_buf = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
   auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
   auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
   // One code block's distances for one member (the packed q4 codes are
@@ -228,7 +234,11 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       kFunctional ? kMaxDmaBytes / std::max<std::uint32_t>(
                                        1, args.has_q4 ? args.code_size_q4 : args.code_size)
                   : 0);
-  std::vector<WramTopK> heaps;  // one k-entry heap per group member
+  // One k-entry top-k per member of the widest group, and one result row.
+  const std::size_t heap_width = std::max<std::size_t>(std::max(full_width, q4_width), 1);
+  auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
+  std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
+  auto row = wram_buffer<kFunctional, KernelHit>(args.k);
 
   // The task list (and, with a plan, the fused-group descriptor table)
   // arrives by DMA: the host ships the plan; the kernel never re-derives it.
@@ -251,13 +261,14 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     // each member reads its own query, forms its residual, and builds its
     // own LUT slab row with exactly the per-task charges. ----
     ctx.set_phase(Phase::RC);
-    dma_read<kFunctional>(ctx, args.centroids_offset + shard.cluster * dim * 2,
-                          centroid.data(), dim * 2);
+    const std::int16_t* centroid = as_i16(dma_read_view<kFunctional>(
+        ctx, args.centroids_offset + shard.cluster * dim * 2, centroid_buf.data(), dim * 2));
     for (std::size_t g = 0; g < width; ++g) {
       const KernelTask& task = tasks[members[g]];
       ctx.set_phase(Phase::RC);
-      dma_read<kFunctional>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
-                            query.data(), dim * 2);
+      const std::int16_t* query = as_i16(dma_read_view<kFunctional>(
+          ctx, args.queries_offset + task_query_slot(task) * dim * 2, query_buf.data(),
+          dim * 2));
       // The table builders below form the residual one subvector at a
       // time; its cost is billed here, in its own phase.
       ctx.charge_adds(dim);
@@ -279,16 +290,15 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       const std::size_t entries = q4 ? cb4 : cb;
       const std::size_t books = q4 ? args.codebooks_q4_offset : args.codebooks_offset;
       for (std::size_t sub = 0; sub < m; ++sub) {
-        mram_read_chunked<kFunctional>(ctx, books + sub * entries * dsub * 2,
-                                       cb_slice.data(), entries * dsub * 2);
+        const std::int16_t* book = as_i16(mram_read_chunked<kFunctional>(
+            ctx, books + sub * entries * dsub * 2, cb_slice.data(), entries * dsub * 2));
         if constexpr (kFunctional) {
-          const std::int16_t* q = query.data() + sub * dsub;
-          const std::int16_t* c = centroid.data() + sub * dsub;
+          const std::int16_t* q = query + sub * dsub;
+          const std::int16_t* c = centroid + sub * dsub;
           if (q4) {
-            q4_lut_row(q, c, cb_slice.data(), dsub, cb4, shift, lut4.data() + sub * cb4);
+            q4_lut_row(q, c, book, dsub, cb4, shift, lut4.data() + sub * cb4);
           } else {
-            kernels().adc_lut_u32(q, c, cb_slice.data(), 1, dsub, cb,
-                                  lut.data() + (g * m + sub) * cb);
+            kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut.data() + (g * m + sub) * cb);
           }
         }
         // Cost per dimension of each entry: one subtract, one square (square-
@@ -322,15 +332,17 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     const std::uint32_t kk =
         std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
     if constexpr (kFunctional) {
-      heaps.clear();
-      for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
+      for (std::size_t g = 0; g < width; ++g) {
+        heaps[g] = BoundedTopK(heap_keys.data() + g * args.k, kk);
+      }
     }
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
     const std::size_t lookups = q4 ? pairs : m;
     ctx.set_phase(Phase::DC);
     for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
                                                     std::size_t block_bytes) {
-      dma_read<kFunctional>(ctx, codes_base + block_off, code_block.data(), block_bytes);
+      const std::uint8_t* code_block = dma_read_view<kFunctional>(
+          ctx, codes_base + block_off, code_buf.data(), block_bytes);
       const std::size_t points_in_block = block_bytes / code_size;
       if constexpr (kFunctional) {
         const auto first = static_cast<std::uint32_t>(block_off / code_size);
@@ -338,7 +350,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
         for (std::size_t g = 0; g < width; ++g) {
           kernels().adc_scan_u32(q4 ? pair_lut.data() + g * pairs * 256
                                     : lut.data() + g * m * cb,
-                                 q4 ? 256 : cb, lookups, code_block.data(), code_size,
+                                 q4 ? 256 : cb, lookups, code_block, code_size,
                                  !q4 && args.wide_codes, points_in_block, dists.data());
           // Tombstoned entries are skipped before the top-k push: a dead
           // point can never evict a live candidate, so the surviving
@@ -375,24 +387,20 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       // tasks skip the id reads and emit LOCAL shard indices — the host
       // rerank resolves ids while it re-scores the candidates exactly.
       ctx.set_phase(Phase::AUX);
-      std::vector<KernelHit> hits;
-      if constexpr (kFunctional) hits = heaps[g].sorted();
+      std::size_t winners = std::min<std::size_t>(args.k, shard_live_points(shard));
+      if constexpr (kFunctional) winners = heaps[g].sorted_into(row);  // sentinel-padded
       if (!q4) {
-        const std::size_t winners =
-            kFunctional ? hits.size()
-                        : std::min<std::size_t>(args.k, shard_live_points(shard));
         for (std::size_t h = 0; h < winners; ++h) {
           std::uint32_t id = 0;
-          if constexpr (kFunctional) id = hits[h].id;
+          if constexpr (kFunctional) id = row[h].id;
           dma_read<kFunctional>(ctx, shard.ids_offset + id * sizeof(std::uint32_t), &id,
                                 sizeof(std::uint32_t));
-          if constexpr (kFunctional) hits[h].id = id;
+          if constexpr (kFunctional) row[h].id = id;
         }
       }
-      if constexpr (kFunctional) hits.resize(args.k, KernelHit{});
       dma_write<kFunctional>(
           ctx, args.output_offset + std::size_t{members[g]} * args.k * sizeof(KernelHit),
-          hits.data(), args.k * sizeof(KernelHit));
+          row.data(), args.k * sizeof(KernelHit));
     }
   };
 

@@ -94,6 +94,53 @@ struct KernelHit {
   std::uint32_t id = 0xFFFFFFFFu;
 };
 
+/// Bounded top-k over (dist, idx) in the kernels' ascending total order,
+/// shared by the DPU kernels and the host-exact replay. Entries are kept as
+/// sorted 64-bit keys dist << 32 | idx (one compare orders them exactly like
+/// (dist, idx)) in caller-provided storage for k keys. The kept set is the k
+/// smallest entries under a total order, so it matches any other exact
+/// selection bit for bit; a sorted array beats a heap here because the first
+/// k pushes are most of the accepted ones and a full array rejects a point
+/// with one compare. It bills nothing: the kernels charge TS maintenance in
+/// bulk (the amortized Eq. 15 shape).
+class BoundedTopK {
+ public:
+  BoundedTopK() = default;
+  BoundedTopK(std::uint64_t* storage, std::uint32_t k) : keys_(storage), k_(k) {}
+
+  void push(std::uint32_t dist, std::uint32_t idx) {
+    const std::uint64_t key = std::uint64_t{dist} << 32 | idx;
+    std::uint32_t i = n_;
+    if (n_ == k_) {
+      if (k_ == 0 || key >= keys_[k_ - 1]) return;
+      i = k_ - 1;  // the current worst falls out
+    } else {
+      ++n_;
+    }
+    for (; i > 0 && key < keys_[i - 1]; --i) keys_[i] = keys_[i - 1];
+    keys_[i] = key;
+  }
+
+  /// Ascending (dist, idx) into `out`, sentinel-padding the tail; empties
+  /// the selection and returns how many entries it held (at most
+  /// out.size() are written). `out` may be any size.
+  std::size_t sorted_into(std::span<KernelHit> out) {
+    const std::size_t n = std::min<std::size_t>(n_, out.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = {static_cast<std::uint32_t>(keys_[i] >> 32),
+                static_cast<std::uint32_t>(keys_[i])};
+    }
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), KernelHit{});
+    n_ = 0;
+    return n;
+  }
+
+ private:
+  std::uint64_t* keys_ = nullptr;
+  std::uint32_t n_ = 0;
+  std::uint32_t k_ = 0;
+};
+
 /// Static geometry + offsets shared by all tasks of a launch.
 struct SearchKernelArgs {
   // Index geometry.

@@ -67,6 +67,19 @@ class Mram {
   void write(std::size_t offset, std::span<const std::uint8_t> src);
   void read(std::size_t offset, std::span<std::uint8_t> dst) const;
 
+  /// The bytes [offset, offset + size) in place, or null unless the range
+  /// lies in capacity and inside one written page (an unwritten page reads
+  /// as zeros, which only read() materializes). Valid until the next write() or reset().
+  const std::uint8_t* view(std::size_t offset, std::size_t size) const {
+    const std::size_t page = offset / kPageBytes;
+    const std::size_t in_page = offset % kPageBytes;
+    if (!in_range(offset, size) || size > kPageBytes - in_page ||
+        page >= pages_.size() || !pages_[page]) {
+      return nullptr;
+    }
+    return pages_[page].get() + in_page;
+  }
+
   /// Host memory currently backing this MRAM: materialized pages times
   /// kPageBytes.
   std::size_t resident_bytes() const;
@@ -112,6 +125,21 @@ class DpuContext {
   // ---- MRAM DMA (the only way kernels may touch MRAM, as on real UPMEM) ----
   /// DMA MRAM -> WRAM buffer.
   void mram_read(std::size_t mram_offset, std::span<std::uint8_t> dst);
+  /// mram_read without the copy where it can: bills exactly what
+  /// mram_read of `bytes` bills, and returns the bytes in place (Mram::view)
+  /// when they lie inside one written page, else copies them into
+  /// `fallback` (>= bytes long) and returns it. The kernel must not write
+  /// MRAM while it holds the pointer.
+  const std::uint8_t* mram_read_view(std::size_t mram_offset, std::size_t bytes,
+                                     std::uint8_t* fallback) {
+    const std::uint8_t* p = mram_.view(mram_offset, bytes);
+    if (p == nullptr) {
+      mram_read(mram_offset, {fallback, bytes});
+      return fallback;
+    }
+    charge_mram_read(bytes);
+    return p;
+  }
   /// DMA WRAM buffer -> MRAM.
   void mram_write(std::size_t mram_offset, std::span<const std::uint8_t> src);
 

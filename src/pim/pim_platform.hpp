@@ -63,9 +63,10 @@ class PimPlatform {
   virtual bool functional() const = 0;
 
   // ---- host -> DPU data movement (accumulates into the next batch's
-  //      transfer_in time) ----
+  //      transfer_in time, or the current one's inside its kernel body) ----
   /// Copy (or, analytically, bill) bytes into one DPU's MRAM at `offset`.
-  /// Thread-safe for distinct DPUs, so staging loops may run in parallel_for.
+  /// Thread-safe for distinct DPUs, so staging may run in parallel_for or
+  /// inside run_batch's kernel body for that DPU.
   virtual void push(std::size_t dpu_id, std::size_t offset,
                     std::span<const std::uint8_t> data) = 0;
   /// Same bytes to every DPU at one offset; transmitted once over the link.
@@ -81,6 +82,7 @@ class PimPlatform {
   /// Copy bytes back from one DPU's MRAM. On a non-functional platform the
   /// destination buffer is left untouched (billing only) — callers must fill
   /// it themselves before relying on its contents. Thread-safe like push().
+  /// Billed as transfer_out only inside run_batch (kernel body or collect).
   virtual void pull(std::size_t dpu_id, std::size_t offset,
                     std::span<std::uint8_t> out) = 0;
 
@@ -96,10 +98,15 @@ class PimPlatform {
   /// reload's drain_pending_transfer() figure (see DESIGN.md §14).
   virtual void reset_memory() = 0;
 
-  /// Run `kernel(dpu_id, ctx)` on every DPU behind one barrier. Counters are
-  /// reset first; pending pushed bytes are billed as transfer_in and bytes
-  /// pulled during `collect` as transfer_out. Kernels execute concurrently
-  /// across host threads and must not share mutable state between DPUs.
+  /// Run `kernel(dpu_id, ctx)` on every DPU behind one barrier, then
+  /// `collect` on the calling thread. Each DPU's counters are reset before
+  /// its kernel. Bytes pushed before the launch or inside a kernel body are
+  /// billed as this batch's transfer_in; bytes pulled inside a kernel body
+  /// or during `collect` as its transfer_out. A kernel body may push to and
+  /// pull from its own DPU, so one fan-out can stage, run and collect a DPU.
+  /// If a kernel or `collect` throws, nothing stays pending for the next
+  /// batch. Kernels execute concurrently across host threads and must not
+  /// share mutable state between DPUs.
   virtual BatchResult run_batch(
       const std::function<void(std::size_t, DpuContext&)>& kernel,
       const std::function<void()>& collect = nullptr) = 0;

@@ -1,6 +1,7 @@
 #include "pim/pim_system.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 
 #include "common/parallel.hpp"
@@ -40,9 +41,29 @@ double DpuArrayPlatform::drain_pending_transfer() {
 BatchResult DpuArrayPlatform::run_batch(
     const std::function<void(std::size_t, DpuContext&)>& kernel,
     const std::function<void()>& collect) {
+  // Pulls during the kernel bodies and `collect` are billed to this batch.
+  // The guard clears the flag and the pull tally on every exit and, when a
+  // kernel or `collect` throws, the push tally too, so a failed launch
+  // leaves no bytes pending for the next batch. (Pushes made in `collect`
+  // of a launch that succeeds still bill the next batch.)
+  struct BillingScope {
+    DpuArrayPlatform& p;
+    const int unwinding = std::uncaught_exceptions();
+    explicit BillingScope(DpuArrayPlatform& platform) : p(platform) {
+      p.pending_out_bytes_.store(0, std::memory_order_relaxed);
+      p.collecting_ = true;
+    }
+    ~BillingScope() {
+      p.collecting_ = false;
+      p.pending_out_bytes_.store(0, std::memory_order_relaxed);
+      if (std::uncaught_exceptions() > unwinding) {
+        p.pending_in_bytes_.store(0, std::memory_order_relaxed);
+      }
+    }
+  } scope(*this);
+
   BatchResult result;
   result.launch_overhead_seconds = config_.launch_overhead_sec;
-  result.transfer_in_seconds = drain_pending_transfer();
 
   // Per-DPU kernel runs are data-independent: each Dpu owns its MRAM and
   // counters, and per_dpu_seconds slots are distinct. Cycle counts are
@@ -59,17 +80,14 @@ BatchResult DpuArrayPlatform::run_batch(
                            ? 0.0
                            : *std::max_element(result.per_dpu_seconds.begin(),
                                                result.per_dpu_seconds.end());
+  // Drained after the fan-out: bytes pushed before the launch and inside the
+  // kernel bodies both count as this batch's transfer_in.
+  result.transfer_in_seconds = drain_pending_transfer();
 
-  if (collect) {
-    collecting_ = true;
-    pending_out_bytes_.store(0, std::memory_order_relaxed);
-    collect();
-    collecting_ = false;
-    result.transfer_out_seconds =
-        static_cast<double>(pending_out_bytes_.load(std::memory_order_relaxed)) /
-        config_.host_link_bytes_per_sec;
-    pending_out_bytes_.store(0, std::memory_order_relaxed);
-  }
+  if (collect) collect();
+  result.transfer_out_seconds =
+      static_cast<double>(pending_out_bytes_.load(std::memory_order_relaxed)) /
+      config_.host_link_bytes_per_sec;
   return result;
 }
 

@@ -71,7 +71,9 @@ class DpuArrayPlatform : public PimPlatform {
   // loops can push/pull concurrently. Summation order cannot change the
   // total, so billed seconds stay bit-identical to a serial run.
   std::atomic<std::uint64_t> pending_in_bytes_{0};   // host->DPU since last batch
-  std::atomic<std::uint64_t> pending_out_bytes_{0};  // DPU->host during collect
+  std::atomic<std::uint64_t> pending_out_bytes_{0};  // DPU->host inside run_batch
+  // True while run_batch runs its kernel bodies and collect: only pulls made
+  // then are billed. Written by the launching thread outside the fan-out.
   bool collecting_ = false;
 };
 

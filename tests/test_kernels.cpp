@@ -243,7 +243,10 @@ TEST(Kernel, EmptyTaskListIsNoop) {
 /// A random MRAM world: dim 128, m 16, `cb` entries (cb > 256 stores wide
 /// uint16 codes), the 4-bit rung with per-shard shifts, a shard with
 /// tombstones and a nonzero cluster offset, several queries, and a
-/// width-4 fusion plan over a mixed-rung task list.
+/// width-4 fusion plan over a mixed-rung task list. With `straddle`, every
+/// region starts just before a 64 KiB MRAM page boundary, so the first
+/// query, centroid, code block and codebook slice of each region cross a
+/// page and the kernel must copy them instead of reading them in place.
 struct SeamWorld {
   static constexpr std::size_t kDim = 128;
   static constexpr std::size_t kM = 16;
@@ -270,7 +273,13 @@ struct SeamWorld {
   std::vector<FusedTaskGroup> plan;
 
   /// Operands are drawn from [-max_abs, max_abs].
-  SeamWorld(std::size_t cb_entries, int max_abs, std::uint32_t seed) : cb(cb_entries) {
+  /// Bytes of a straddling region ahead of its page boundary: a codebook's
+  /// first slice reads its first DMA chunk in place and copies the second.
+  static constexpr std::size_t kBookLead = kMaxDmaBytes + 24;
+  static constexpr std::size_t kLead = 24;
+
+  SeamWorld(std::size_t cb_entries, int max_abs, std::uint32_t seed, bool straddle = false)
+      : cb(cb_entries) {
     std::mt19937 rng(seed);
     std::uniform_int_distribution<int> val(-max_abs, max_abs);
     const auto fill = [&](std::vector<std::int16_t>& v, std::size_t n) {
@@ -287,7 +296,13 @@ struct SeamWorld {
     cfg.wram_bytes = 1u << 20;  // a width-4 slab at cb 512 exceeds 64 KB
     dpu = std::make_unique<Dpu>(cfg);
     Mram& mram = dpu->mram();
-    const auto put = [&](const void* src, std::size_t bytes) {
+    const auto put = [&](const void* src, std::size_t bytes, std::size_t lead = kLead) {
+      if (straddle) {
+        const std::size_t page = Mram::kPageBytes;
+        std::size_t start = (mram.used() / page + 1) * page - lead;
+        if (start < mram.used()) start += page;
+        mram.alloc(start - mram.used());
+      }
       const std::size_t off = mram.alloc(bytes);
       mram.write(off, {static_cast<const std::uint8_t*>(src), bytes});
       return off;
@@ -302,13 +317,13 @@ struct SeamWorld {
     args.k = 10;
     args.sq_lut_max_abs = 64;
     args.sq_lut_offset = put(sq.raw().data(), sq.size_bytes());
-    args.codebooks_offset = put(books.data(), books.size() * 2);
+    args.codebooks_offset = put(books.data(), books.size() * 2, kBookLead);
     args.centroids_offset = put(centroids.data(), centroids.size() * 2);
     args.queries_offset = put(queries.data(), queries.size() * 2);
     args.has_q4 = true;
     args.cb4 = kCb4;
     args.code_size_q4 = (kM + 1) / 2;
-    args.codebooks_q4_offset = put(books4.data(), books4.size() * 2);
+    args.codebooks_q4_offset = put(books4.data(), books4.size() * 2, kBookLead);
 
     // (size, cluster, begin, tombstoned): one shard spans several code
     // blocks with a partial last block, one is shorter than k.
@@ -483,6 +498,35 @@ TEST(KernelSeam, WideCodesFullRangeOperandsMatchOracleAtBothSimdLevels) {
   // Full int16 operands: squares wrap uint32 and tables take the int32 path.
   SeamWorld world(512, 32767, 43);
   check_seam_world(world);
+}
+
+TEST(KernelSeam, PageStraddlingReadsMatchOracleAndChargeTwin) {
+  // In-place MRAM reads fall back to a copy when a range crosses a page.
+  // Rows must still match the oracle row for row, and every per-phase
+  // counter must equal the charge-only twin's and an unstraddled world's:
+  // where the bytes lie never changes what a read bills.
+  for (const std::size_t cb : {std::size_t{256}, std::size_t{512}}) {
+    SCOPED_TRACE(cb);
+    SeamWorld world(cb, 3000, 47, /*straddle=*/true);
+    const Mram& mram = world.dpu->mram();
+    const ShardRegion& sh = world.shards[0];
+    const std::size_t block = kMaxDmaBytes / world.args.code_size * world.args.code_size;
+    ASSERT_EQ(mram.view(sh.codes_offset, block), nullptr);  // first block straddles
+    ASSERT_NE(mram.view(sh.codes_offset + block, block), nullptr);
+    ASSERT_EQ(mram.view(world.args.codebooks_offset, cb * SeamWorld::kDsub * 2), nullptr);
+    ASSERT_NE(mram.view(world.args.codebooks_offset, kMaxDmaBytes), nullptr);
+
+    const auto straddled = world.run(SimdLevel::kScalar);
+    expect_same_rows(straddled.rows, world.oracle(), "straddled vs oracle");
+
+    world.dpu->reset_counters();
+    DpuContext ctx = world.dpu->context();
+    charge_fused_search_kernel(ctx, world.args, world.shards, world.tasks, world.plan);
+    expect_same_counters(straddled.counters, world.dpu->counters());
+
+    SeamWorld flat(cb, 3000, 47);
+    expect_same_counters(straddled.counters, flat.run(SimdLevel::kScalar).counters);
+  }
 }
 
 TEST(KernelSeam, OracleSeesLiveQ4AndTombstonedRows) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <vector>
+
 #include "pim/dpu.hpp"
 #include "pim/energy_model.hpp"
 #include "pim/pim_system.hpp"
@@ -288,6 +293,180 @@ TEST(PimSystem, CountersResetBetweenBatches) {
     ctx.charge_adds(1);
   });
   EXPECT_EQ(sys.dpu(0).counters().at(Phase::LC).instr_cycles, 1u);
+}
+
+// ---- transfers made inside a launch ----
+// The engine stages each DPU's queries and pulls its results inside the
+// kernel body of run_batch, so those bytes must bill to that batch exactly
+// as bytes pushed before the launch and pulled in `collect` do.
+
+TEST(PimSystem, PushesInsideKernelBodyBillTransferIn) {
+  PimConfig cfg = small_config(2);
+  cfg.host_link_bytes_per_sec = 1000.0;
+  PimSystem sys(cfg);
+  const std::size_t off = sys.alloc_symmetric(512);
+  const std::vector<std::uint8_t> data(100, 3);
+  sys.push(0, off, data);  // before the launch: 100 bytes
+  const BatchResult r = sys.run_batch(
+      [&](std::size_t d, DpuContext&) { sys.push(d, off, data); });  // 2 x 100 bytes
+  EXPECT_NEAR(r.transfer_in_seconds, 0.3, 1e-12);
+  std::uint8_t got = 0;
+  sys.dpu(1).mram().read(off, {&got, 1});
+  EXPECT_EQ(got, 3);
+  // Nothing leaks into the next batch, except a push made during `collect`,
+  // which bills the next batch as it always has.
+  sys.run_batch([](std::size_t, DpuContext&) {}, [&]() { sys.push(0, off, data); });
+  EXPECT_NEAR(sys.run_batch([](std::size_t, DpuContext&) {}).transfer_in_seconds, 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(sys.run_batch([](std::size_t, DpuContext&) {}).transfer_in_seconds, 0.0);
+}
+
+TEST(PimSystem, PullsInsideKernelBodyBillTransferOut) {
+  PimConfig cfg = small_config(2);
+  cfg.host_link_bytes_per_sec = 1000.0;
+  PimSystem sys(cfg);
+  const std::size_t off = sys.alloc_symmetric(256);
+  std::vector<std::vector<std::uint8_t>> rows(2, std::vector<std::uint8_t>(125));
+  std::vector<std::uint8_t> tail(50);
+  const BatchResult r = sys.run_batch(
+      [&](std::size_t d, DpuContext&) { sys.pull(d, off, rows[d]); },  // 2 x 125 bytes
+      [&]() { sys.pull(0, off, tail); });                             // + 50 bytes
+  EXPECT_NEAR(r.transfer_out_seconds, 0.3, 1e-12);
+}
+
+TEST(PimSystem, PullsOutsideRunBatchAreNotBilled) {
+  PimConfig cfg = small_config(2);
+  cfg.host_link_bytes_per_sec = 1000.0;
+  PimSystem sys(cfg);
+  const std::size_t off = sys.alloc_symmetric(256);
+  std::vector<std::uint8_t> out(200);
+  sys.pull(0, off, out);
+  const BatchResult r = sys.run_batch([](std::size_t, DpuContext&) {});
+  EXPECT_DOUBLE_EQ(r.transfer_out_seconds, 0.0);
+  sys.pull(1, off, out);
+  EXPECT_DOUBLE_EQ(sys.run_batch([](std::size_t, DpuContext&) {}).transfer_out_seconds, 0.0);
+}
+
+/// A DpuArrayPlatform that moves no bytes and exposes the batch billing
+/// state, so a test can see what a failed launch leaves behind.
+class BillingProbe final : public DpuArrayPlatform {
+ public:
+  using DpuArrayPlatform::DpuArrayPlatform;
+  std::string name() const override { return "probe"; }
+  bool functional() const override { return false; }
+  void push(std::size_t, std::size_t, std::span<const std::uint8_t> data) override {
+    pending_in_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
+  }
+  void broadcast(std::size_t, std::span<const std::uint8_t> data) override {
+    pending_in_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
+  }
+  void pull(std::size_t, std::size_t, std::span<std::uint8_t> out) override {
+    if (collecting_) pending_out_bytes_.fetch_add(out.size(), std::memory_order_relaxed);
+  }
+  bool collecting() const { return collecting_; }
+  std::uint64_t pending_out() const { return pending_out_bytes_.load(); }
+};
+
+TEST(PimSystem, ThrowingKernelLeavesNothingPending) {
+  BillingProbe probe(small_config(4));
+  std::vector<std::uint8_t> bytes(64);
+  probe.push(0, 0, bytes);
+  EXPECT_THROW(probe.run_batch([&](std::size_t d, DpuContext&) {
+                 probe.push(d, 0, bytes);
+                 probe.pull(d, 0, bytes);
+                 if (d == 2) throw std::runtime_error("kernel failure");
+               }),
+               std::runtime_error);
+  EXPECT_FALSE(probe.collecting());
+  EXPECT_EQ(probe.pending_out(), 0u);
+  EXPECT_DOUBLE_EQ(probe.drain_pending_transfer(), 0.0);
+  // A pull after the failed launch is outside any batch: unbilled.
+  probe.pull(0, 0, bytes);
+  EXPECT_EQ(probe.pending_out(), 0u);
+  // A collect that throws leaves nothing pending either.
+  EXPECT_THROW(probe.run_batch([](std::size_t, DpuContext&) {},
+                               [&]() {
+                                 probe.push(1, 0, bytes);
+                                 probe.pull(1, 0, bytes);
+                                 throw std::runtime_error("collect failure");
+                               }),
+               std::runtime_error);
+  EXPECT_FALSE(probe.collecting());
+  EXPECT_EQ(probe.pending_out(), 0u);
+  EXPECT_DOUBLE_EQ(probe.drain_pending_transfer(), 0.0);
+
+  // The same on the functional platform, through its public surface.
+  PimSystem sys(small_config(4));
+  const std::size_t off = sys.alloc_symmetric(64);
+  sys.push(1, off, bytes);
+  EXPECT_THROW(sys.run_batch([&](std::size_t d, DpuContext&) {
+                 sys.push(d, off, bytes);
+                 if (d == 3) throw std::runtime_error("kernel failure");
+               }),
+               std::runtime_error);
+  EXPECT_DOUBLE_EQ(sys.drain_pending_transfer(), 0.0);
+  const BatchResult r = sys.run_batch([](std::size_t, DpuContext&) {});
+  EXPECT_DOUBLE_EQ(r.transfer_in_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(r.transfer_out_seconds, 0.0);
+}
+
+// ---- in-place MRAM reads ----
+
+TEST(Mram, ViewIsNullForUnwrittenPagesAndPageStraddles) {
+  constexpr std::size_t kPage = Mram::kPageBytes;
+  Mram m(4 * kPage);
+  EXPECT_EQ(m.view(0, 16), nullptr);  // nothing written yet
+  std::vector<std::uint8_t> bytes(64);
+  std::iota(bytes.begin(), bytes.end(), std::uint8_t{1});
+  const std::size_t off = kPage - 32;
+  m.write(off, bytes);  // the last 32 bytes of page 0, the first 32 of page 1
+  EXPECT_EQ(m.view(off, 64), nullptr);      // crosses the page boundary
+  EXPECT_EQ(m.view(off + 8, 32), nullptr);  // still crosses it
+  EXPECT_EQ(m.view(2 * kPage, 8), nullptr);  // page 2 never written
+  EXPECT_EQ(m.view(4 * kPage - 8, 16), nullptr);  // beyond capacity
+
+  // Inside one written page the view holds exactly what read() returns,
+  // written bytes and the page's zero fill alike.
+  const struct { std::size_t offset, size; } inside[] = {
+      {off, 32}, {kPage, 32}, {kPage + 8, 40}, {0, 64}, {kPage - 8, 8}};
+  for (const auto& r : inside) {
+    const std::uint8_t* v = m.view(r.offset, r.size);
+    ASSERT_NE(v, nullptr) << r.offset;
+    std::vector<std::uint8_t> copy(r.size);
+    m.read(r.offset, copy);
+    EXPECT_TRUE(std::equal(copy.begin(), copy.end(), v)) << r.offset;
+  }
+}
+
+TEST(DpuContext, MramReadViewBillsLikeMramRead) {
+  PimConfig cfg = small_config(1);
+  Dpu viewed(cfg), copied(cfg);
+  std::vector<std::uint8_t> bytes(256);
+  std::iota(bytes.begin(), bytes.end(), std::uint8_t{0});
+  const std::size_t off = Mram::kPageBytes - 100;  // straddles pages 0 and 1
+  viewed.mram().write(off, bytes);
+  copied.mram().write(off, bytes);
+
+  DpuContext vc = viewed.context();
+  DpuContext cc = copied.context();
+  vc.set_phase(Phase::DC);
+  cc.set_phase(Phase::DC);
+  std::vector<std::uint8_t> fallback(256, 0xEE), dst(256);
+  // In place (inside page 1), then across the boundary (copied).
+  const std::uint8_t* in_place = vc.mram_read_view(off + 100, 128, fallback.data());
+  EXPECT_NE(in_place, fallback.data());
+  EXPECT_TRUE(std::equal(bytes.begin() + 100, bytes.begin() + 228, in_place));
+  const std::uint8_t* straddle = vc.mram_read_view(off, 256, fallback.data());
+  EXPECT_EQ(straddle, fallback.data());
+  EXPECT_EQ(fallback, bytes);
+  cc.mram_read(off + 100, {dst.data(), 128});
+  cc.mram_read(off, dst);
+
+  const PhaseCounters& a = viewed.counters().at(Phase::DC);
+  const PhaseCounters& b = copied.counters().at(Phase::DC);
+  EXPECT_EQ(a.mram_bytes_read, b.mram_bytes_read);
+  EXPECT_EQ(a.mram_bytes_read, 384u);
+  EXPECT_DOUBLE_EQ(a.dma_cycles, b.dma_cycles);
+  EXPECT_EQ(a.instr_cycles, b.instr_cycles);
 }
 
 TEST(EnergyModel, DimmCountRoundsUp) {
