@@ -62,11 +62,17 @@ double run_row(const BenchData& bench, const BenchScale& scale, std::size_t nlis
     return total > 0 ? 100.0 * drim.stats.phase_dpu_seconds[static_cast<int>(p)] / total
                      : 0.0;
   };
-  std::printf("%6zu %7zu | %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% | %9.4f s "
+  // Share of the m x cb LUT a task builds: only the entries its shard's
+  // codes reference (DESIGN.md §17).
+  const double table = static_cast<double>(drim.stats.tasks) *
+                       static_cast<double>(index.pq().m() * index.pq().cb_entries());
+  const double lut_built =
+      table > 0 ? static_cast<double>(drim.stats.lut_entries_built) / table : 0.0;
+  std::printf("%6zu %7zu | %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% | %6.1f%% | %9.4f s "
               "| %9.4f s | %6.3f%%\n",
               nlist, nprobe, share(Phase::RC), share(Phase::LC), share(Phase::DC),
-              share(Phase::TS), share(Phase::AUX), total, derived_total,
-              100.0 * max_dev);
+              share(Phase::TS), share(Phase::AUX), 100.0 * lut_built, total,
+              derived_total, 100.0 * max_dev);
 
   char label[64];
   std::snprintf(label, sizeof(label), "nlist=%zu nprobe=%zu", nlist, nprobe);
@@ -76,16 +82,17 @@ double run_row(const BenchData& bench, const BenchScale& scale, std::size_t nlis
     report.add_metric("engine_" + name + "_s", drim.stats.phase_dpu_seconds[p]);
     report.add_metric("counter_" + name + "_s", derived[p]);
   }
+  report.add_metric("lut_built_fraction", lut_built);
   report.add_metric("max_phase_deviation", max_dev);
   report.add_metric("dpu_busy_seconds", drim.stats.dpu_busy_seconds);
   return max_dev;
 }
 
 void header() {
-  std::printf("%6s %7s | %7s %7s %7s %7s %7s | %10s | %10s | %7s\n", "nlist",
-              "nprobe", "RC", "LC", "DC", "TS", "AUX", "phase sum", "counters",
+  std::printf("%6s %7s | %7s %7s %7s %7s %7s | %7s | %10s | %10s | %7s\n", "nlist",
+              "nprobe", "RC", "LC", "DC", "TS", "AUX", "LUT", "phase sum", "counters",
               "max dev");
-  print_rule(88);
+  print_rule(98);
 }
 
 }  // namespace
@@ -107,6 +114,8 @@ int main(int argc, char** argv) {
   std::printf("host simulation threads: %zu (set DRIM_THREADS to change; "
               "simulated columns are thread-count invariant)\n",
               configure_host_threads(scale.threads));
+  std::printf("LUT: share of the m x cb ADC table a task builds (only the entries "
+              "its shard's codes reference)\n");
 
   BenchReport report("fig08_breakdown");
   report.set_config("mode", smoke ? std::string("smoke") : std::string("full"));

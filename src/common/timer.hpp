@@ -20,9 +20,6 @@ class WallTimer {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed.
-  double millis() const { return seconds() * 1e3; }
-
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;

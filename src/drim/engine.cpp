@@ -71,6 +71,10 @@ SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
   const double rc = static_cast<double>(dim) * (c.add + 3.0 * c.wram_access);
   const double lc_dma = static_cast<double>(m * cb * dsub * 2) * cfg.dma_cycles_per_byte;
   p.l_lut = static_cast<double>(m * cb) * per_entry + rc + lc_dma;
+  // A listed entry also loads its id.
+  p.l_lut_rc = rc;
+  p.l_lut_entry = per_entry + c.wram_access;
+  p.l_lut_dma = lc_dma;
   // DC per point: m LUT loads + (m-1) adds + streamed code bytes. The DMA
   // share is also recorded separately (l_dc_dma) so the fusion stage's
   // amortized pricing can subtract exactly the term fusion removes.
@@ -271,6 +275,22 @@ void DrimAnnEngine::load_static_data() {
   dpu_shard_ids_.resize(num_dpus);
   shard_slot_.assign(layout_->shards().size(), 0);
 
+  // One codeword list per (cluster, slice), shared by the slice's replicas
+  // and built by the DPU lane that places the slice's first replica.
+  codeword_lists_.clear();
+  shard_list_.assign(layout_->shards().size(), 0);
+  std::vector<std::uint8_t> builds_list(layout_->shards().size(), 0);
+  for (std::uint32_t c = 0; c < data_.nlist(); ++c) {
+    for (const auto& replicas : layout_->slice_groups(c)) {
+      if (replicas.empty()) continue;
+      for (const std::uint32_t id : replicas) {
+        shard_list_[id] = static_cast<std::uint32_t>(codeword_lists_.size());
+      }
+      builds_list[replicas.front()] = 1;
+      codeword_lists_.emplace_back();
+    }
+  }
+
   // Per-DPU uploads are independent (private MRAM allocators, disjoint
   // shard_slot_ entries — every shard lives on exactly one DPU), so the
   // whole index load fans out across host threads.
@@ -294,10 +314,17 @@ void DrimAnnEngine::load_static_data() {
         }
         region.live = live;
       }
+      const auto shard_codes =
+          codes.subspan(sh.begin * cs, static_cast<std::size_t>(region.size) * cs);
+      CodewordList& list = codeword_lists_[shard_list_[shard_id]];
+      if (builds_list[shard_id] != 0) {
+        list = build_codeword_list(shard_codes, data_.m(), data_.cb_entries(),
+                                   data_.wide_codes());
+      }
+      region.codewords = &list;
       region.codes_offset = pim_->alloc_on(d, region.size * cs);
       region.ids_offset = pim_->alloc_on(d, region.size * sizeof(std::uint32_t));
-      pim_->push(d, region.codes_offset,
-                 codes.subspan(sh.begin * cs, static_cast<std::size_t>(region.size) * cs));
+      pim_->push(d, region.codes_offset, shard_codes);
       pim_->push(d, region.ids_offset,
                  {reinterpret_cast<const std::uint8_t*>(ids.data() + sh.begin),
                   static_cast<std::size_t>(region.size) * sizeof(std::uint32_t)});
@@ -831,6 +858,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
   std::vector<std::vector<FusedTaskGroup>> dpu_groups(fuse_width > 1 ? num_dpus : 0);
   std::uint64_t dc_bytes_saved = 0;
+  std::uint64_t lut_entries = 0;
   std::size_t fused_groups = 0;
   std::size_t fused_tasks = 0;
 
@@ -863,6 +891,9 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
               ? kTaskQ4Bit
               : 0u;
       dpu_tasks[d].push_back({tl_dedup_slot[t.query] | rung_bit, shard_slot_[t.shard]});
+      if (rung_bit == 0) {
+        lut_entries += dpu_shard_regions_[d][shard_slot_[t.shard]].codewords->ids.size();
+      }
       dpu_task_query[d].push_back(t.query);
       if (!functional) {
         const Shard& sh = layout_->shard(t.shard);
@@ -1132,6 +1163,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   }
   st.tasks += step.tasks;
   st.dc_bytes_saved += dc_bytes_saved;
+  st.lut_entries_built += lut_entries;
   st.counters.add(pim_->aggregate_counters());
   ++st.batches;
   st.batch_seconds.push_back(step.step_seconds);
@@ -1201,19 +1233,24 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
   if (num_queries == 0) return 0.0;
   const SchedulerParams p = derive_scheduler_params(
       opts_.pim, data_.dim(), data_.m(), data_.cb_entries(), k, opts_.use_square_lut);
-  // Layout means: a (query, cluster) visit costs one task per slice group.
+  // Layout means: a (query, cluster) visit costs one task per slice group,
+  // and each task builds the LUT entries its slice's codeword list names.
   const std::size_t nlist = data_.nlist();
   double total_slices = 0.0;
   double total_points = 0.0;
+  double total_entries = 0.0;
   for (std::uint32_t c = 0; c < nlist; ++c) {
     const auto& groups = layout_->slice_groups(c);
     total_slices += static_cast<double>(groups.size());
     for (const auto& g : groups) {
-      if (!g.empty()) total_points += layout_->shard(g.front()).size();
+      if (g.empty()) continue;
+      total_points += layout_->shard(g.front()).size();
+      total_entries += static_cast<double>(codeword_lists_[shard_list_[g.front()]].ids.size());
     }
   }
   const double mean_slices = nlist > 0 ? total_slices / static_cast<double>(nlist) : 0.0;
   const double mean_points = total_slices > 0 ? total_points / total_slices : 0.0;
+  const double mean_entries = total_slices > 0 ? total_entries / total_slices : 0.0;
   const double tasks = static_cast<double>(num_queries) *
                        static_cast<double>(std::min<std::size_t>(nprobe, nlist)) *
                        mean_slices;
@@ -1231,7 +1268,8 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
                         static_cast<double>(std::min<std::size_t>(nprobe, nlist)) /
                         std::max(1.0, static_cast<double>(nlist))));
   const double cycles =
-      tasks * (p.l_lut + mean_points * (p.l_calu + p.l_sortu) -
+      tasks * (p.l_lut_rc + std::max(mean_entries * p.l_lut_entry, p.l_lut_dma) +
+               mean_points * (p.l_calu + p.l_sortu) -
                (1.0 - 1.0 / eff) * mean_points * p.l_dc_dma);
   const PimConfig& cfg = opts_.pim;
   const double dpu_s = cycles / static_cast<double>(cfg.num_dpus) /

@@ -122,6 +122,9 @@ struct DrimSearchStats {
   /// packed-code bytes (plus tombstone-flag bytes on deleted-from shards).
   /// Exactly 0 at fuse_width 1.
   std::uint64_t dc_bytes_saved = 0;
+  /// LUT entries the full-rung tasks built: each builds only the entries its
+  /// shard's codeword list names (at most m x cb; DESIGN.md §17).
+  std::uint64_t lut_entries_built = 0;
 
   double qps() const { return total_seconds > 0 ? queries / total_seconds : 0.0; }
 };
@@ -353,6 +356,12 @@ class DrimAnnEngine {
   /// (reported in every DrimSearchStats, never billed to a batch).
   double index_load_seconds() const { return index_load_seconds_; }
   const DataLayout& layout() const { return *layout_; }
+  /// The codewords layout shard `shard`'s codes reference: the LUT entries
+  /// its full-rung tasks build (one list per (cluster, slice), shared by
+  /// the slice's replicas; DESIGN.md §17).
+  const CodewordList& codeword_list(std::uint32_t shard) const {
+    return codeword_lists_[shard_list_[shard]];
+  }
   const PimPlatform& platform() const { return *pim_; }
   const SquareLut& square_lut() const { return sq_lut_; }
 
@@ -467,6 +476,10 @@ class DrimAnnEngine {
   std::vector<std::vector<ShardRegion>> dpu_shard_regions_;
   std::vector<std::vector<std::uint32_t>> dpu_shard_ids_;
   std::vector<std::uint32_t> shard_slot_;  // global shard id -> slot on its DPU
+  // One codeword list per (cluster, slice) of the current layout, rebuilt by
+  // every load_static_data; ShardRegion::codewords points into it.
+  std::vector<CodewordList> codeword_lists_;
+  std::vector<std::uint32_t> shard_list_;  // global shard id -> its list
 };
 
 }  // namespace drim

@@ -243,15 +243,6 @@ void host_search_task_into(const PimIndexData& data,
   scan(data, shard, false, dead, k, {&lane, 1}, s);
 }
 
-std::vector<KernelHit> host_search_task(const PimIndexData& data,
-                                        std::span<const std::int16_t> query,
-                                        const Shard& shard, std::uint32_t k,
-                                        const std::uint8_t* dead) {
-  std::vector<KernelHit> hits(k);
-  host_search_task_into(data, query, shard, k, hits, dead);
-  return hits;
-}
-
 void host_search_tasks_fused_into(const PimIndexData& data,
                                   std::span<const HostFusedTask> tasks,
                                   const Shard& shard, std::uint32_t k, bool q4,
@@ -401,16 +392,6 @@ void host_cl_candidates_into(const PimIndexData& data,
     topk.push(dist, global);
   }
   topk.sorted_into(out);
-}
-
-std::vector<KernelHit> host_cl_candidates(const PimIndexData& data,
-                                          std::span<const std::int16_t> query,
-                                          std::uint32_t centroid_begin,
-                                          std::uint32_t centroid_count,
-                                          std::uint32_t keep) {
-  std::vector<KernelHit> hits(keep);
-  host_cl_candidates_into(data, query, centroid_begin, centroid_count, keep, hits);
-  return hits;
 }
 
 }  // namespace drim

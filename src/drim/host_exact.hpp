@@ -34,12 +34,6 @@ void host_search_task_into(const PimIndexData& data,
                            std::uint32_t k, std::span<KernelHit> out,
                            const std::uint8_t* dead = nullptr);
 
-/// Allocating convenience wrapper around host_search_task_into().
-std::vector<KernelHit> host_search_task(const PimIndexData& data,
-                                        std::span<const std::int16_t> query,
-                                        const Shard& shard, std::uint32_t k,
-                                        const std::uint8_t* dead = nullptr);
-
 /// One member of a coalesced (cluster-major) host scan: a quantized query
 /// (dim int16 values) paired with its k-entry output row.
 struct HostFusedTask {
@@ -143,12 +137,5 @@ void host_cl_candidates_into(const PimIndexData& data,
                              std::uint32_t centroid_begin,
                              std::uint32_t centroid_count, std::uint32_t keep,
                              std::span<KernelHit> out);
-
-/// Allocating convenience wrapper around host_cl_candidates_into().
-std::vector<KernelHit> host_cl_candidates(const PimIndexData& data,
-                                          std::span<const std::int16_t> query,
-                                          std::uint32_t centroid_begin,
-                                          std::uint32_t centroid_count,
-                                          std::uint32_t keep);
 
 }  // namespace drim

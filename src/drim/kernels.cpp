@@ -5,6 +5,7 @@
 #include <new>
 #include <unordered_map>
 
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -97,6 +98,19 @@ const std::uint8_t* mram_read_chunked(DpuContext& ctx, std::size_t offset,
 inline const std::int16_t* as_i16(const std::uint8_t* p) {
   return p == nullptr ? nullptr : std::launder(reinterpret_cast<const std::int16_t*>(p));
 }
+
+/// Host storage of the functional search kernel's WRAM buffers and host-side
+/// rows, one set per host thread, reused across launches under the
+/// scratch_buffer rules so a simulated step allocates nothing per DPU.
+struct SearchScratch {
+  std::vector<std::uint8_t> query, centroid, cb_slice, code;
+  std::vector<std::uint32_t> lut, lut4, pair_lut, dists, listed_row;
+  std::vector<std::int16_t> gathered;
+  std::vector<std::uint64_t> heap_keys;
+  std::vector<BoundedTopK> heaps;
+  std::vector<KernelHit> row;
+};
+thread_local SearchScratch tl_search;
 
 /// A WRAM scratch buffer: `n` elements when functional, empty otherwise (the
 /// charge-only kernels bill the working set without materializing it).
@@ -216,29 +230,39 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
   check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-  // The MRAM operands are read in place where they lie in one page (see
-  // dma_read_view); these buffers catch the page-straddling reads.
-  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
-      std::max<std::size_t>(full_width, 1) * m * cb);
-  auto cb_slice = wram_buffer<kFunctional, std::uint8_t>(cb * dsub * 2);  // one book
-  auto code_buf = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
-  auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
-  auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
+  // Host storage of the WRAM buffers (per-thread, reused across launches;
+  // null when charge-only). The MRAM operands are read in place where they
+  // lie in one page (see dma_read_view); the query, centroid, codebook-slice
+  // and code buffers catch the page-straddling reads. The LUT slab is not
+  // cleared: a listed build writes every entry DC reads and no other.
+  SearchScratch& s = tl_search;
+  const auto buf = [](auto& v, std::size_t n) {
+    return kFunctional ? scratch_buffer(v, n) : nullptr;
+  };
+  std::uint8_t* query_buf = buf(s.query, dim * 2);
+  std::uint8_t* centroid_buf = buf(s.centroid, dim * 2);
+  std::uint32_t* lut = buf(s.lut, std::max<std::size_t>(full_width, 1) * m * cb);  // slab
+  std::uint8_t* cb_slice = buf(s.cb_slice, cb * dsub * 2);  // one book
+  std::uint8_t* code_buf = buf(s.code, kMaxDmaBytes);
+  std::uint32_t* lut4 = buf(s.lut4, q4_width > 0 ? m * cb4 : 0);
+  std::uint32_t* pair_lut = buf(s.pair_lut, q4_width * pairs * 256);
   // One code block's distances for one member (the packed q4 codes are
   // never wider than the full ones, so they fit the most per block).
   // Host-side only: the DPU accumulates each point in registers before its
   // top-k push, so this row is not part of the WRAM working set.
-  std::vector<std::uint32_t> dists(
-      kFunctional ? kMaxDmaBytes / std::max<std::uint32_t>(
-                                       1, args.has_q4 ? args.code_size_q4 : args.code_size)
-                  : 0);
+  std::uint32_t* dists = buf(s.dists, kMaxDmaBytes / std::max<std::uint32_t>(
+                                          1, args.has_q4 ? args.code_size_q4 : args.code_size));
   // One k-entry top-k per member of the widest group, and one result row.
   const std::size_t heap_width = std::max<std::size_t>(std::max(full_width, q4_width), 1);
-  auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
-  std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
-  auto row = wram_buffer<kFunctional, KernelHit>(args.k);
+  std::uint64_t* heap_keys = buf(s.heap_keys, heap_width * args.k);
+  BoundedTopK* heaps = buf(s.heaps, heap_width);
+  const std::span<KernelHit> row(buf(s.row, args.k), kFunctional ? args.k : 0);
+  // A listed LC build's gathered codewords and their entries (host-side:
+  // the DPU builds each listed entry from the slice in place), and the byte
+  // width of one listed id in MRAM: the code width.
+  std::int16_t* gathered = buf(s.gathered, cb * dsub);
+  std::uint32_t* listed_row = buf(s.listed_row, cb);
+  const std::size_t id_bytes = args.wide_codes ? 2 : 1;
 
   // The task list (and, with a plan, the fused-group descriptor table)
   // arrives by DMA: the host ships the plan; the kernel never re-derives it.
@@ -262,12 +286,22 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     // own LUT slab row with exactly the per-task charges. ----
     ctx.set_phase(Phase::RC);
     const std::int16_t* centroid = as_i16(dma_read_view<kFunctional>(
-        ctx, args.centroids_offset + shard.cluster * dim * 2, centroid_buf.data(), dim * 2));
+        ctx, args.centroids_offset + shard.cluster * dim * 2, centroid_buf, dim * 2));
+    // The full rung builds only the entries the shard's codeword list names
+    // (every entry without a list). The list's ids stream once per group,
+    // like the codes; as host-side catalog state they are billed, never
+    // moved. The codebook slices below stay dense DMAs: one 2 KB transfer
+    // is cheaper than a DMA per listed row.
+    const CodewordList* listed = q4 ? nullptr : shard.codewords;
+    if (listed != nullptr) {
+      ctx.set_phase(Phase::LC);
+      mram_read_chunked<false>(ctx, 0, nullptr, listed->ids.size() * id_bytes);
+    }
     for (std::size_t g = 0; g < width; ++g) {
       const KernelTask& task = tasks[members[g]];
       ctx.set_phase(Phase::RC);
       const std::int16_t* query = as_i16(dma_read_view<kFunctional>(
-          ctx, args.queries_offset + task_query_slot(task) * dim * 2, query_buf.data(),
+          ctx, args.queries_offset + task_query_slot(task) * dim * 2, query_buf,
           dim * 2));
       // The table builders below form the residual one subvector at a
       // time; its cost is billed here, in its own phase.
@@ -291,28 +325,40 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       const std::size_t books = q4 ? args.codebooks_q4_offset : args.codebooks_offset;
       for (std::size_t sub = 0; sub < m; ++sub) {
         const std::int16_t* book = as_i16(mram_read_chunked<kFunctional>(
-            ctx, books + sub * entries * dsub * 2, cb_slice.data(), entries * dsub * 2));
+            ctx, books + sub * entries * dsub * 2, cb_slice, entries * dsub * 2));
+        const std::span<const std::uint16_t> ids =
+            listed != nullptr ? listed->sub(sub) : std::span<const std::uint16_t>();
+        const std::size_t built = listed != nullptr ? ids.size() : entries;
         if constexpr (kFunctional) {
           const std::int16_t* q = query + sub * dsub;
           const std::int16_t* c = centroid + sub * dsub;
+          std::uint32_t* lut_row = lut + (g * m + sub) * cb;
           if (q4) {
-            q4_lut_row(q, c, book, dsub, cb4, shift, lut4.data() + sub * cb4);
+            q4_lut_row(q, c, book, dsub, cb4, shift, lut4 + sub * cb4);
+          } else if (listed != nullptr) {
+            // Gather the listed codewords, build their entries with the
+            // dense build's arithmetic, scatter them to their ids.
+            for (std::size_t i = 0; i < built; ++i) {
+              std::memcpy(gathered + i * dsub, book + ids[i] * dsub, dsub * 2);
+            }
+            kernels().adc_lut_u32(q, c, gathered, 1, dsub, built, listed_row);
+            for (std::size_t i = 0; i < built; ++i) lut_row[ids[i]] = listed_row[i];
           } else {
-            kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut.data() + (g * m + sub) * cb);
+            kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
           }
         }
         // Cost per dimension of each entry: one subtract, one square (square-
         // table lookup, or multiply in the ablation), one accumulate — the
         // paper's "M x 3 - 1 per subvector" accounting — plus one WRAM store
-        // per finished entry.
-        if (q4) ctx.charge_cycles(entries * dsub);  // per-component codeword shift
-        charge_square_stream(ctx, args.use_square_lut, entries * dsub);
-        ctx.charge_adds(entries * 2 * dsub);
-        ctx.charge_wram(entries);
+        // per finished entry and, for a listed entry, the load of its id.
+        if (q4) ctx.charge_cycles(built * dsub);  // per-component codeword shift
+        charge_square_stream(ctx, args.use_square_lut, built * dsub);
+        ctx.charge_adds(built * 2 * dsub);
+        ctx.charge_wram(listed != nullptr ? 2 * built : built);
       }
       if (q4) {
         if constexpr (kFunctional) {
-          q4_fold_pairs(lut4.data(), m, cb4, pair_lut.data() + g * pairs * 256);
+          q4_fold_pairs(lut4, m, cb4, pair_lut + g * pairs * 256);
         }
         ctx.charge_adds(pairs * 256);
         ctx.charge_wram(pairs * 256);
@@ -333,7 +379,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
         std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
     if constexpr (kFunctional) {
       for (std::size_t g = 0; g < width; ++g) {
-        heaps[g] = BoundedTopK(heap_keys.data() + g * args.k, kk);
+        heaps[g] = BoundedTopK(heap_keys + g * args.k, kk);
       }
     }
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
@@ -342,16 +388,15 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
                                                     std::size_t block_bytes) {
       const std::uint8_t* code_block = dma_read_view<kFunctional>(
-          ctx, codes_base + block_off, code_buf.data(), block_bytes);
+          ctx, codes_base + block_off, code_buf, block_bytes);
       const std::size_t points_in_block = block_bytes / code_size;
       if constexpr (kFunctional) {
         const auto first = static_cast<std::uint32_t>(block_off / code_size);
         const std::uint8_t* dead = shard.dead ? shard.dead + shard.begin + first : nullptr;
         for (std::size_t g = 0; g < width; ++g) {
-          kernels().adc_scan_u32(q4 ? pair_lut.data() + g * pairs * 256
-                                    : lut.data() + g * m * cb,
+          kernels().adc_scan_u32(q4 ? pair_lut + g * pairs * 256 : lut + g * m * cb,
                                  q4 ? 256 : cb, lookups, code_block, code_size,
-                                 !q4 && args.wide_codes, points_in_block, dists.data());
+                                 !q4 && args.wide_codes, points_in_block, dists);
           // Tombstoned entries are skipped before the top-k push: a dead
           // point can never evict a live candidate, so the surviving
           // (dist, id) stream equals a cold rebuild of the live set.
@@ -446,6 +491,37 @@ void q4_fold_pairs(const std::uint32_t* lut4, std::size_t m, std::size_t cb4,
   }
 }
 
+CodewordList build_codeword_list(std::span<const std::uint8_t> codes, std::size_t m,
+                                 std::size_t cb, bool wide) {
+  const std::size_t code_size = m * (wide ? 2 : 1);
+  const std::size_t points = code_size > 0 ? codes.size() / code_size : 0;
+  // Mark every (subquantizer, codeword) a point names, then list each
+  // subquantizer's marks in id order.
+  std::vector<std::uint8_t> used(m * cb, 0);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < points; ++i) {
+    const std::uint8_t* point = codes.data() + i * code_size;
+    for (std::size_t sub = 0; sub < m; ++sub) {
+      std::uint16_t e = point[sub];
+      if (wide) std::memcpy(&e, point + sub * 2, 2);
+      std::uint8_t& mark = used[sub * cb + e];
+      total += mark == 0;
+      mark = 1;
+    }
+  }
+  CodewordList list;
+  list.offsets.reserve(m + 1);
+  list.ids.reserve(total);
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
+    for (std::size_t e = 0; e < cb; ++e) {
+      if (used[sub * cb + e] != 0) list.ids.push_back(static_cast<std::uint16_t>(e));
+    }
+  }
+  list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
+  return list;
+}
+
 std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
                                              std::size_t fuse_width) {
   const std::size_t width = std::max<std::size_t>(fuse_width, 1);
@@ -487,7 +563,8 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   // one shared lut4 scratch plus a pair-LUT row per q4 member, and one
   // k-entry heap per member of the widest group. Everything else — query /
   // centroid / residual scratch, one codebook slice, ONE code block, the
-  // square table — is group-shared.
+  // square table — is group-shared. A listed LC build streams its codeword
+  // ids through the code-block buffer, which is idle until DC.
   const std::size_t heap_width =
       std::max<std::size_t>(std::max(full_width, q4_width), 1);
   std::size_t bytes = dim * 2 + dim * 2 + dim * 4 +

@@ -37,6 +37,24 @@ inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
   }
 }
 
+/// The codewords a shard's codes reference: one ascending id list per
+/// subquantizer. DC only ever reads the LUT entries its codes name, so the
+/// full-rung LC builds just these (DESIGN.md §17). Tombstoned points' codes
+/// stay listed, because DC still scans them.
+struct CodewordList {
+  std::vector<std::uint32_t> offsets;  ///< m + 1 bounds into ids
+  std::vector<std::uint16_t> ids;      ///< per subquantizer, ascending
+
+  std::span<const std::uint16_t> sub(std::size_t s) const {
+    return {ids.data() + offsets[s], offsets[s + 1] - offsets[s]};
+  }
+};
+
+/// The list of `codes`: packed m-code points, one byte per code, or two
+/// (uint16, host order) when `wide`. Entries are < cb.
+CodewordList build_codeword_list(std::span<const std::uint8_t> codes, std::size_t m,
+                                 std::size_t cb, bool wide);
+
 /// Where one shard's data lives in this DPU's MRAM, plus the shard's
 /// tombstone view for the current index snapshot. `dead` (host-side flags
 /// for the whole cluster, indexed by `begin + local point`) is null when the
@@ -53,6 +71,10 @@ struct ShardRegion {
   std::uint32_t begin = 0;     ///< shard's first position in the cluster list
   std::uint32_t live = 0;      ///< live points (== size when dead is null)
   const std::uint8_t* dead = nullptr;  ///< cluster tombstone flags, or null
+  /// The codewords this shard's codes reference, shared by every replica of
+  /// its (cluster, slice); null builds every entry. Host-side catalog state
+  /// like `dead`: its id stream is billed, never moved.
+  const CodewordList* codewords = nullptr;
 
   // Quantization-ladder fields (valid only when SearchKernelArgs::has_q4):
   // where the shard's packed 4-bit codes live, and the cluster's residual

@@ -110,7 +110,6 @@ class DpuContext {
     cur().instr_cycles += n * cfg_.costs.mul32;
     cur().mul_count += n;
   }
-  void charge_divs(std::uint64_t n) { cur().instr_cycles += n * cfg_.costs.div32; }
   void charge_cmps(std::uint64_t n) { cur().instr_cycles += n * cfg_.costs.cmp; }
   void charge_wram(std::uint64_t n) { cur().instr_cycles += n * cfg_.costs.wram_access; }
   void charge_lut_lookups(std::uint64_t n) {
@@ -156,18 +155,6 @@ class DpuContext {
     PhaseCounters& c = cur();
     c.dma_cycles += dma_cost(bytes);
     c.mram_bytes_written += bytes;
-  }
-
-  /// Typed convenience readers.
-  template <typename T>
-  void mram_read_t(std::size_t mram_offset, std::span<T> dst) {
-    mram_read(mram_offset,
-              {reinterpret_cast<std::uint8_t*>(dst.data()), dst.size() * sizeof(T)});
-  }
-  template <typename T>
-  void mram_write_t(std::size_t mram_offset, std::span<const T> src) {
-    mram_write(mram_offset, {reinterpret_cast<const std::uint8_t*>(src.data()),
-                             src.size() * sizeof(T)});
   }
 
   const PimConfig& config() const { return cfg_; }

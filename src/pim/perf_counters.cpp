@@ -27,10 +27,4 @@ double DpuCounters::total_dma_cycles() const {
   return s;
 }
 
-std::uint64_t DpuCounters::total_mram_bytes() const {
-  std::uint64_t s = 0;
-  for (const auto& p : phases) s += p.mram_bytes_read + p.mram_bytes_written;
-  return s;
-}
-
 }  // namespace drim

@@ -46,7 +46,6 @@ struct DpuCounters {
 
   std::uint64_t total_instr_cycles() const;
   double total_dma_cycles() const;
-  std::uint64_t total_mram_bytes() const;
 
   void add(const DpuCounters& o) {
     for (std::size_t i = 0; i < kNumPhases; ++i) phases[i].add(o.phases[i]);

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <random>
+#include <thread>
 
 #include "core/distances.hpp"
 #include "drim/kernels.hpp"
@@ -271,6 +272,7 @@ struct SeamWorld {
   std::vector<ShardRegion> shards;
   std::vector<KernelTask> tasks;
   std::vector<FusedTaskGroup> plan;
+  std::vector<CodewordList> lists;  // per shard, once attach_lists() ran
 
   /// Operands are drawn from [-max_abs, max_abs].
   /// Bytes of a straddling region ahead of its page boundary: a codebook's
@@ -378,6 +380,16 @@ struct SeamWorld {
     }
     plan = plan_task_fusion(tasks, 4);
     args.output_offset = mram.alloc(tasks.size() * args.k * sizeof(KernelHit));
+  }
+
+  /// Give every shard the codeword list the engine would build from its
+  /// codes, so the full rung builds only the referenced LUT entries.
+  void attach_lists() {
+    lists.clear();
+    for (const ShardData& d : data) {
+      lists.push_back(build_codeword_list(d.codes, kM, cb, args.wide_codes));
+    }
+    for (std::size_t s = 0; s < shards.size(); ++s) shards[s].codewords = &lists[s];
   }
 
   struct Run {
@@ -527,6 +539,53 @@ TEST(KernelSeam, PageStraddlingReadsMatchOracleAndChargeTwin) {
     SeamWorld flat(cb, 3000, 47);
     expect_same_counters(straddled.counters, flat.run(SimdLevel::kScalar).counters);
   }
+}
+
+TEST(KernelSeam, ListedTablesMatchOracleAndChargeTwinAtBothSimdLevels) {
+  // With engine-built codeword lists the full rung builds only the entries
+  // its shard's codes reference. Rows must still match the oracle at both
+  // SIMD levels, the charge-only twin must bill the same counters, and LC
+  // must bill less than the dense build.
+  for (const std::size_t cb : {std::size_t{256}, std::size_t{512}}) {
+    SCOPED_TRACE(cb);
+    SeamWorld world(cb, cb > 256 ? 32767 : 3000, 53);
+    const auto dense = world.run(SimdLevel::kScalar).counters;
+    world.attach_lists();
+    // The short shard (7 points) lists at most 7 of each book's entries.
+    EXPECT_LE(world.lists[2].ids.size(), 7 * SeamWorld::kM);
+
+    const auto scalar = world.run(SimdLevel::kScalar);
+    expect_same_rows(scalar.rows, world.oracle(), "listed scalar vs oracle");
+    world.dpu->reset_counters();
+    DpuContext ctx = world.dpu->context();
+    charge_fused_search_kernel(ctx, world.args, world.shards, world.tasks, world.plan);
+    expect_same_counters(scalar.counters, world.dpu->counters());
+    EXPECT_LT(scalar.counters.at(Phase::LC).instr_cycles,
+              dense.at(Phase::LC).instr_cycles);
+    check_seam_world(world);
+  }
+}
+
+TEST(KernelSeam, ListMissingAUsedCodewordChangesAnswers) {
+  // The listed build writes only the listed entries, so a list that drops a
+  // codeword the codes use leaves that entry stale, and the identity tests
+  // see it. Shard 2 (7 points, fewer than k) returns every point, so any
+  // changed distance shows in its rows. A fresh thread starts with fresh
+  // kernel scratch: no earlier run's correct entry is left behind.
+  SeamWorld world(256, 3000, 41);
+  world.attach_lists();
+  CodewordList& list = world.lists[2];
+  list.ids.erase(list.ids.begin());  // sub 0's smallest listed codeword
+  for (std::size_t s = 1; s < list.offsets.size(); ++s) --list.offsets[s];
+
+  SeamWorld::Run run;
+  std::thread([&] { run = world.run(SimdLevel::kScalar); }).join();
+  const auto oracle = world.oracle();
+  bool differs = false;
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    differs |= run.rows[i].dist != oracle[i].dist || run.rows[i].id != oracle[i].id;
+  }
+  EXPECT_TRUE(differs) << "a list missing a used codeword went unnoticed";
 }
 
 TEST(KernelSeam, OracleSeesLiveQ4AndTombstonedRows) {
