@@ -187,8 +187,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOne) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0xc088b40cc0743f81ULL, 24,
-                      0x1.472841a86844bp-3, 0x1.5e3a874998a5p-9});
+  expect_golden(res, {0x10412b6dbef4f8fdULL, 22,
+                      0x1.3cb0028d58203p-4, 0x1.8ed3328dac77ap-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
@@ -211,10 +211,10 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0xa43a6eeb46f8fbe6ULL, 24,
-                      0x1.491865f1c3f02p-3, 0x1.980e471bf9534p-9});
+  expect_golden(res, {0xc471dde9a14d3e55ULL, 23,
+                      0x1.3d75a3f64434cp-4, 0x1.77fe822b05584p-10});
   expect_golden(updates,
-                {58, 29, 29, 11, 4, 0x1.359876923be59p-25, 0x1.13c68661ae70cp-17});
+                {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.13c68661ae70cp-17});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
@@ -229,8 +229,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
   const ServeResult res = ServingRuntime(engine, data_->queries, sp).run(trace);
   EXPECT_GT(res.report.shed, 0u);
   EXPECT_GT(res.report.degraded, 0u);
-  expect_golden(res, {0x23b4c67675b7f85bULL, 10,
-                      0x1.12096b98dd913p-5, 0x1.6bb544427f79cp-9});
+  expect_golden(res, {0x784450362f999e3fULL, 10,
+                      0x1.62d3ce3144b6p-6, 0x1.235b3a2443f3ep-9});
 }
 
 TEST_F(ServeLoopGoldenTest, CpuBackend) {
@@ -254,8 +254,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x5917601b210bc249ULL, 22,
-                      0x1.c4c72803aa1e8p-4, 0x1.3aef86e760c64p-9});
+  expect_golden(res, {0xb41da37b64ba67eeULL, 23,
+                      0x1.9ed5e1ff81becp-5, 0x1.096361be9bdc3p-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
@@ -264,9 +264,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x8f35d7dff672da32ULL, 24,
-                      0x1.d63d086f3e793p-5, 0x1.3d5f2f45227c6p-9, true, 13,
-                      0x693e19b54981645cULL});
+  expect_golden(res, {0x01a9d466458e1773ULL, 24,
+                      0x1.db12ac0ad8ee4p-6, 0x1.36cbedcf96ed7p-10, true, 13,
+                      0x34eba2e08e95bad8ULL});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthThree) {
@@ -275,9 +275,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthThree) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x8238f4362adac490ULL, 24,
-                      0x1.5c6f0b803b389p-5, 0x1.f37a8f346680bp-10, true, 10,
-                      0x1c9b74b4af9fdc21ULL});
+  expect_golden(res, {0x2cbd742896aaed36ULL, 24,
+                      0x1.62e938576648dp-6, 0x1.da694f64d9782p-11, true, 11,
+                      0x85712b4843100f1bULL});
 }
 
 }  // namespace
