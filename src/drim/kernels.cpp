@@ -5,7 +5,6 @@
 #include <new>
 #include <unordered_map>
 
-#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -98,19 +97,6 @@ const std::uint8_t* mram_read_chunked(DpuContext& ctx, std::size_t offset,
 inline const std::int16_t* as_i16(const std::uint8_t* p) {
   return p == nullptr ? nullptr : std::launder(reinterpret_cast<const std::int16_t*>(p));
 }
-
-/// Host storage of the functional search kernel's WRAM buffers and host-side
-/// rows, one set per host thread, reused across launches under the
-/// scratch_buffer rules so a simulated step allocates nothing per DPU.
-struct SearchScratch {
-  std::vector<std::uint8_t> query, centroid, cb_slice, code;
-  std::vector<std::uint32_t> lut, lut4, pair_lut, dists, listed_row;
-  std::vector<std::int16_t> gathered;
-  std::vector<std::uint64_t> heap_keys;
-  std::vector<BoundedTopK> heaps;
-  std::vector<KernelHit> row;
-};
-thread_local SearchScratch tl_search;
 
 /// A WRAM scratch buffer: `n` elements when functional, empty otherwise (the
 /// charge-only kernels bill the working set without materializing it).
@@ -230,38 +216,34 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
   check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-  // Host storage of the WRAM buffers (per-thread, reused across launches;
-  // null when charge-only). The MRAM operands are read in place where they
-  // lie in one page (see dma_read_view); the query, centroid, codebook-slice
-  // and code buffers catch the page-straddling reads. The LUT slab is not
-  // cleared: a listed build writes every entry DC reads and no other.
-  SearchScratch& s = tl_search;
-  const auto buf = [](auto& v, std::size_t n) {
-    return kFunctional ? scratch_buffer(v, n) : nullptr;
-  };
-  std::uint8_t* query_buf = buf(s.query, dim * 2);
-  std::uint8_t* centroid_buf = buf(s.centroid, dim * 2);
-  std::uint32_t* lut = buf(s.lut, std::max<std::size_t>(full_width, 1) * m * cb);  // slab
-  std::uint8_t* cb_slice = buf(s.cb_slice, cb * dsub * 2);  // one book
-  std::uint8_t* code_buf = buf(s.code, kMaxDmaBytes);
-  std::uint32_t* lut4 = buf(s.lut4, q4_width > 0 ? m * cb4 : 0);
-  std::uint32_t* pair_lut = buf(s.pair_lut, q4_width * pairs * 256);
+  // The MRAM operands are read in place where they lie in one page (see
+  // dma_read_view); these buffers catch the page-straddling reads.
+  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
+  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
+  auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
+      std::max<std::size_t>(full_width, 1) * m * cb);
+  auto cb_slice = wram_buffer<kFunctional, std::uint8_t>(cb * dsub * 2);  // one book
+  auto code_buf = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
+  auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
+  auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
   // One code block's distances for one member (the packed q4 codes are
   // never wider than the full ones, so they fit the most per block).
   // Host-side only: the DPU accumulates each point in registers before its
   // top-k push, so this row is not part of the WRAM working set.
-  std::uint32_t* dists = buf(s.dists, kMaxDmaBytes / std::max<std::uint32_t>(
-                                          1, args.has_q4 ? args.code_size_q4 : args.code_size));
+  std::vector<std::uint32_t> dists(
+      kFunctional ? kMaxDmaBytes / std::max<std::uint32_t>(
+                                       1, args.has_q4 ? args.code_size_q4 : args.code_size)
+                  : 0);
   // One k-entry top-k per member of the widest group, and one result row.
   const std::size_t heap_width = std::max<std::size_t>(std::max(full_width, q4_width), 1);
-  std::uint64_t* heap_keys = buf(s.heap_keys, heap_width * args.k);
-  BoundedTopK* heaps = buf(s.heaps, heap_width);
-  const std::span<KernelHit> row(buf(s.row, args.k), kFunctional ? args.k : 0);
+  auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
+  std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
+  auto row = wram_buffer<kFunctional, KernelHit>(args.k);
   // A listed LC build's gathered codewords and their entries (host-side:
   // the DPU builds each listed entry from the slice in place), and the byte
   // width of one listed id in MRAM: the code width.
-  std::int16_t* gathered = buf(s.gathered, cb * dsub);
-  std::uint32_t* listed_row = buf(s.listed_row, cb);
+  auto gathered = wram_buffer<kFunctional, std::int16_t>(cb * dsub);
+  auto listed_row = wram_buffer<kFunctional, std::uint32_t>(cb);
   const std::size_t id_bytes = args.wide_codes ? 2 : 1;
 
   // The task list (and, with a plan, the fused-group descriptor table)
@@ -286,7 +268,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     // own LUT slab row with exactly the per-task charges. ----
     ctx.set_phase(Phase::RC);
     const std::int16_t* centroid = as_i16(dma_read_view<kFunctional>(
-        ctx, args.centroids_offset + shard.cluster * dim * 2, centroid_buf, dim * 2));
+        ctx, args.centroids_offset + shard.cluster * dim * 2, centroid_buf.data(), dim * 2));
     // The full rung builds only the entries the shard's codeword list names
     // (every entry without a list). The list's ids stream once per group,
     // like the codes; as host-side catalog state they are billed, never
@@ -301,7 +283,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       const KernelTask& task = tasks[members[g]];
       ctx.set_phase(Phase::RC);
       const std::int16_t* query = as_i16(dma_read_view<kFunctional>(
-          ctx, args.queries_offset + task_query_slot(task) * dim * 2, query_buf,
+          ctx, args.queries_offset + task_query_slot(task) * dim * 2, query_buf.data(),
           dim * 2));
       // The table builders below form the residual one subvector at a
       // time; its cost is billed here, in its own phase.
@@ -325,23 +307,23 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       const std::size_t books = q4 ? args.codebooks_q4_offset : args.codebooks_offset;
       for (std::size_t sub = 0; sub < m; ++sub) {
         const std::int16_t* book = as_i16(mram_read_chunked<kFunctional>(
-            ctx, books + sub * entries * dsub * 2, cb_slice, entries * dsub * 2));
+            ctx, books + sub * entries * dsub * 2, cb_slice.data(), entries * dsub * 2));
         const std::span<const std::uint16_t> ids =
             listed != nullptr ? listed->sub(sub) : std::span<const std::uint16_t>();
         const std::size_t built = listed != nullptr ? ids.size() : entries;
         if constexpr (kFunctional) {
           const std::int16_t* q = query + sub * dsub;
           const std::int16_t* c = centroid + sub * dsub;
-          std::uint32_t* lut_row = lut + (g * m + sub) * cb;
+          std::uint32_t* lut_row = lut.data() + (g * m + sub) * cb;
           if (q4) {
-            q4_lut_row(q, c, book, dsub, cb4, shift, lut4 + sub * cb4);
+            q4_lut_row(q, c, book, dsub, cb4, shift, lut4.data() + sub * cb4);
           } else if (listed != nullptr) {
             // Gather the listed codewords, build their entries with the
             // dense build's arithmetic, scatter them to their ids.
             for (std::size_t i = 0; i < built; ++i) {
-              std::memcpy(gathered + i * dsub, book + ids[i] * dsub, dsub * 2);
+              std::memcpy(gathered.data() + i * dsub, book + ids[i] * dsub, dsub * 2);
             }
-            kernels().adc_lut_u32(q, c, gathered, 1, dsub, built, listed_row);
+            kernels().adc_lut_u32(q, c, gathered.data(), 1, dsub, built, listed_row.data());
             for (std::size_t i = 0; i < built; ++i) lut_row[ids[i]] = listed_row[i];
           } else {
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
@@ -358,7 +340,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       }
       if (q4) {
         if constexpr (kFunctional) {
-          q4_fold_pairs(lut4, m, cb4, pair_lut + g * pairs * 256);
+          q4_fold_pairs(lut4.data(), m, cb4, pair_lut.data() + g * pairs * 256);
         }
         ctx.charge_adds(pairs * 256);
         ctx.charge_wram(pairs * 256);
@@ -379,7 +361,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
         std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
     if constexpr (kFunctional) {
       for (std::size_t g = 0; g < width; ++g) {
-        heaps[g] = BoundedTopK(heap_keys + g * args.k, kk);
+        heaps[g] = BoundedTopK(heap_keys.data() + g * args.k, kk);
       }
     }
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
@@ -388,15 +370,15 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
                                                     std::size_t block_bytes) {
       const std::uint8_t* code_block = dma_read_view<kFunctional>(
-          ctx, codes_base + block_off, code_buf, block_bytes);
+          ctx, codes_base + block_off, code_buf.data(), block_bytes);
       const std::size_t points_in_block = block_bytes / code_size;
       if constexpr (kFunctional) {
         const auto first = static_cast<std::uint32_t>(block_off / code_size);
         const std::uint8_t* dead = shard.dead ? shard.dead + shard.begin + first : nullptr;
         for (std::size_t g = 0; g < width; ++g) {
-          kernels().adc_scan_u32(q4 ? pair_lut + g * pairs * 256 : lut + g * m * cb,
+          kernels().adc_scan_u32(q4 ? pair_lut.data() + g * pairs * 256 : lut.data() + g * m * cb,
                                  q4 ? 256 : cb, lookups, code_block, code_size,
-                                 !q4 && args.wide_codes, points_in_block, dists);
+                                 !q4 && args.wide_codes, points_in_block, dists.data());
           // Tombstoned entries are skipped before the top-k push: a dead
           // point can never evict a live candidate, so the surviving
           // (dist, id) stream equals a cold rebuild of the live set.

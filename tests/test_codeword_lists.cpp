@@ -183,7 +183,8 @@ TEST_F(KernelCodewordListTest, TombstonedPointsCodesStayListed) {
 TEST_F(KernelCodewordListTest, PublishedInsertWithANewCodewordExtendsTheList) {
   DrimAnnEngine engine(*index_, data_->learn, options());
   IndexWriter writer(*index_);
-  // A point far from the data: its codes are ones its cluster never used.
+  // A uniform random point, far from the data: its codes likely name
+  // codewords its cluster never used (asserted below).
   std::mt19937 rng(11);
   std::uniform_real_distribution<float> val(0.0f, 255.0f);
   std::vector<float> v(index_->dim());

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstring>
 #include <random>
-#include <thread>
 
 #include "core/distances.hpp"
 #include "drim/kernels.hpp"
@@ -568,18 +567,17 @@ TEST(KernelSeam, ListedTablesMatchOracleAndChargeTwinAtBothSimdLevels) {
 
 TEST(KernelSeam, ListMissingAUsedCodewordChangesAnswers) {
   // The listed build writes only the listed entries, so a list that drops a
-  // codeword the codes use leaves that entry stale, and the identity tests
-  // see it. Shard 2 (7 points, fewer than k) returns every point, so any
-  // changed distance shows in its rows. A fresh thread starts with fresh
-  // kernel scratch: no earlier run's correct entry is left behind.
+  // codeword the codes use leaves that entry unbuilt (zero, or another
+  // cluster's value from an earlier group), and the identity tests see it.
+  // Shard 2 (7 points, fewer than k) returns every point, so any changed
+  // distance shows in its rows.
   SeamWorld world(256, 3000, 41);
   world.attach_lists();
   CodewordList& list = world.lists[2];
   list.ids.erase(list.ids.begin());  // sub 0's smallest listed codeword
   for (std::size_t s = 1; s < list.offsets.size(); ++s) --list.offsets[s];
 
-  SeamWorld::Run run;
-  std::thread([&] { run = world.run(SimdLevel::kScalar); }).join();
+  const auto run = world.run(SimdLevel::kScalar);
   const auto oracle = world.oracle();
   bool differs = false;
   for (std::size_t i = 0; i < oracle.size(); ++i) {
