@@ -480,20 +480,15 @@ CodewordList build_codeword_list(std::span<const std::uint8_t> codes, std::size_
   // Mark every (subquantizer, codeword) a point names, then list each
   // subquantizer's marks in id order.
   std::vector<std::uint8_t> used(m * cb, 0);
-  std::size_t total = 0;
   for (std::size_t i = 0; i < points; ++i) {
     const std::uint8_t* point = codes.data() + i * code_size;
     for (std::size_t sub = 0; sub < m; ++sub) {
       std::uint16_t e = point[sub];
       if (wide) std::memcpy(&e, point + sub * 2, 2);
-      std::uint8_t& mark = used[sub * cb + e];
-      total += mark == 0;
-      mark = 1;
+      used[sub * cb + e] = 1;
     }
   }
   CodewordList list;
-  list.offsets.reserve(m + 1);
-  list.ids.reserve(total);
   for (std::size_t sub = 0; sub < m; ++sub) {
     list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
     for (std::size_t e = 0; e < cb; ++e) {
