@@ -51,7 +51,7 @@ void DrimBackend::reset_stream() {
 void DrimBackend::maybe_compact() {
   if (live_handles_ == 0 && state_.idle() && !state_.quantized.empty()) {
     handle_base_ += static_cast<std::uint32_t>(state_.quantized.size());
-    state_ = SearchBatchState{};
+    state_.clear_queries();
   }
 }
 

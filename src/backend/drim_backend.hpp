@@ -85,8 +85,8 @@ class DrimBackend final : public AnnBackend {
   const DrimSearchStats& engine_stats() const { return stats_; }
 
  private:
-  /// Rebase handles and drop the state once it is drained and every result
-  /// has been taken.
+  /// Rebase handles and drop the state's query tables once it is drained and
+  /// every result has been taken (the modeled timeline carries on).
   void maybe_compact();
   /// Run flushing steps until the stream state is idle (the safe point for
   /// an index swap: carried tasks hold shard ids of the current layout).

@@ -201,6 +201,17 @@ struct SearchBatchState {
   std::vector<Neighbor> take_results(std::uint32_t handle) {
     return accum[handle].take_sorted();
   }
+  /// Drop every per-query table but keep the stream's timeline: a drained
+  /// state's last steps may still be in flight on the modeled clock, and the
+  /// next step must queue behind them on the DPU array and the link.
+  void clear_queries() {
+    SearchBatchState next;
+    next.pipeline = std::move(pipeline);
+    next.submit_hint_seconds = submit_hint_seconds;
+    next.last_complete_seconds = last_complete_seconds;
+    next.step_index = step_index;
+    *this = std::move(next);
+  }
 };
 
 /// Derive Eq. 15 predictor coefficients (in DPU cycles) from the index

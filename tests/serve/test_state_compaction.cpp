@@ -1,10 +1,11 @@
 // Stream-state compaction tests: SearchBatchState's tables grow with every
 // enqueued query, so the backends rebase handles onto a fresh state whenever
-// the stream drains and every result has been taken. These tests pin the two
-// guarantees that makes safe: handles stay monotonic (never reused, old ones
-// keep answering finished()/take_results() correctly) and a long serving run
-// keeps resident stream memory proportional to the in-flight window, not the
-// trace length.
+// the stream drains and every result has been taken. These tests pin the
+// guarantees that make that safe: handles stay monotonic (never reused, old
+// ones keep answering finished()/take_results() correctly), a compaction
+// moves no step on the modeled timeline, and a long serving run keeps
+// resident stream memory proportional to the in-flight window, not the trace
+// length.
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,40 @@ TEST_F(CompactionTest, NoCompactionWhileResultsAreLive) {
   backend.step(0, /*flush=*/true);
   EXPECT_EQ(backend.take_results(held).size(), 10u);
   EXPECT_EQ(backend.take_results(next).size(), 10u);
+}
+
+TEST_F(CompactionTest, CompactionKeepsThePipelinedTimeline) {
+  // Two rounds submitted at t = 0 on a depth-2 pipeline. Taking the first
+  // round's results before the second enqueue compacts the state; the
+  // second round must still queue behind the first on the DPU array, exactly
+  // as it does when the first round's results are held (no compaction).
+  auto second_round = [&](bool take_first) {
+    DrimEngineOptions o = default_options();
+    o.pipeline_depth = 2;
+    DrimAnnEngine engine(*index_, data_->learn, o);
+    DrimBackend backend(engine);
+    std::vector<std::uint32_t> first;
+    for (std::size_t q = 0; q < 8; ++q) {
+      first.push_back(backend.enqueue(data_->queries.row(q), 10, 8));
+    }
+    backend.set_step_start(0.0);
+    const BackendStepStats a = backend.step(0, /*flush=*/true);
+    if (take_first) {
+      for (std::uint32_t h : first) backend.take_results(h);
+    }
+    const std::uint32_t next = backend.enqueue(data_->queries.row(8), 10, 8);
+    EXPECT_EQ(backend.stream_depth(), take_first ? 1u : 9u);
+    backend.set_step_start(0.0);
+    const BackendStepStats b = backend.step(0, /*flush=*/true);
+    EXPECT_EQ(backend.take_results(next).size(), 10u);
+    EXPECT_GT(b.complete_seconds, a.complete_seconds);
+    return b;
+  };
+  const BackendStepStats held = second_round(false);
+  const BackendStepStats compacted = second_round(true);
+  EXPECT_EQ(compacted.submit_seconds, held.submit_seconds);
+  EXPECT_EQ(compacted.complete_seconds, held.complete_seconds);
+  EXPECT_EQ(compacted.step_seconds, held.step_seconds);
 }
 
 TEST_F(CompactionTest, LongTraceKeepsStreamMemoryBounded) {
