@@ -211,10 +211,10 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0xc471dde9a14d3e55ULL, 23,
-                      0x1.3d75a3f64434cp-4, 0x1.77fe822b05584p-10});
+  expect_golden(res, {0xe5b76034d05ad428ULL, 23,
+                      0x1.3e10692f35cc8p-4, 0x1.736c3018dfa3ap-10});
   expect_golden(updates,
-                {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.13c68661ae70cp-17});
+                {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.153e55a624c26p-17});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
@@ -264,9 +264,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x01a9d466458e1773ULL, 24,
-                      0x1.db12ac0ad8ee4p-6, 0x1.36cbedcf96ed7p-10, true, 13,
-                      0x34eba2e08e95bad8ULL});
+  expect_golden(res, {0xe5650f1d80d53e2aULL, 14,
+                      0x1.d2aa7ad33d256p-6, 0x1.074abac8bb8f2p-9, true, 12,
+                      0xfa14f8ff6ac1636cULL});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthThree) {
@@ -275,9 +275,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthThree) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x2cbd742896aaed36ULL, 24,
-                      0x1.62e938576648dp-6, 0x1.da694f64d9782p-11, true, 11,
-                      0x85712b4843100f1bULL});
+  expect_golden(res, {0xb9c076e5ceefc0bdULL, 15,
+                      0x1.dd1d9fd59cc2cp-6, 0x1.c84275d6502a8p-10, true, 12,
+                      0x57c6fafbc1e168edULL});
 }
 
 }  // namespace
