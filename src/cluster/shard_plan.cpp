@@ -103,7 +103,9 @@ ShardPlan::ShardPlan(const std::vector<std::size_t>& cluster_sizes,
 
 std::vector<std::uint8_t> ShardPlan::owned_mask(std::uint32_t shard) const {
   std::vector<std::uint8_t> mask(nlist(), 0);
-  for (std::uint32_t c : shard_clusters_[shard]) mask[c] = 1;
+  for (std::uint32_t c : shard_clusters_[shard]) {
+    mask[c] = static_cast<std::uint8_t>(std::min<std::size_t>(owners_[c].size(), 255));
+  }
   return mask;
 }
 

@@ -50,8 +50,9 @@ class ShardPlan {
   const std::vector<std::uint32_t>& shard_clusters(std::uint32_t shard) const {
     return shard_clusters_[shard];
   }
-  /// nlist-sized 0/1 mask of one shard's clusters, in the form
-  /// LayoutParams::owned_clusters consumes.
+  /// nlist-sized mask of one shard's clusters, in the form
+  /// LayoutParams::owned_clusters consumes: 0 where the shard does not own
+  /// the cluster, else the cluster's owner count (saturating at 255).
   std::vector<std::uint8_t> owned_mask(std::uint32_t shard) const;
   bool replicated(std::uint32_t cluster) const { return owners_[cluster].size() > 1; }
 

@@ -45,6 +45,13 @@ DataLayout::DataLayout(const PimIndexData& data, std::size_t num_dpus,
   auto owned = [&](std::uint32_t c) {
     return params.owned_clusters.empty() || params.owned_clusters[c] != 0;
   };
+  // The share of a cluster's heat this array serves: all of it, unless
+  // other shards own the cluster too.
+  auto heat = [&](std::uint32_t c) {
+    return params.owned_clusters.empty() || params.owned_clusters[c] <= 1
+               ? cluster_heat[c]
+               : cluster_heat[c] / static_cast<double>(params.owned_clusters[c]);
+  };
   cluster_slices_.resize(nlist);
 
   struct PendingShard {
@@ -59,8 +66,7 @@ DataLayout::DataLayout(const PimIndexData& data, std::size_t num_dpus,
   // access frequency and notes size correlates with it; expected load is
   // the quantity both signals proxy.)
   auto expected_load = [&](std::uint32_t c) {
-    return cluster_heat[c] *
-           (params.lut_cost_points + static_cast<double>(data.cluster_size(c)));
+    return heat(c) * (params.lut_cost_points + static_cast<double>(data.cluster_size(c)));
   };
   std::vector<std::uint32_t> by_heat;
   by_heat.reserve(nlist);
@@ -95,7 +101,7 @@ DataLayout::DataLayout(const PimIndexData& data, std::size_t num_dpus,
       for (std::uint32_t r = 0; r < replicas; ++r) {
         // A replica splits the cluster's expected traffic; a slice carries a
         // size-proportional share of scan cost plus one full LUT build.
-        const double visit_share = cluster_heat[c] / static_cast<double>(replicas);
+        const double visit_share = heat(c) / static_cast<double>(replicas);
         const double cost =
             visit_share * (params.lut_cost_points + static_cast<double>(end - begin));
         pending.push_back({c, begin, end, r, s, cost});

@@ -44,9 +44,11 @@ struct LayoutParams {
   double lut_cost_points = 64.0;
   /// Cluster-ownership mask for multi-shard serving (src/cluster): when
   /// non-empty (size must equal nlist), only clusters with a nonzero entry
-  /// are enumerated and placed; the rest get empty slice_groups. An empty
-  /// mask means "own everything" and reproduces the single-node layout
-  /// bit-for-bit.
+  /// are enumerated and placed; the rest get empty slice_groups. An entry
+  /// is the number of shards owning the cluster: the router splits its
+  /// visits among them, so this array expects 1/owners of its heat. An
+  /// empty mask means "own everything" and reproduces the single-node
+  /// layout bit-for-bit.
   std::vector<std::uint8_t> owned_clusters;
 };
 

@@ -1,7 +1,8 @@
 // ShardPlan unit tests: constructor validation (errors name the max feasible
 // shard count, matching the batch-size-validation style), coverage (every
 // cluster owned, every shard non-empty), replication (hot clusters get extra
-// owners, never two replicas on one shard), and determinism.
+// owners, never two replicas on one shard, each owner's mask carries the
+// owner count), and determinism.
 
 #include <gtest/gtest.h>
 
@@ -120,6 +121,27 @@ TEST(ShardPlan, HotClustersReplicatedAcrossDistinctShards) {
     }
   }
   EXPECT_EQ(replicated, 4u);
+}
+
+TEST(ShardPlan, OwnedMaskCarriesOwnerCounts) {
+  ShardPlanParams p;
+  p.num_shards = 4;
+  p.replication_fraction = 0.25;
+  p.replica_copies = 2;
+  const std::size_t nlist = 16;
+  std::vector<double> heat(nlist, 0.0);
+  for (std::size_t c = 12; c < nlist; ++c) heat[c] = 100.0 + static_cast<double>(c);
+  ShardPlan plan(uniform_sizes(nlist, 200), smooth_heat(heat), p);
+  // Each owning shard sees the cluster's owner count, so its layout can
+  // expect only its share of the cluster's visits.
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const auto mask = plan.owned_mask(s);
+    for (std::uint32_t c = 0; c < nlist; ++c) {
+      const auto& owners = plan.owners(c);
+      const bool owns = std::binary_search(owners.begin(), owners.end(), s);
+      EXPECT_EQ(mask[c], owns ? owners.size() : 0u) << "shard " << s << " cluster " << c;
+    }
+  }
 }
 
 TEST(ShardPlan, ReplicaCopiesClampedToShardCount) {

@@ -125,6 +125,50 @@ TEST_F(LayoutTest, DuplicationTargetsHottestClusters) {
   }
 }
 
+TEST_F(LayoutTest, CoOwnedClustersCountOnlyTheirShareOfHeat) {
+  // X is the one duplication victim by expected load, 1.5x ahead of Y. A
+  // shard that owns X together with one other shard expects half of X's
+  // visits, so Y takes the duplicate there instead.
+  std::vector<std::uint32_t> by_size(pim_data_->nlist());
+  for (std::uint32_t i = 0; i < by_size.size(); ++i) by_size[i] = i;
+  std::sort(by_size.begin(), by_size.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return pim_data_->cluster_size(a) > pim_data_->cluster_size(b);
+  });
+  const std::uint32_t x = by_size[0];
+  const std::uint32_t y = by_size[1];
+  LayoutParams params;
+  params.dup_copies = 1;
+  params.dup_fraction = 1.5 / static_cast<double>(pim_data_->nlist());  // one victim
+  auto points = [&](std::uint32_t c) {
+    return params.lut_cost_points + static_cast<double>(pim_data_->cluster_size(c));
+  };
+  std::vector<double> heat(pim_data_->nlist(), 1.0);
+  heat[y] = 10.0;
+  heat[x] = 1.5 * heat[y] * points(y) / points(x);
+
+  auto replicas = [](const DataLayout& layout, std::uint32_t c) {
+    return layout.slice_groups(c).front().size();
+  };
+  params.owned_clusters.assign(pim_data_->nlist(), 1);
+  const DataLayout sole(*pim_data_, 16, heat, params);
+  EXPECT_EQ(replicas(sole, x), 2u);
+  EXPECT_EQ(replicas(sole, y), 1u);
+  // A mask of ones is "own everything": the unmasked layout, shard for shard.
+  params.owned_clusters.clear();
+  const DataLayout unmasked(*pim_data_, 16, heat, params);
+  ASSERT_EQ(sole.shards().size(), unmasked.shards().size());
+  for (std::size_t i = 0; i < sole.shards().size(); ++i) {
+    EXPECT_EQ(sole.shard(static_cast<std::uint32_t>(i)).dpu,
+              unmasked.shard(static_cast<std::uint32_t>(i)).dpu);
+  }
+
+  params.owned_clusters.assign(pim_data_->nlist(), 1);
+  params.owned_clusters[x] = 2;
+  const DataLayout shared(*pim_data_, 16, heat, params);
+  EXPECT_EQ(replicas(shared, x), 1u);
+  EXPECT_EQ(replicas(shared, y), 2u);
+}
+
 TEST_F(LayoutTest, NoSplitKeepsWholeClusters) {
   LayoutParams params;
   params.enable_split = false;
