@@ -58,8 +58,8 @@ TEST_F(ClusterTraceGoldenTest, TwoShards) {
   EXPECT_NE(run.trace.find("\"shard1/host/transfer\""), std::string::npos);
   // Carried work was queued when the relayout flushed the shards.
   EXPECT_GT(run.steps[StreamPlan{}.relayout_after - 1].deferred, 0u);
-  expect_golden(run, {7, 0x368906c62a9748bdULL, 0x8e928b054dde4e6fULL,
-                      0xdce9022fea4b9edfULL, 0x1d363d7e502b822eULL});
+  expect_golden(run, {7, 0x96105d3be975eb92ULL, 0x10369e6c443133a4ULL,
+                      0xd0d8a6d6feff4ce1ULL, 0x1d363d7e502b822eULL});
 }
 
 TEST_F(ClusterTraceGoldenTest, FourShardsOneDrainedFallsBack) {
@@ -72,8 +72,8 @@ TEST_F(ClusterTraceGoldenTest, FourShardsOneDrainedFallsBack) {
   EXPECT_GT(run.health[2].fallback_tasks, 0u);
   EXPECT_NE(run.trace.find("\"shard3/dpu 0\""), std::string::npos);
   EXPECT_GT(run.steps[plan.relayout_after - 1].deferred, 0u);
-  expect_golden(run, {7, 0x20c38708ba13d028ULL, 0x2d0c896b22b13307ULL,
-                      0x5eb87934135a17a2ULL, 0x1d363d7e502b822eULL});
+  expect_golden(run, {7, 0x40fde4f23b2b7bd1ULL, 0x905e3074119ddf53ULL,
+                      0x6bf9c62ffe218cb7ULL, 0x1d363d7e502b822eULL});
 }
 
 }  // namespace

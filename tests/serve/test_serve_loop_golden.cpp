@@ -254,8 +254,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0xb41da37b64ba67eeULL, 23,
-                      0x1.9ed5e1ff81becp-5, 0x1.096361be9bdc3p-10});
+  expect_golden(res, {0x81c494c106290d11ULL, 23,
+                      0x1.9cd0d643a87bep-5, 0x1.cd7576734b39cp-11});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
