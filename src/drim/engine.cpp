@@ -240,7 +240,7 @@ void DrimAnnEngine::ensure_scheduler_params(std::size_t k) {
   if (scheduler_) scheduler_->params() = opts_.scheduler;
 }
 
-void DrimAnnEngine::load_static_data() {
+void DrimAnnEngine::load_static_data(const PimIndexData* previous) {
   // ---- broadcast regions (same offset on every DPU) ----
   sq_lut_off_ = pim_->alloc_symmetric(sq_lut_.size_bytes());
   pim_->broadcast(sq_lut_off_,
@@ -276,8 +276,25 @@ void DrimAnnEngine::load_static_data() {
   shard_slot_.assign(layout_->shards().size(), 0);
 
   // One codeword list per (cluster, slice), shared by the slice's replicas
-  // and built by the DPU lane that places the slice's first replica.
+  // and built by the DPU lane that places the slice's first replica. A
+  // slice that the previous image held with the same bounds and the same
+  // code bytes keeps its list: a publish touches few clusters, a relayout
+  // none.
+  constexpr std::uint32_t kNoList = ~std::uint32_t{0};
+  std::vector<CodewordList> previous_lists = std::move(codeword_lists_);
+  std::vector<ListedSlice> previous_slices = std::move(codeword_slices_);
+  const bool same_codec = previous != nullptr && previous->m() == data_.m() &&
+                          previous->cb_entries() == data_.cb_entries() &&
+                          previous->wide_codes() == data_.wide_codes();
+  std::vector<std::vector<std::uint32_t>> previous_by_cluster(
+      same_codec ? previous->nlist() : 0);
+  for (std::uint32_t i = 0; i < previous_slices.size(); ++i) {
+    const std::uint32_t c = previous_slices[i].cluster;
+    if (c < previous_by_cluster.size()) previous_by_cluster[c].push_back(i);
+  }
   codeword_lists_.clear();
+  codeword_slices_.clear();
+  std::vector<std::uint32_t> reusable;  // per list: the previous list or kNoList
   shard_list_.assign(layout_->shards().size(), 0);
   std::vector<std::uint8_t> builds_list(layout_->shards().size(), 0);
   for (std::uint32_t c = 0; c < data_.nlist(); ++c) {
@@ -287,7 +304,18 @@ void DrimAnnEngine::load_static_data() {
         shard_list_[id] = static_cast<std::uint32_t>(codeword_lists_.size());
       }
       builds_list[replicas.front()] = 1;
+      const Shard& sh = layout_->shard(replicas.front());
+      std::uint32_t from = kNoList;
+      if (c < previous_by_cluster.size()) {
+        for (const std::uint32_t i : previous_by_cluster[c]) {
+          if (previous_slices[i].begin == sh.begin && previous_slices[i].end == sh.end) {
+            from = i;
+          }
+        }
+      }
       codeword_lists_.emplace_back();
+      codeword_slices_.push_back({c, sh.begin, sh.end});
+      reusable.push_back(from);
     }
   }
 
@@ -318,8 +346,18 @@ void DrimAnnEngine::load_static_data() {
           codes.subspan(sh.begin * cs, static_cast<std::size_t>(region.size) * cs);
       CodewordList& list = codeword_lists_[shard_list_[shard_id]];
       if (builds_list[shard_id] != 0) {
-        list = build_codeword_list(shard_codes, data_.m(), data_.cb_entries(),
-                                   data_.wide_codes());
+        const std::uint32_t from = reusable[shard_list_[shard_id]];
+        bool unchanged = false;
+        if (from != kNoList) {
+          const auto old_codes = previous->cluster_codes(sh.cluster);
+          const std::size_t off = static_cast<std::size_t>(sh.begin) * cs;
+          unchanged = old_codes.size() >= off + shard_codes.size() &&
+                      std::equal(shard_codes.begin(), shard_codes.end(),
+                                 old_codes.begin() + static_cast<std::ptrdiff_t>(off));
+        }
+        list = unchanged ? std::move(previous_lists[from])
+                         : build_codeword_list(shard_codes, data_.m(), data_.cb_entries(),
+                                               data_.wide_codes());
       }
       region.codewords = &list;
       region.codes_offset = pim_->alloc_on(d, region.size * cs);
@@ -371,6 +409,7 @@ void DrimAnnEngine::load_static_data() {
 }
 
 void DrimAnnEngine::rebuild_from_snapshot() {
+  const PimIndexData previous = std::move(data_);
   data_ = PimIndexData(index(), opts_.enable_q4);
   sq_lut_ = SquareLut(std::min<std::int32_t>(8192, 2 * (255 + data_.max_operand_abs())));
   layout_ = std::make_unique<DataLayout>(data_, opts_.pim.num_dpus, heat_, opts_.layout);
@@ -380,7 +419,7 @@ void DrimAnnEngine::rebuild_from_snapshot() {
   dpu_shard_regions_.assign(pim_->num_dpus(), {});
   dpu_shard_ids_.assign(pim_->num_dpus(), {});
   shard_slot_.clear();
-  load_static_data();
+  load_static_data(&previous);
   // The physical reload exists only for functional bit-exactness; its
   // host-link tally must not leak into the next batch's transfer_in (callers
   // bill the modeled delta instead).

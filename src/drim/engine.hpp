@@ -377,7 +377,10 @@ class DrimAnnEngine {
   const SquareLut& square_lut() const { return sq_lut_; }
 
  private:
-  void load_static_data();
+  /// Upload the static MRAM image of data_ under layout_. `previous`, when
+  /// given, is the image this one replaces: a slice whose codes it holds
+  /// byte for byte keeps that slice's codeword list instead of rebuilding.
+  void load_static_data(const PimIndexData* previous = nullptr);
   /// Tear down and rebuild everything derived from snapshot_: quantized
   /// data, square LUT, layout (from heat_), scheduler, MRAM image. The
   /// physical reload's host-link tally is drained and discarded.
@@ -488,9 +491,14 @@ class DrimAnnEngine {
   std::vector<std::vector<std::uint32_t>> dpu_shard_ids_;
   std::vector<std::uint32_t> shard_slot_;  // global shard id -> slot on its DPU
   // One codeword list per (cluster, slice) of the current layout, rebuilt by
-  // every load_static_data; ShardRegion::codewords points into it.
+  // every load_static_data unless the slice's codes are unchanged;
+  // ShardRegion::codewords points into it.
+  struct ListedSlice {
+    std::uint32_t cluster, begin, end;
+  };
   std::vector<CodewordList> codeword_lists_;
-  std::vector<std::uint32_t> shard_list_;  // global shard id -> its list
+  std::vector<ListedSlice> codeword_slices_;  // the slice each list covers
+  std::vector<std::uint32_t> shard_list_;     // global shard id -> its list
 };
 
 }  // namespace drim

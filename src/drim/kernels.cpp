@@ -239,10 +239,9 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
   auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
   std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
   auto row = wram_buffer<kFunctional, KernelHit>(args.k);
-  // A listed LC build's gathered codewords and their entries (host-side:
-  // the DPU builds each listed entry from the slice in place), and the byte
-  // width of one listed id in MRAM: the code width.
-  auto gathered = wram_buffer<kFunctional, std::int16_t>(cb * dsub);
+  // A listed LC build's full-row scratch (host-side: the DPU builds each
+  // listed entry from the slice in place), and the byte width of one listed
+  // id in MRAM: the code width.
   auto listed_row = wram_buffer<kFunctional, std::uint32_t>(cb);
   const std::size_t id_bytes = args.wide_codes ? 2 : 1;
 
@@ -318,13 +317,12 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
           if (q4) {
             q4_lut_row(q, c, book, dsub, cb4, shift, lut4.data() + sub * cb4);
           } else if (listed != nullptr) {
-            // Gather the listed codewords, build their entries with the
-            // dense build's arithmetic, scatter them to their ids.
-            for (std::size_t i = 0; i < built; ++i) {
-              std::memcpy(gathered.data() + i * dsub, book + ids[i] * dsub, dsub * 2);
-            }
-            kernels().adc_lut_u32(q, c, gathered.data(), 1, dsub, built, listed_row.data());
-            for (std::size_t i = 0; i < built; ++i) lut_row[ids[i]] = listed_row[i];
+            // The simulator builds the whole row with the dense build's
+            // arithmetic into scratch (one SIMD pass is cheaper on the host
+            // than gathering the listed codewords) and stores only the
+            // listed entries, so the table holds exactly what the DPU builds.
+            kernels().adc_lut_u32(q, c, book, 1, dsub, cb, listed_row.data());
+            for (const std::uint16_t id : ids) lut_row[id] = listed_row[id];
           } else {
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
           }

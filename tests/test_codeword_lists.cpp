@@ -1,7 +1,8 @@
 // Referenced-codeword lists (DESIGN.md §17): the full-rung LC builds only
 // the LUT entries a shard's codes reference. These tests pin how the lists
 // are built and where they live: one per (cluster, slice), shared by the
-// slice's replicas, covering tombstoned points, rebuilt on every publish.
+// slice's replicas, covering tombstoned points, rebuilt on every publish
+// for the slices whose codes changed.
 // The kernel side (the listed build against the scalar oracle, and a list
 // with a codeword missing) is in test_kernels.cpp.
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/mutable_index.hpp"
@@ -240,6 +242,61 @@ TEST_F(KernelCodewordListTest, PublishedInsertWithANewCodewordExtendsTheList) {
       EXPECT_EQ(a[q][i].id, b[q][i].id) << "query " << q << " rank " << i;
       EXPECT_EQ(a[q][i].dist, b[q][i].dist) << "query " << q << " rank " << i;
     }
+  }
+}
+
+TEST_F(KernelCodewordListTest, KeptListsMatchAFreshBuildAfterPublishAndRelayout) {
+  // Slices whose codes a rebuild leaves untouched keep their lists; every
+  // list must still be exactly the one its current codes give.
+  DrimAnnEngine engine(*index_, data_->learn, options());
+  auto expect_all_fresh = [&](const char* when) {
+    for (const Shard& sh : engine.layout().shards()) {
+      SCOPED_TRACE(std::string(when) + ", shard " + std::to_string(sh.id));
+      expect_same_list(engine.codeword_list(sh.id), list_of(engine, sh));
+    }
+  };
+
+  // A publish with a tombstone (codes kept) and an insert (one cluster's
+  // codes grow).
+  IndexWriter writer(*index_);
+  ASSERT_TRUE(writer.erase(engine.data().cluster_ids(0)[0]));
+  writer.insert(data_->queries.row(0));
+  PublishDelta delta;
+  const IndexSnapshot snap = writer.publish(&delta);
+  engine.apply_snapshot(snap, delta);
+  expect_all_fresh("after a publish");
+
+  // A relayout re-places every slice over the same codes.
+  engine.search(data_->queries, 10, 4);
+  engine.replan_layout();
+  expect_all_fresh("after a relayout");
+}
+
+TEST_F(KernelCodewordListTest, SameBoundsWithChangedCodesRebuildTheList) {
+  // A snapshot with every list the same size keeps every slice's bounds; a
+  // slice whose code bytes changed must still get a fresh list.
+  IvfPqIndex altered;
+  DrimAnnEngine engine(*index_, data_->learn, options());
+  const Shard& first = shard_at(engine, 0, 0);
+  std::uint32_t unused = 0;
+  while (unused < engine.data().cb_entries() &&
+         listed(engine.codeword_list(first.id), 0, unused)) {
+    ++unused;
+  }
+  ASSERT_LT(unused, engine.data().cb_entries());
+
+  std::vector<InvertedList> lists;
+  for (std::size_t c = 0; c < index_->nlist(); ++c) lists.push_back(index_->list(c));
+  lists[0].codes[0] = static_cast<std::uint8_t>(unused);  // point 0, sub 0
+  altered.restore(index_->params(), index_->centroids(), index_->pq(), nullptr,
+                  std::move(lists), index_->ntotal());
+  engine.apply_snapshot(make_root_snapshot(altered), PublishDelta{});
+
+  const Shard& sh = shard_at(engine, 0, 0);
+  EXPECT_EQ(sh.begin, first.begin);
+  EXPECT_TRUE(listed(engine.codeword_list(sh.id), 0, unused));
+  for (const Shard& s : engine.layout().shards()) {
+    expect_same_list(engine.codeword_list(s.id), list_of(engine, s));
   }
 }
 
