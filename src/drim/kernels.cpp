@@ -322,6 +322,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
             // than gathering the listed codewords) and stores only the
             // listed entries, so the table holds exactly what the DPU builds.
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, listed_row.data());
+#pragma GCC unroll 4
             for (const std::uint16_t id : ids) lut_row[id] = listed_row[id];
           } else {
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
