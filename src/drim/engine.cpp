@@ -55,6 +55,28 @@ std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
 // stalls the step whenever one host thread is descheduled. Such steps merge
 // on the calling thread; the kernel fan-out (run_batch) always spans the pool.
 constexpr std::size_t kMinFanOutTasks = 64;
+
+// Cycle terms of one task's full-rung LUT build (LC): RC, the compute of one
+// table entry (dsub squares, LUT or mul, + 2*dsub adds + its store), and the
+// dense codebook-slice DMA.
+struct LutBuildCycles {
+  double rc = 0.0;
+  double entry = 0.0;
+  double dma = 0.0;
+};
+
+LutBuildCycles lut_build_cycles(const PimConfig& cfg, std::size_t dim, std::size_t m,
+                                std::size_t cb, bool use_square_lut) {
+  const std::size_t dsub = dim / m;
+  const DpuInstructionCosts& c = cfg.costs;
+  const double square_cost = use_square_lut ? c.sq_lut_lookup : c.mul32;
+  LutBuildCycles lc;
+  lc.entry = static_cast<double>(dsub) * square_cost +
+             2.0 * static_cast<double>(dsub) * c.add + c.wram_access;
+  lc.rc = static_cast<double>(dim) * (c.add + 3.0 * c.wram_access);
+  lc.dma = static_cast<double>(m * cb * dsub * 2) * cfg.dma_cycles_per_byte;
+  return lc;
+}
 }  // namespace
 
 SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
@@ -63,18 +85,12 @@ SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
   const std::size_t dsub = dim / m;
   const DpuInstructionCosts& c = cfg.costs;
   SchedulerParams p;
-  // LC dominates the per-task fixed cost: per LUT entry, dsub squares (LUT or
-  // mul) + 2*dsub adds + WRAM traffic; plus RC and the codebook DMA.
-  const double square_cost = use_square_lut ? c.sq_lut_lookup : c.mul32;
-  const double per_entry = static_cast<double>(dsub) * square_cost +
-                           2.0 * static_cast<double>(dsub) * c.add + c.wram_access;
-  const double rc = static_cast<double>(dim) * (c.add + 3.0 * c.wram_access);
-  const double lc_dma = static_cast<double>(m * cb * dsub * 2) * cfg.dma_cycles_per_byte;
-  p.l_lut = static_cast<double>(m * cb) * per_entry + rc + lc_dma;
-  // A listed entry also loads its id.
-  p.l_lut_rc = rc;
-  p.l_lut_entry = per_entry + c.wram_access;
-  p.l_lut_dma = lc_dma;
+  // LC dominates the per-task fixed cost: every entry of the full table,
+  // plus RC and the codebook DMA.
+  const LutBuildCycles lc = lut_build_cycles(cfg, dim, m, cb, use_square_lut);
+  const double per_entry = lc.entry;
+  const double rc = lc.rc;
+  p.l_lut = static_cast<double>(m * cb) * per_entry + rc + lc.dma;
   // DC per point: m LUT loads + (m-1) adds + streamed code bytes. The DMA
   // share is also recorded separately (l_dc_dma) so the fusion stage's
   // amortized pricing can subtract exactly the term fusion removes.
@@ -1272,6 +1288,11 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
   if (num_queries == 0) return 0.0;
   const SchedulerParams p = derive_scheduler_params(
       opts_.pim, data_.dim(), data_.m(), data_.cb_entries(), k, opts_.use_square_lut);
+  // LC builds the listed entries (DESIGN.md §17); a listed entry also loads
+  // its id, and its compute overlaps the dense codebook DMA.
+  const LutBuildCycles lc = lut_build_cycles(opts_.pim, data_.dim(), data_.m(),
+                                             data_.cb_entries(), opts_.use_square_lut);
+  const double listed_entry = lc.entry + opts_.pim.costs.wram_access;
   // Layout means: a (query, cluster) visit costs one task per slice group,
   // and each task builds the LUT entries its slice's codeword list names.
   const std::size_t nlist = data_.nlist();
@@ -1307,7 +1328,7 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
                         static_cast<double>(std::min<std::size_t>(nprobe, nlist)) /
                         std::max(1.0, static_cast<double>(nlist))));
   const double cycles =
-      tasks * (p.l_lut_rc + std::max(mean_entries * p.l_lut_entry, p.l_lut_dma) +
+      tasks * (lc.rc + std::max(mean_entries * listed_entry, lc.dma) +
                mean_points * (p.l_calu + p.l_sortu) -
                (1.0 - 1.0 / eff) * mean_points * p.l_dc_dma);
   const PimConfig& cfg = opts_.pim;

@@ -24,14 +24,6 @@ struct SchedulerParams {
   /// model (M * CB codeword partial distances for one LUT; per-point ADC sum
   /// and heap push). The engine overrides them with exact per-index values.
   double l_lut = 8000.0;   ///< LUT construction latency per task
-  /// l_lut split for a table of listed entries (DESIGN.md §17): RC, the
-  /// compute of one listed entry, and the dense codebook DMA, which overlaps
-  /// that compute in the LC phase (a phase takes max(compute, DMA)).
-  /// estimate_batch_seconds prices the layout's mean list with them; Eq. 15
-  /// keeps the full-table l_lut.
-  double l_lut_rc = 0.0;
-  double l_lut_entry = 0.0;
-  double l_lut_dma = 0.0;
   double l_calu = 40.0;    ///< distance calculation per point
   double l_sortu = 12.0;   ///< top-k update per point
   /// Eq. 15 coefficients of the 4-bit rung (DESIGN.md §15): a q4 task builds
