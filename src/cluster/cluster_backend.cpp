@@ -608,7 +608,7 @@ ClusterBackend::RecoveryReport ClusterBackend::recover_shard(std::uint32_t faile
     if (rebuild[s]) stash_partials(s);
   }
   for_each_shard([&](std::uint32_t s) {
-    if (rebuild[s]) shards_[s] = shard_factory_(s, snapshot_, plan_.owned_mask(s));
+    if (rebuild[s]) shards_[s] = shard_factory_(s, snapshot_, plan_.owned_mask(s, drained_));
   });
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (!rebuild[s]) continue;

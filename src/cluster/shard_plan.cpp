@@ -101,10 +101,15 @@ ShardPlan::ShardPlan(const std::vector<std::size_t>& cluster_sizes,
   for (auto& sc : shard_clusters_) std::sort(sc.begin(), sc.end());
 }
 
-std::vector<std::uint8_t> ShardPlan::owned_mask(std::uint32_t shard) const {
+std::vector<std::uint8_t> ShardPlan::owned_mask(
+    std::uint32_t shard, std::span<const std::uint8_t> drained) const {
   std::vector<std::uint8_t> mask(nlist(), 0);
   for (std::uint32_t c : shard_clusters_[shard]) {
-    mask[c] = static_cast<std::uint8_t>(std::min<std::size_t>(owners_[c].size(), 255));
+    std::size_t live = 0;
+    for (std::uint32_t s : owners_[c]) {
+      if (s >= drained.size() || drained[s] == 0) ++live;
+    }
+    mask[c] = static_cast<std::uint8_t>(std::clamp<std::size_t>(live, 1, 255));
   }
   return mask;
 }

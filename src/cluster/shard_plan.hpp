@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace drim::cluster {
@@ -53,7 +54,10 @@ class ShardPlan {
   /// nlist-sized mask of one shard's clusters, in the form
   /// LayoutParams::owned_clusters consumes: 0 where the shard does not own
   /// the cluster, else the cluster's owner count (saturating at 255).
-  std::vector<std::uint8_t> owned_mask(std::uint32_t shard) const;
+  /// Owners flagged nonzero in `drained` (indexed by shard) serve no visit
+  /// and are not counted.
+  std::vector<std::uint8_t> owned_mask(std::uint32_t shard,
+                                       std::span<const std::uint8_t> drained = {}) const;
   bool replicated(std::uint32_t cluster) const { return owners_[cluster].size() > 1; }
 
   /// Expected per-visit cost of a cluster (the dispatch policy's load unit).

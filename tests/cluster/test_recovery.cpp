@@ -150,6 +150,47 @@ TEST_F(ClusterRecoveryTest, RecoveryMidStreamDropsNothing) {
   }
 }
 
+TEST_F(ClusterRecoveryTest, RecoveryMasksCountOnlyLiveOwners) {
+  DrimBackend plain(*index_, data_->learn, options());
+  const auto baseline = plain.search(data_->queries, 10, 8);
+
+  const auto cluster = make_shards(3);
+  // Record the owned-cluster mask every rebuilt survivor is built with.
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> built;
+  cluster->set_shard_factory([&](std::uint32_t s, const IndexSnapshot& snap,
+                                 const std::vector<std::uint8_t>& mask) {
+    built.emplace_back(s, mask);
+    DrimEngineOptions o = options();
+    o.layout.owned_clusters = mask;
+    return std::make_unique<DrimBackend>(snap, data_->learn, o);
+  });
+  cluster->set_shard_drained(1, true);
+  const auto report = cluster->recover_shard(1);
+  ASSERT_GE(report.clusters_rehomed, 1u);
+  ASSERT_EQ(built.size(), report.rebuilt_shards);
+
+  // The drained shard stays in the plan's owner lists but serves no visit,
+  // so a survivor's layout expects heat / live owners: a re-homed cluster's
+  // only live owner expects all of its heat.
+  const ShardPlan& plan = cluster->plan();
+  std::size_t rehomed_seen = 0;
+  for (const auto& [s, mask] : built) {
+    for (std::uint32_t c = 0; c < plan.nlist(); ++c) {
+      const auto& owners = plan.owners(c);
+      if (!std::binary_search(owners.begin(), owners.end(), s)) {
+        EXPECT_EQ(mask[c], 0u) << "shard " << s << " cluster " << c;
+        continue;
+      }
+      const auto live = static_cast<std::size_t>(
+          std::count_if(owners.begin(), owners.end(), [](std::uint32_t o) { return o != 1; }));
+      EXPECT_EQ(mask[c], live) << "shard " << s << " cluster " << c;
+      if (live == 1 && owners.size() > 1) ++rehomed_seen;
+    }
+  }
+  EXPECT_GE(rehomed_seen, report.clusters_rehomed);
+  expect_identical(cluster->search(data_->queries, 10, 8), baseline);
+}
+
 TEST_F(ClusterRecoveryTest, RecoveryValidatesItsPreconditions) {
   const auto single = make_shards(1);
   EXPECT_THROW(single->recover_shard(0), std::logic_error);
