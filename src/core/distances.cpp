@@ -104,6 +104,18 @@ void scalar_adc_scan_u32(const std::uint32_t* lut, std::size_t cb, std::size_t m
 
 // The DPU kernel's LC arithmetic: residual component, absolute difference,
 // squared and summed in uint32 (wraparound included).
+std::uint32_t scalar_lut_entry_u32(const std::int16_t* q, const std::int16_t* c,
+                                   const std::int16_t* cw, std::size_t dsub) {
+  std::uint32_t acc = 0;
+  for (std::size_t d = 0; d < dsub; ++d) {
+    const std::int32_t res = static_cast<std::int32_t>(q[d]) - c[d];
+    const std::int32_t diff = res - cw[d];
+    const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+    acc += a * a;
+  }
+  return acc;
+}
+
 void scalar_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
                         const std::int16_t* codebooks, std::size_t m,
                         std::size_t dsub, std::size_t cb, std::uint32_t* lut) {
@@ -111,16 +123,19 @@ void scalar_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
     const std::int16_t* q = query + sub * dsub;
     const std::int16_t* c = centroid + sub * dsub;
     for (std::size_t e = 0; e < cb; ++e) {
-      const std::int16_t* cw = codebooks + (sub * cb + e) * dsub;
-      std::uint32_t acc = 0;
-      for (std::size_t d = 0; d < dsub; ++d) {
-        const std::int32_t res = static_cast<std::int32_t>(q[d]) - c[d];
-        const std::int32_t diff = res - cw[d];
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        acc += a * a;
-      }
-      lut[sub * cb + e] = acc;
+      lut[sub * cb + e] =
+          scalar_lut_entry_u32(q, c, codebooks + (sub * cb + e) * dsub, dsub);
     }
+  }
+}
+
+void scalar_adc_lut_u32_marked(const std::int16_t* query, const std::int16_t* centroid,
+                               const std::int16_t* codebook, std::size_t dsub,
+                               std::size_t cb, const std::uint8_t* marks,
+                               std::uint32_t* row) {
+  for (std::size_t e = 0; e < cb; ++e) {
+    if (((marks[e / 8] >> (e % 8)) & 1) == 0) continue;
+    row[e] = scalar_lut_entry_u32(query, centroid, codebook + e * dsub, dsub);
   }
 }
 
@@ -173,8 +188,8 @@ float scalar_l2_sq_u8(const float* a, const std::uint8_t* b, std::size_t n) {
 
 constexpr DistanceKernels kScalarKernels = {
     "scalar",           scalar_adc_lut_row, scalar_adc_scan_f32,
-    scalar_adc_scan_u32, scalar_adc_lut_u32, scalar_l2_sq_f32,
-    scalar_l2_sq_u8,
+    scalar_adc_scan_u32, scalar_adc_lut_u32, scalar_adc_lut_u32_marked,
+    scalar_l2_sq_f32,   scalar_l2_sq_u8,
 };
 
 // ---- Dispatch ------------------------------------------------------------

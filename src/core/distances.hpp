@@ -18,7 +18,7 @@
 //  - the float adc_* kernels vectorize ACROSS points/entries and keep each
 //    output's own accumulation order sequential, so each float result
 //    rounds exactly like the seed scalar loop;
-//  - the integer entries (adc_lut_u32, adc_scan_u32) accumulate in uint32
+//  - the integer entries (adc_lut_u32*, adc_scan_u32) accumulate in uint32
 //    wraparound arithmetic, which is associative and commutative, so any
 //    summation order (lane sums, hadd reductions) gives the same bits;
 //  - the l2_sq_* entries use a canonical 8-lane blocked order (lane
@@ -85,6 +85,14 @@ struct DistanceKernels {
   void (*adc_lut_u32)(const std::int16_t* query, const std::int16_t* centroid,
                       const std::int16_t* codebooks, std::size_t m,
                       std::size_t dsub, std::size_t cb, std::uint32_t* lut);
+
+  /// One adc_lut_u32 row (m = 1) built only at the entries e < cb whose bit
+  /// (marks[e / 8] >> e % 8) & 1 is set; every other entry of `row` is left
+  /// as it was. The listed LC build of the DPU search kernel.
+  void (*adc_lut_u32_marked)(const std::int16_t* query, const std::int16_t* centroid,
+                             const std::int16_t* codebook, std::size_t dsub,
+                             std::size_t cb, const std::uint8_t* marks,
+                             std::uint32_t* row);
 
   /// Blocked-order float L2 (canonical 8-lane order; NOT the same rounding
   /// as the sequential l2_sq above).

@@ -7,7 +7,8 @@
 //  - adc_lut_row / adc_scan_* vectorize ACROSS entries/points: lane j owns
 //    output j and accumulates over d/sub in the same sequential order as the
 //    scalar loop, so each lane's float rounding is identical.
-//  - adc_lut_u32 squares 8 int32 differences per vector and reduces them
+//  - adc_lut_u32 (and its marked row, adc_lut_u32_marked) squares 8 int32
+//    differences per vector and reduces them
 //    with hadd; uint32 wraparound sums are order-independent, so any
 //    reduction tree matches the scalar loop bit for bit. At dsub 8 a
 //    guarded int16 multiply-add path takes blocks whose operands are small
@@ -297,12 +298,41 @@ inline bool madd_safe(__m256i lo, __m256i hi) {
   return _mm256_testz_si256(out, out) != 0;
 }
 
+// Entry selection of the marked row builder (adc_lut_u32_marked). With
+// kMarked false every entry is built, which is adc_lut_u32's row; with it
+// true an 8-entry block is built only when one of its entries is marked,
+// and only the marked entries are stored.
+template <bool kMarked>
+inline bool block_marked(const std::uint8_t* marks, std::size_t e) {
+  return !kMarked || marks[e / 8] != 0;
+}
+
+template <bool kMarked>
+inline bool entry_marked(const std::uint8_t* marks, std::size_t e) {
+  return !kMarked || ((marks[e / 8] >> (e % 8)) & 1) != 0;
+}
+
+/// Stores the 8 sums of entries e..e+7 (e a multiple of 8).
+template <bool kMarked>
+inline void store8(std::uint32_t* row, std::size_t e, __m256i sums,
+                   const std::uint8_t* marks) {
+  if constexpr (kMarked) {
+    const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i sel = _mm256_and_si256(_mm256_set1_epi32(marks[e / 8]), bits);
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(row + e), _mm256_cmpeq_epi32(sel, bits),
+                           sums);
+  } else {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e), sums);
+  }
+}
+
 /// One dsub == 8 table row. Each vector holds two codewords against the
 /// int16 residual repeated in both halves; madd leaves four pair sums per
 /// codeword, and the dsub == 4 path's two-level hadd + permute order
 /// finishes eight entries.
-void lut_row_dsub8(const std::int16_t* q, const std::int16_t* c,
-                   const std::int16_t* book, std::size_t cb, std::uint32_t* row) {
+template <bool kMarked>
+void lut_row_dsub8(const std::int16_t* q, const std::int16_t* c, const std::int16_t* book,
+                   std::size_t cb, const std::uint8_t* marks, std::uint32_t* row) {
   alignas(32) std::int16_t res16[16];
   bool res_safe = true;
   for (std::size_t d = 0; d < 8; ++d) {
@@ -314,6 +344,7 @@ void lut_row_dsub8(const std::int16_t* q, const std::int16_t* c,
   const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
   std::size_t e = 0;
   for (; e + 8 <= cb; e += 8) {
+    if (!block_marked<kMarked>(marks, e)) continue;
     const std::int16_t* base = book + e * 8;
     __m256i cw[4];
     for (std::size_t j = 0; j < 4; ++j) {
@@ -337,49 +368,64 @@ void lut_row_dsub8(const std::int16_t* q, const std::int16_t* c,
     } else {
       sums = lut8_entries(q, c, base, 8);
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e), sums);
+    store8<kMarked>(row, e, sums, marks);
   }
-  for (; e < cb; ++e) row[e] = lut_entry_u32(q, c, book + e * 8, 0, 8);
+  for (; e < cb; ++e) {
+    if (entry_marked<kMarked>(marks, e)) row[e] = lut_entry_u32(q, c, book + e * 8, 0, 8);
+  }
+}
+
+/// One table row of subvector q - c against the cb codewords of `book`.
+template <bool kMarked>
+void lut_row_u32(const std::int16_t* q, const std::int16_t* c, const std::int16_t* book,
+                 std::size_t dsub, std::size_t cb, const std::uint8_t* marks,
+                 std::uint32_t* row) {
+  if (dsub == 8) {
+    lut_row_dsub8<kMarked>(q, c, book, cb, marks, row);
+    return;
+  }
+  std::size_t e = 0;
+  if (dsub == 4) {
+    // Two codewords per 8-lane vector (the residual repeated in both
+    // halves). Two hadd levels leave (e0 e2 e4 e6 | e1 e3 e5 e7); one
+    // cross-lane permute restores entry order.
+    alignas(16) std::int16_t qc[8] = {q[0], q[1], q[2], q[3], q[0], q[1], q[2], q[3]};
+    alignas(16) std::int16_t cc[8] = {c[0], c[1], c[2], c[3], c[0], c[1], c[2], c[3]};
+    const __m256i res = residual8(qc, cc);
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    for (; e + 8 <= cb; e += 8) {
+      if (!block_marked<kMarked>(marks, e)) continue;
+      const std::int16_t* base = book + e * 4;
+      const __m256i h0 = _mm256_hadd_epi32(sq_diff(res, base), sq_diff(res, base + 8));
+      const __m256i h1 = _mm256_hadd_epi32(sq_diff(res, base + 16), sq_diff(res, base + 24));
+      const __m256i sums = _mm256_hadd_epi32(h0, h1);
+      store8<kMarked>(row, e, _mm256_permutevar8x32_epi32(sums, order), marks);
+    }
+  } else if (dsub >= 8) {
+    for (; e + 8 <= cb; e += 8) {
+      if (!block_marked<kMarked>(marks, e)) continue;
+      store8<kMarked>(row, e, lut8_entries(q, c, book + e * dsub, dsub), marks);
+    }
+  }
+  for (; e < cb; ++e) {
+    if (entry_marked<kMarked>(marks, e)) row[e] = lut_entry_u32(q, c, book + e * dsub, 0, dsub);
+  }
 }
 
 void avx2_adc_lut_u32(const std::int16_t* query, const std::int16_t* centroid,
                       const std::int16_t* codebooks, std::size_t m,
                       std::size_t dsub, std::size_t cb, std::uint32_t* lut) {
   for (std::size_t sub = 0; sub < m; ++sub) {
-    const std::int16_t* q = query + sub * dsub;
-    const std::int16_t* c = centroid + sub * dsub;
-    const std::int16_t* book = codebooks + sub * cb * dsub;
-    std::uint32_t* row = lut + sub * cb;
-    std::size_t e = 0;
-    if (dsub == 8) {
-      lut_row_dsub8(q, c, book, cb, row);
-      continue;
-    }
-    if (dsub == 4) {
-      // Two codewords per 8-lane vector (the residual repeated in both
-      // halves). Two hadd levels leave (e0 e2 e4 e6 | e1 e3 e5 e7); one
-      // cross-lane permute restores entry order.
-      alignas(16) std::int16_t qc[8] = {q[0], q[1], q[2], q[3], q[0], q[1], q[2], q[3]};
-      alignas(16) std::int16_t cc[8] = {c[0], c[1], c[2], c[3], c[0], c[1], c[2], c[3]};
-      const __m256i res = residual8(qc, cc);
-      const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-      for (; e + 8 <= cb; e += 8) {
-        const std::int16_t* base = book + e * 4;
-        const __m256i h0 = _mm256_hadd_epi32(sq_diff(res, base), sq_diff(res, base + 8));
-        const __m256i h1 =
-            _mm256_hadd_epi32(sq_diff(res, base + 16), sq_diff(res, base + 24));
-        const __m256i sums = _mm256_hadd_epi32(h0, h1);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e),
-                            _mm256_permutevar8x32_epi32(sums, order));
-      }
-    } else if (dsub >= 8) {
-      for (; e + 8 <= cb; e += 8) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + e),
-                            lut8_entries(q, c, book + e * dsub, dsub));
-      }
-    }
-    for (; e < cb; ++e) row[e] = lut_entry_u32(q, c, book + e * dsub, 0, dsub);
+    lut_row_u32<false>(query + sub * dsub, centroid + sub * dsub, codebooks + sub * cb * dsub,
+                       dsub, cb, nullptr, lut + sub * cb);
   }
+}
+
+void avx2_adc_lut_u32_marked(const std::int16_t* query, const std::int16_t* centroid,
+                             const std::int16_t* codebook, std::size_t dsub,
+                             std::size_t cb, const std::uint8_t* marks,
+                             std::uint32_t* row) {
+  lut_row_u32<true>(query, centroid, codebook, dsub, cb, marks, row);
 }
 
 // Horizontal sum matching scalar reduce8: (a0+a4, a1+a5, a2+a6, a3+a7) ->
@@ -428,8 +474,8 @@ float avx2_l2_sq_u8(const float* a, const std::uint8_t* b, std::size_t n) {
 
 constexpr DistanceKernels kAvx2Kernels = {
     "avx2",            avx2_adc_lut_row, avx2_adc_scan_f32,
-    avx2_adc_scan_u32, avx2_adc_lut_u32, avx2_l2_sq_f32,
-    avx2_l2_sq_u8,
+    avx2_adc_scan_u32, avx2_adc_lut_u32, avx2_adc_lut_u32_marked,
+    avx2_l2_sq_f32,    avx2_l2_sq_u8,
 };
 
 }  // namespace

@@ -239,10 +239,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
   auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
   std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
   auto row = wram_buffer<kFunctional, KernelHit>(args.k);
-  // A listed LC build's full-row scratch (host-side: the DPU builds each
-  // listed entry from the slice in place), and the byte width of one listed
-  // id in MRAM: the code width.
-  auto listed_row = wram_buffer<kFunctional, std::uint32_t>(cb);
+  // The byte width of one listed id in MRAM: the code width.
   const std::size_t id_bytes = args.wide_codes ? 2 : 1;
 
   // The task list (and, with a plan, the fused-group descriptor table)
@@ -307,9 +304,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       for (std::size_t sub = 0; sub < m; ++sub) {
         const std::int16_t* book = as_i16(mram_read_chunked<kFunctional>(
             ctx, books + sub * entries * dsub * 2, cb_slice.data(), entries * dsub * 2));
-        const std::span<const std::uint16_t> ids =
-            listed != nullptr ? listed->sub(sub) : std::span<const std::uint16_t>();
-        const std::size_t built = listed != nullptr ? ids.size() : entries;
+        const std::size_t built = listed != nullptr ? listed->sub(sub).size() : entries;
         if constexpr (kFunctional) {
           const std::int16_t* q = query + sub * dsub;
           const std::int16_t* c = centroid + sub * dsub;
@@ -317,13 +312,10 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
           if (q4) {
             q4_lut_row(q, c, book, dsub, cb4, shift, lut4.data() + sub * cb4);
           } else if (listed != nullptr) {
-            // The simulator builds the whole row with the dense build's
-            // arithmetic into scratch (one SIMD pass is cheaper on the host
-            // than gathering the listed codewords) and stores only the
-            // listed entries, so the table holds exactly what the DPU builds.
-            kernels().adc_lut_u32(q, c, book, 1, dsub, cb, listed_row.data());
-#pragma GCC unroll 4
-            for (const std::uint16_t id : ids) lut_row[id] = listed_row[id];
+            // Only the listed entries, with the dense build's arithmetic, so
+            // the table holds exactly what the DPU builds.
+            kernels().adc_lut_u32_marked(q, c, book, dsub, cb, listed->sub_marks(sub, cb),
+                                         lut_row);
           } else {
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
           }
@@ -488,10 +480,14 @@ CodewordList build_codeword_list(std::span<const std::uint8_t> codes, std::size_
     }
   }
   CodewordList list;
+  const std::size_t mark_bytes = (cb + 7) / 8;
+  list.marks.assign(m * mark_bytes, 0);
   for (std::size_t sub = 0; sub < m; ++sub) {
     list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
     for (std::size_t e = 0; e < cb; ++e) {
-      if (used[sub * cb + e] != 0) list.ids.push_back(static_cast<std::uint16_t>(e));
+      if (used[sub * cb + e] == 0) continue;
+      list.ids.push_back(static_cast<std::uint16_t>(e));
+      list.marks[sub * mark_bytes + e / 8] |= static_cast<std::uint8_t>(1u << (e % 8));
     }
   }
   list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));

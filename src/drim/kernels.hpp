@@ -44,9 +44,16 @@ inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
 struct CodewordList {
   std::vector<std::uint32_t> offsets;  ///< m + 1 bounds into ids
   std::vector<std::uint16_t> ids;      ///< per subquantizer, ascending
+  /// The same set as bits, (cb + 7) / 8 bytes per subquantizer: bit e % 8
+  /// of byte e / 8 is set when e is listed. The simulator's functional LC
+  /// builds from it (DistanceKernels::adc_lut_u32_marked).
+  std::vector<std::uint8_t> marks;
 
   std::span<const std::uint16_t> sub(std::size_t s) const {
     return {ids.data() + offsets[s], offsets[s + 1] - offsets[s]};
+  }
+  const std::uint8_t* sub_marks(std::size_t s, std::size_t cb) const {
+    return marks.data() + s * ((cb + 7) / 8);
   }
 };
 

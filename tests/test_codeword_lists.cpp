@@ -30,6 +30,7 @@ bool listed(const CodewordList& list, std::size_t sub, std::uint32_t e) {
 void expect_same_list(const CodewordList& a, const CodewordList& b) {
   EXPECT_EQ(a.offsets, b.offsets);
   EXPECT_EQ(a.ids, b.ids);
+  EXPECT_EQ(a.marks, b.marks);
 }
 
 TEST(KernelCodewordList, ListsEachReferencedCodewordOnceInIdOrder) {
@@ -41,10 +42,13 @@ TEST(KernelCodewordList, ListsEachReferencedCodewordOnceInIdOrder) {
             (std::vector<std::uint16_t>{1, 3}));
   EXPECT_EQ(std::vector<std::uint16_t>(list.sub(1).begin(), list.sub(1).end()),
             (std::vector<std::uint16_t>{0, 7}));
+  // The same sets as bits, one byte per subquantizer at cb 8.
+  EXPECT_EQ(list.marks, (std::vector<std::uint8_t>{0b00001010, 0b10000001}));
 
   const CodewordList empty = build_codeword_list({}, 2, 8, false);
   EXPECT_EQ(empty.offsets, (std::vector<std::uint32_t>{0, 0, 0}));
   EXPECT_TRUE(empty.ids.empty());
+  EXPECT_EQ(empty.marks, (std::vector<std::uint8_t>{0, 0}));
 }
 
 TEST(KernelCodewordList, WideCodesListIdsAbove255) {
@@ -58,6 +62,15 @@ TEST(KernelCodewordList, WideCodesListIdsAbove255) {
             (std::vector<std::uint16_t>{2, 300, 511}));
   EXPECT_EQ(std::vector<std::uint16_t>(list.sub(1).begin(), list.sub(1).end()),
             (std::vector<std::uint16_t>{256, 300, 511}));
+  // 64 mark bytes per subquantizer; every listed id, and only those, is set.
+  ASSERT_EQ(list.marks.size(), 2u * 64u);
+  for (std::size_t sub = 0; sub < 2; ++sub) {
+    const std::uint8_t* marks = list.sub_marks(sub, 512);
+    std::size_t set = 0;
+    for (std::size_t e = 0; e < 512; ++e) set += (marks[e / 8] >> (e % 8)) & 1;
+    EXPECT_EQ(set, list.sub(sub).size());
+    for (const std::uint16_t e : list.sub(sub)) EXPECT_TRUE((marks[e / 8] >> (e % 8)) & 1);
+  }
 }
 
 class KernelCodewordListTest : public ::testing::Test {

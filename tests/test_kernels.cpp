@@ -574,8 +574,10 @@ TEST(KernelSeam, ListMissingAUsedCodewordChangesAnswers) {
   SeamWorld world(256, 3000, 41);
   world.attach_lists();
   CodewordList& list = world.lists[2];
-  list.ids.erase(list.ids.begin());  // sub 0's smallest listed codeword
+  const std::uint16_t dropped = list.ids.front();  // sub 0's smallest listed codeword
+  list.ids.erase(list.ids.begin());
   for (std::size_t s = 1; s < list.offsets.size(); ++s) --list.offsets[s];
+  list.marks[dropped / 8] &= static_cast<std::uint8_t>(~(1u << (dropped % 8)));
 
   const auto run = world.run(SimdLevel::kScalar);
   const auto oracle = world.oracle();

@@ -298,6 +298,47 @@ TEST(SimdEquality, AdcLutU32MaddGuardBoundaryIsBitExact) {
   }
 }
 
+TEST(SimdEquality, AdcLutU32MarkedBuildsExactlyTheMarkedEntries) {
+  // The marked row equals adc_lut_u32's row at every marked entry and
+  // leaves every other entry untouched, on both tables: marks of every
+  // density, all-empty and all-full 8-entry blocks, tails, and dsub on each
+  // AVX2 path (4, 8 with its multiply-add guard, >= 8, and the others).
+  const DistanceKernels& sc = scalar_kernels();
+  std::vector<const DistanceKernels*> tables = {&sc};
+  if (avx2_kernels() != nullptr) tables.push_back(avx2_kernels());
+  constexpr std::uint32_t kUntouched = 0xDEADBEEFu;
+  std::mt19937 rng(37);
+  for (const std::size_t dsub : {1u, 2u, 4u, 8u, 12u, 16u}) {
+    for (const std::size_t cb : {1u, 13u, 16u, 100u, 256u, 300u}) {
+      for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+        SCOPED_TRACE("dsub=" + std::to_string(dsub) + " cb=" + std::to_string(cb) +
+                     " density=" + std::to_string(density));
+        const auto query = extreme_int16s(rng, dsub);
+        const auto centroid = extreme_int16s(rng, dsub);
+        const auto book = extreme_int16s(rng, cb * dsub);
+        std::vector<std::uint32_t> dense(cb);
+        sc.adc_lut_u32(query.data(), centroid.data(), book.data(), 1, dsub, cb,
+                       dense.data());
+        std::bernoulli_distribution pick(density);
+        std::vector<std::uint8_t> marks((cb + 7) / 8, 0);
+        std::vector<bool> marked(cb);
+        for (std::size_t e = 0; e < cb; ++e) {
+          marked[e] = pick(rng);
+          if (marked[e]) marks[e / 8] |= static_cast<std::uint8_t>(1u << (e % 8));
+        }
+        for (const DistanceKernels* t : tables) {
+          std::vector<std::uint32_t> row(cb, kUntouched);
+          t->adc_lut_u32_marked(query.data(), centroid.data(), book.data(), dsub, cb,
+                                marks.data(), row.data());
+          for (std::size_t e = 0; e < cb; ++e) {
+            ASSERT_EQ(row[e], marked[e] ? dense[e] : kUntouched) << t->name << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdEquality, L2KernelsMatchOnRandomAndTailSizes) {
   REQUIRE_AVX2();
   const DistanceKernels& sc = scalar_kernels();
