@@ -947,7 +947,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
               : 0u;
       dpu_tasks[d].push_back({tl_dedup_slot[t.query] | rung_bit, shard_slot_[t.shard]});
       if (rung_bit == 0) {
-        lut_entries += dpu_shard_regions_[d][shard_slot_[t.shard]].codewords->ids.size();
+        lut_entries += dpu_shard_regions_[d][shard_slot_[t.shard]].codewords->size();
       }
       dpu_task_query[d].push_back(t.query);
       if (!functional) {
@@ -1305,7 +1305,7 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
     for (const auto& g : groups) {
       if (g.empty()) continue;
       total_points += layout_->shard(g.front()).size();
-      total_entries += static_cast<double>(codeword_lists_[shard_list_[g.front()]].ids.size());
+      total_entries += static_cast<double>(codeword_lists_[shard_list_[g.front()]].size());
     }
   }
   const double mean_slices = nlist > 0 ? total_slices / static_cast<double>(nlist) : 0.0;

@@ -1,6 +1,7 @@
 #include "drim/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <new>
 #include <unordered_map>
@@ -273,7 +274,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
     const CodewordList* listed = q4 ? nullptr : shard.codewords;
     if (listed != nullptr) {
       ctx.set_phase(Phase::LC);
-      mram_read_chunked<false>(ctx, 0, nullptr, listed->ids.size() * id_bytes);
+      mram_read_chunked<false>(ctx, 0, nullptr, listed->size() * id_bytes);
     }
     for (std::size_t g = 0; g < width; ++g) {
       const KernelTask& task = tasks[members[g]];
@@ -304,7 +305,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       for (std::size_t sub = 0; sub < m; ++sub) {
         const std::int16_t* book = as_i16(mram_read_chunked<kFunctional>(
             ctx, books + sub * entries * dsub * 2, cb_slice.data(), entries * dsub * 2));
-        const std::size_t built = listed != nullptr ? listed->sub(sub).size() : entries;
+        const std::size_t built = listed != nullptr ? listed->count(sub) : entries;
         if constexpr (kFunctional) {
           const std::int16_t* q = query + sub * dsub;
           const std::int16_t* c = centroid + sub * dsub;
@@ -314,7 +315,7 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
           } else if (listed != nullptr) {
             // Only the listed entries, with the dense build's arithmetic, so
             // the table holds exactly what the DPU builds.
-            kernels().adc_lut_u32_marked(q, c, book, dsub, cb, listed->sub_marks(sub, cb),
+            kernels().adc_lut_u32_marked(q, c, book, dsub, cb, listed->sub_marks(sub),
                                          lut_row);
           } else {
             kernels().adc_lut_u32(q, c, book, 1, dsub, cb, lut_row);
@@ -468,29 +469,28 @@ CodewordList build_codeword_list(std::span<const std::uint8_t> codes, std::size_
                                  std::size_t cb, bool wide) {
   const std::size_t code_size = m * (wide ? 2 : 1);
   const std::size_t points = code_size > 0 ? codes.size() / code_size : 0;
-  // Mark every (subquantizer, codeword) a point names, then list each
-  // subquantizer's marks in id order.
-  std::vector<std::uint8_t> used(m * cb, 0);
+  // Mark every (subquantizer, codeword) a point names, then count each
+  // subquantizer's marks.
+  CodewordList list;
+  list.cb = cb;
+  const std::size_t mark_bytes = (cb + 7) / 8;
+  list.marks.assign(m * mark_bytes, 0);
   for (std::size_t i = 0; i < points; ++i) {
     const std::uint8_t* point = codes.data() + i * code_size;
     for (std::size_t sub = 0; sub < m; ++sub) {
       std::uint16_t e = point[sub];
       if (wide) std::memcpy(&e, point + sub * 2, 2);
-      used[sub * cb + e] = 1;
-    }
-  }
-  CodewordList list;
-  const std::size_t mark_bytes = (cb + 7) / 8;
-  list.marks.assign(m * mark_bytes, 0);
-  for (std::size_t sub = 0; sub < m; ++sub) {
-    list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
-    for (std::size_t e = 0; e < cb; ++e) {
-      if (used[sub * cb + e] == 0) continue;
-      list.ids.push_back(static_cast<std::uint16_t>(e));
       list.marks[sub * mark_bytes + e / 8] |= static_cast<std::uint8_t>(1u << (e % 8));
     }
   }
-  list.offsets.push_back(static_cast<std::uint32_t>(list.ids.size()));
+  list.offsets.assign(m + 1, 0);
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    std::uint32_t n = 0;
+    for (std::size_t b = 0; b < mark_bytes; ++b) {
+      n += static_cast<std::uint32_t>(std::popcount(list.marks[sub * mark_bytes + b]));
+    }
+    list.offsets[sub + 1] = list.offsets[sub] + n;
+  }
   return list;
 }
 

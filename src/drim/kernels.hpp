@@ -37,23 +37,25 @@ inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
   }
 }
 
-/// The codewords a shard's codes reference: one ascending id list per
-/// subquantizer. DC only ever reads the LUT entries its codes name, so the
-/// full-rung LC builds just these (DESIGN.md §17). Tombstoned points' codes
-/// stay listed, because DC still scans them.
+/// The codewords a shard's codes reference, per subquantizer. DC only ever
+/// reads the LUT entries its codes name, so the full-rung LC builds just
+/// these (DESIGN.md §17). Tombstoned points' codes stay listed, because DC
+/// still scans them. The host holds each subquantizer's set as a bitmask;
+/// the kernel bills it as a stream of ids at the code width.
 struct CodewordList {
-  std::vector<std::uint32_t> offsets;  ///< m + 1 bounds into ids
-  std::vector<std::uint16_t> ids;      ///< per subquantizer, ascending
-  /// The same set as bits, (cb + 7) / 8 bytes per subquantizer: bit e % 8
-  /// of byte e / 8 is set when e is listed. The simulator's functional LC
-  /// builds from it (DistanceKernels::adc_lut_u32_marked).
+  std::size_t cb = 0;                  ///< codewords per subquantizer
+  std::vector<std::uint32_t> offsets;  ///< m + 1 running counts of listed codewords
+  /// (cb + 7) / 8 bytes per subquantizer: bit e % 8 of byte e / 8 is set
+  /// when codeword e is listed.
   std::vector<std::uint8_t> marks;
 
-  std::span<const std::uint16_t> sub(std::size_t s) const {
-    return {ids.data() + offsets[s], offsets[s + 1] - offsets[s]};
-  }
-  const std::uint8_t* sub_marks(std::size_t s, std::size_t cb) const {
+  std::size_t count(std::size_t s) const { return offsets[s + 1] - offsets[s]; }
+  std::size_t size() const { return offsets.empty() ? 0 : offsets.back(); }
+  const std::uint8_t* sub_marks(std::size_t s) const {
     return marks.data() + s * ((cb + 7) / 8);
+  }
+  bool listed(std::size_t s, std::size_t e) const {
+    return ((sub_marks(s)[e / 8] >> (e % 8)) & 1) != 0;
   }
 };
 

@@ -22,14 +22,18 @@
 namespace drim {
 namespace {
 
-bool listed(const CodewordList& list, std::size_t sub, std::uint32_t e) {
-  const auto ids = list.sub(sub);
-  return std::binary_search(ids.begin(), ids.end(), static_cast<std::uint16_t>(e));
+/// The codewords `list` marks for subquantizer `sub`, in id order.
+std::vector<std::uint16_t> ids_of(const CodewordList& list, std::size_t sub) {
+  std::vector<std::uint16_t> ids;
+  for (std::size_t e = 0; e < list.cb; ++e) {
+    if (list.listed(sub, e)) ids.push_back(static_cast<std::uint16_t>(e));
+  }
+  return ids;
 }
 
 void expect_same_list(const CodewordList& a, const CodewordList& b) {
+  EXPECT_EQ(a.cb, b.cb);
   EXPECT_EQ(a.offsets, b.offsets);
-  EXPECT_EQ(a.ids, b.ids);
   EXPECT_EQ(a.marks, b.marks);
 }
 
@@ -38,16 +42,14 @@ TEST(KernelCodewordList, ListsEachReferencedCodewordOnceInIdOrder) {
   const std::vector<std::uint8_t> codes = {3, 7, 1, 0, 3, 7};
   const CodewordList list = build_codeword_list(codes, 2, 8, false);
   ASSERT_EQ(list.offsets, (std::vector<std::uint32_t>{0, 2, 4}));
-  EXPECT_EQ(std::vector<std::uint16_t>(list.sub(0).begin(), list.sub(0).end()),
-            (std::vector<std::uint16_t>{1, 3}));
-  EXPECT_EQ(std::vector<std::uint16_t>(list.sub(1).begin(), list.sub(1).end()),
-            (std::vector<std::uint16_t>{0, 7}));
-  // The same sets as bits, one byte per subquantizer at cb 8.
+  EXPECT_EQ(ids_of(list, 0), (std::vector<std::uint16_t>{1, 3}));
+  EXPECT_EQ(ids_of(list, 1), (std::vector<std::uint16_t>{0, 7}));
+  // One mark byte per subquantizer at cb 8.
   EXPECT_EQ(list.marks, (std::vector<std::uint8_t>{0b00001010, 0b10000001}));
 
   const CodewordList empty = build_codeword_list({}, 2, 8, false);
   EXPECT_EQ(empty.offsets, (std::vector<std::uint32_t>{0, 0, 0}));
-  EXPECT_TRUE(empty.ids.empty());
+  EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.marks, (std::vector<std::uint8_t>{0, 0}));
 }
 
@@ -58,19 +60,10 @@ TEST(KernelCodewordList, WideCodesListIdsAbove255) {
   std::vector<std::uint8_t> codes(values.size() * 2);
   std::memcpy(codes.data(), values.data(), codes.size());
   const CodewordList list = build_codeword_list(codes, 2, 512, true);
-  EXPECT_EQ(std::vector<std::uint16_t>(list.sub(0).begin(), list.sub(0).end()),
-            (std::vector<std::uint16_t>{2, 300, 511}));
-  EXPECT_EQ(std::vector<std::uint16_t>(list.sub(1).begin(), list.sub(1).end()),
-            (std::vector<std::uint16_t>{256, 300, 511}));
-  // 64 mark bytes per subquantizer; every listed id, and only those, is set.
-  ASSERT_EQ(list.marks.size(), 2u * 64u);
-  for (std::size_t sub = 0; sub < 2; ++sub) {
-    const std::uint8_t* marks = list.sub_marks(sub, 512);
-    std::size_t set = 0;
-    for (std::size_t e = 0; e < 512; ++e) set += (marks[e / 8] >> (e % 8)) & 1;
-    EXPECT_EQ(set, list.sub(sub).size());
-    for (const std::uint16_t e : list.sub(sub)) EXPECT_TRUE((marks[e / 8] >> (e % 8)) & 1);
-  }
+  EXPECT_EQ(ids_of(list, 0), (std::vector<std::uint16_t>{2, 300, 511}));
+  EXPECT_EQ(ids_of(list, 1), (std::vector<std::uint16_t>{256, 300, 511}));
+  EXPECT_EQ(list.marks.size(), 2u * 64u);  // 64 mark bytes per subquantizer
+  EXPECT_EQ(list.offsets, (std::vector<std::uint32_t>{0, 3, 6}));
 }
 
 class KernelCodewordListTest : public ::testing::Test {
@@ -148,7 +141,7 @@ TEST_F(KernelCodewordListTest, EachSplitSliceGetsItsOwnListSharedByItsReplicas) 
       const CodewordList& list = engine.codeword_list(replicas.front());
       slice_lists.insert(&list);
       expect_same_list(list, list_of(engine, engine.layout().shard(replicas.front())));
-      sparse |= list.ids.size() < m * cb;
+      sparse |= list.size() < m * cb;
       replicated |= replicas.size() > 1;
       for (const std::uint32_t r : replicas) EXPECT_EQ(&engine.codeword_list(r), &list);
     }
@@ -190,7 +183,7 @@ TEST_F(KernelCodewordListTest, TombstonedPointsCodesStayListed) {
   ASSERT_NE(engine.snapshot().dead_flags(cluster), nullptr);
 
   const Shard& sh = shard_at(engine, cluster, pos);
-  EXPECT_TRUE(listed(engine.codeword_list(sh.id), sub, code))
+  EXPECT_TRUE(engine.codeword_list(sh.id).listed(sub, code))
       << "a tombstoned point's codeword left its slice's list";
   expect_same_list(engine.codeword_list(sh.id), list_of(engine, sh));
 }
@@ -228,7 +221,7 @@ TEST_F(KernelCodewordListTest, PublishedInsertWithANewCodewordExtendsTheList) {
   for (std::size_t s = 0; s < m; ++s) {
     bool before = false;
     for (const auto& replicas : engine.layout().slice_groups(cluster)) {
-      before |= listed(engine.codeword_list(replicas.front()), s, code[s]);
+      before |= engine.codeword_list(replicas.front()).listed(s, code[s]);
     }
     new_codewords += before ? 0 : 1;
   }
@@ -237,7 +230,7 @@ TEST_F(KernelCodewordListTest, PublishedInsertWithANewCodewordExtendsTheList) {
   engine.apply_snapshot(snap, delta);
   const Shard& sh = shard_at(engine, cluster, pos);
   for (std::size_t s = 0; s < m; ++s) {
-    EXPECT_TRUE(listed(engine.codeword_list(sh.id), s, code[s])) << "sub " << s;
+    EXPECT_TRUE(engine.codeword_list(sh.id).listed(s, code[s])) << "sub " << s;
   }
   expect_same_list(engine.codeword_list(sh.id), list_of(engine, sh));
 
@@ -293,7 +286,7 @@ TEST_F(KernelCodewordListTest, SameBoundsWithChangedCodesRebuildTheList) {
   const Shard& first = shard_at(engine, 0, 0);
   std::uint32_t unused = 0;
   while (unused < engine.data().cb_entries() &&
-         listed(engine.codeword_list(first.id), 0, unused)) {
+         engine.codeword_list(first.id).listed(0, unused)) {
     ++unused;
   }
   ASSERT_LT(unused, engine.data().cb_entries());
@@ -307,7 +300,7 @@ TEST_F(KernelCodewordListTest, SameBoundsWithChangedCodesRebuildTheList) {
 
   const Shard& sh = shard_at(engine, 0, 0);
   EXPECT_EQ(sh.begin, first.begin);
-  EXPECT_TRUE(listed(engine.codeword_list(sh.id), 0, unused));
+  EXPECT_TRUE(engine.codeword_list(sh.id).listed(0, unused));
   for (const Shard& s : engine.layout().shards()) {
     expect_same_list(engine.codeword_list(s.id), list_of(engine, s));
   }

@@ -551,7 +551,7 @@ TEST(KernelSeam, ListedTablesMatchOracleAndChargeTwinAtBothSimdLevels) {
     const auto dense = world.run(SimdLevel::kScalar).counters;
     world.attach_lists();
     // The short shard (7 points) lists at most 7 of each book's entries.
-    EXPECT_LE(world.lists[2].ids.size(), 7 * SeamWorld::kM);
+    EXPECT_LE(world.lists[2].size(), 7 * SeamWorld::kM);
 
     const auto scalar = world.run(SimdLevel::kScalar);
     expect_same_rows(scalar.rows, world.oracle(), "listed scalar vs oracle");
@@ -574,10 +574,10 @@ TEST(KernelSeam, ListMissingAUsedCodewordChangesAnswers) {
   SeamWorld world(256, 3000, 41);
   world.attach_lists();
   CodewordList& list = world.lists[2];
-  const std::uint16_t dropped = list.ids.front();  // sub 0's smallest listed codeword
-  list.ids.erase(list.ids.begin());
-  for (std::size_t s = 1; s < list.offsets.size(); ++s) --list.offsets[s];
+  std::size_t dropped = 0;  // sub 0's smallest listed codeword
+  while (!list.listed(0, dropped)) ++dropped;
   list.marks[dropped / 8] &= static_cast<std::uint8_t>(~(1u << (dropped % 8)));
+  for (std::size_t s = 1; s < list.offsets.size(); ++s) --list.offsets[s];
 
   const auto run = world.run(SimdLevel::kScalar);
   const auto oracle = world.oracle();
