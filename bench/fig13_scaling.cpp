@@ -8,13 +8,17 @@
 //  - Paper-scale run: the analytic platform prices the full 2530-DPU array
 //    (trivial vs balanced layout) from the same cost tables without
 //    simulating MRAM bytes, so the paper's DPU count fits in a few minutes
-//    of host time; recall stays real via the host-exact replay.
+//    of host time; recall stays real via the host-exact replay. A sim
+//    column reruns the balanced layout on the byte-level simulator, which
+//    must match the analytic run bit for bit, and prints the host memory
+//    its simulated MRAM holds.
 //
 // `--smoke` shrinks every sweep so ctest finishes in seconds. Writes
 // BENCH_fig13_scaling.json.
 
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "common/timer.hpp"
@@ -24,6 +28,23 @@ using namespace drim;
 using namespace drim::bench;
 
 namespace {
+
+/// Same neighbours and the same modeled times, batch by batch and DPU by DPU.
+bool runs_identical(const DrimRun& a, const DrimRun& b) {
+  if (a.results.size() != b.results.size()) return false;
+  for (std::size_t q = 0; q < a.results.size(); ++q) {
+    if (a.results[q].size() != b.results[q].size()) return false;
+    for (std::size_t i = 0; i < a.results[q].size(); ++i) {
+      if (a.results[q][i].id != b.results[q][i].id ||
+          a.results[q][i].dist != b.results[q][i].dist) {
+        return false;
+      }
+    }
+  }
+  return a.stats.batch_seconds == b.stats.batch_seconds &&
+         a.stats.per_dpu_seconds == b.stats.per_dpu_seconds &&
+         a.stats.total_seconds == b.stats.total_seconds;
+}
 
 DrimEngineOptions trivial_options(const BenchScale& scale, std::size_t nprobe) {
   DrimEngineOptions o = default_engine_options(scale, nprobe);
@@ -139,13 +160,14 @@ int main(int argc, char** argv) {
               100.0 * geomean(fractions));
 
   // ---- paper-scale run on the analytic platform ----
-  // The byte-level simulator is O(num_dpus * MRAM traffic) per batch and
-  // cannot reach the paper's 2530-DPU array in reasonable time; the analytic
-  // platform charges the same per-task cycle/DMA costs from the cost tables
-  // without materializing MRAM, and the host-exact replay keeps the returned
-  // neighbors (hence recall) identical to what the functional kernels would
-  // compute. This section runs the full-array load-balance comparison the
-  // paper's headline setting implies.
+  // The analytic platform charges the same per-task cycle/DMA costs from the
+  // cost tables without materializing MRAM, and the host-exact replay keeps
+  // the returned neighbors (hence recall) identical to what the functional
+  // kernels would compute. This section runs the full-array load-balance
+  // comparison the paper's headline setting implies. The sim column then
+  // reruns the balanced layout on the byte-level simulator: broadcast
+  // regions cost one shared page per platform, not one copy per DPU, so the
+  // full array fits in host memory there too.
   BenchScale paper = scale;
   std::size_t paper_nlist;
   std::size_t paper_nprobe;
@@ -158,8 +180,8 @@ int main(int argc, char** argv) {
     paper_nlist = 4096;
     paper_nprobe = 96;  // the paper's headline nprobe
   }
-  print_title("Paper-scale: 2530-DPU array on the analytic platform");
-  std::printf("num_dpus=%zu, nlist=%zu, nprobe=%zu, platform=analytic\n",
+  print_title("Paper-scale: 2530-DPU array, analytic platform plus a sim column");
+  std::printf("num_dpus=%zu, nlist=%zu, nprobe=%zu, layouts on analytic, sim = balanced\n",
               paper.num_dpus, paper_nlist, paper_nprobe);
   std::printf("%-10s | %11s %11s | %8s | %8s | %9s\n", "layout", "busy(s)",
               "imb", "recall", "wall(s)", "load(s)");
@@ -169,11 +191,12 @@ int main(int argc, char** argv) {
   const IvfPqIndex paper_index = build_index(bench, paper_nlist);
   double busy[2] = {0.0, 0.0};
   const char* names[2] = {"trivial", "balanced"};
+  DrimRun balanced;
   for (int i = 0; i < 2; ++i) {
     DrimEngineOptions o = i == 0 ? trivial_options(paper, paper_nprobe)
                                  : default_engine_options(paper, paper_nprobe);
     o.platform = PimPlatformKind::kAnalytic;
-    const DrimRun run = run_drim(bench, paper_index, o, scale.k, paper_nprobe);
+    DrimRun run = run_drim(bench, paper_index, o, scale.k, paper_nprobe);
     busy[i] = run.stats.dpu_busy_seconds;
     const double imb = imbalance_factor(run.stats.per_dpu_seconds);
     std::printf("%-10s | %11.5f %10.2fx | %8.3f | %8.2f | %9.2f\n", names[i],
@@ -187,9 +210,32 @@ int main(int argc, char** argv) {
     report.add_metric("recall", run.recall);
     report.add_metric("host_wall_seconds", run.wall_seconds);
     report.add_metric("load_wall_seconds", run.load_wall_seconds);
+    if (i == 1) balanced = std::move(run);
   }
   const double paper_speedup = busy[1] > 0.0 ? busy[0] / busy[1] : 0.0;
   print_rule();
+
+  DrimEngineOptions sim_options = default_engine_options(paper, paper_nprobe);
+  sim_options.platform = PimPlatformKind::kSim;
+  const DrimRun sim = run_drim(bench, paper_index, sim_options, scale.k, paper_nprobe);
+  const bool sim_equal = runs_identical(sim, balanced);
+  const double sim_mram_mb = static_cast<double>(sim.mram_resident_bytes) / (1 << 20);
+  const double sim_peak_rss_mb = peak_rss_mb();
+  std::printf("%-10s | %11.5f %10.2fx | %8.3f | %8.2f | %9.2f\n", "sim",
+              sim.stats.dpu_busy_seconds, imbalance_factor(sim.stats.per_dpu_seconds),
+              sim.recall, sim.wall_seconds, sim.load_wall_seconds);
+  std::printf("sim == analytic (balanced): %s; simulated MRAM %.1f MB, "
+              "process peak RSS %.1f MB\n",
+              sim_equal ? "identical neighbours and modeled times" : "MISMATCH",
+              sim_mram_mb, sim_peak_rss_mb);
+  report.add_row("paper_scale sim");
+  report.add_metric("num_dpus", static_cast<double>(paper.num_dpus));
+  report.add_metric("sim_equals_analytic", sim_equal ? 1.0 : 0.0);
+  report.add_metric("dpu_busy_seconds", sim.stats.dpu_busy_seconds);
+  report.add_metric("mram_resident_mb", sim_mram_mb);
+  report.add_metric("peak_rss_mb", sim_peak_rss_mb);
+  report.add_metric("host_wall_seconds", sim.wall_seconds);
+  report.add_metric("load_wall_seconds", sim.load_wall_seconds);
   std::printf("load-balance stack at %zu DPUs: %.2fx lower DPU busy time; "
               "whole section took %.1f s of host time\n",
               paper.num_dpus, paper_speedup, paper_timer.seconds());
@@ -228,9 +274,14 @@ int main(int argc, char** argv) {
 
   report.write();
   // Acceptance: the balanced layout must not be slower than trivial at the
-  // paper's DPU count.
+  // paper's DPU count, and the byte-level sim must reproduce the analytic
+  // run exactly there.
   if (paper_speedup < 1.0) {
     std::printf("FAILED: balanced layout slower than trivial at paper scale\n");
+    return 1;
+  }
+  if (!sim_equal) {
+    std::printf("FAILED: sim and analytic disagree at paper scale\n");
     return 1;
   }
   std::printf("OK\n");

@@ -8,6 +8,7 @@
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
+#include "pim/pim_system.hpp"
 
 namespace drim::bench {
 
@@ -112,9 +113,12 @@ DrimRun run_drim(const BenchData& bench, const IvfPqIndex& index,
   DrimAnnEngine engine(index, bench.data.learn, options);
   run.load_wall_seconds = timer.seconds();
   timer.reset();
-  const auto results = engine.search(bench.data.queries, k, nprobe, &run.stats);
+  run.results = engine.search(bench.data.queries, k, nprobe, &run.stats);
   run.wall_seconds = timer.seconds();
-  run.recall = mean_recall_at_k(results, bench.ground_truth, k);
+  run.recall = mean_recall_at_k(run.results, bench.ground_truth, k);
+  if (const auto* array = dynamic_cast<const DpuArrayPlatform*>(&engine.platform())) {
+    run.mram_resident_bytes = array->resident_bytes();
+  }
   run.modeled_seconds = run.stats.total_seconds;
   run.modeled_qps = run.stats.qps();
   run.batch_ms = tail_summary(run.stats.batch_seconds);

@@ -102,6 +102,10 @@ struct DrimRun {
   /// this so batching-induced latency spread is visible next to the mean.
   TailSummary batch_ms;
   DrimSearchStats stats;
+  std::vector<std::vector<Neighbor>> results;
+  /// Host memory behind the platform's simulated MRAM after the search
+  /// (shared pages counted once; 0 on the analytic platform).
+  std::size_t mram_resident_bytes = 0;
 };
 DrimRun run_drim(const BenchData& bench, const IvfPqIndex& index,
                  const DrimEngineOptions& options, std::size_t k, std::size_t nprobe,

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 namespace drim {
 namespace {
@@ -25,6 +27,33 @@ void write_bytes(std::FILE* f, const void* p, std::size_t n) {
 
 void read_bytes(std::FILE* f, void* p, std::size_t n) {
   if (std::fread(p, 1, n, f) != n) throw std::runtime_error("index read failure");
+}
+
+/// Bytes between the read position and the end of the file.
+std::size_t bytes_left(std::FILE* f) {
+  const long at = std::ftell(f);
+  if (at < 0 || std::fseek(f, 0, SEEK_END) != 0) {
+    throw std::runtime_error("index read failure");
+  }
+  const long end = std::ftell(f);
+  if (end < at || std::fseek(f, at, SEEK_SET) != 0) {
+    throw std::runtime_error("index read failure");
+  }
+  return static_cast<std::size_t>(end - at);
+}
+
+/// Check a length field before anything is allocated for it: `count`
+/// elements of `elem_bytes` each must fit in the rest of the file. Compared
+/// by division, so a corrupt count near 2^64 cannot wrap the product.
+void check_length(std::FILE* f, std::uint64_t count, std::size_t elem_bytes,
+                  const char* what) {
+  const std::size_t left = bytes_left(f);
+  if (count > left / elem_bytes) {
+    throw std::runtime_error("corrupt index file: " + std::string(what) + " length " +
+                             std::to_string(count) + " x " + std::to_string(elem_bytes) +
+                             " bytes exceeds the " + std::to_string(left) +
+                             " bytes left in the file");
+  }
 }
 
 template <typename T>
@@ -49,12 +78,26 @@ void write_vec(std::FILE* f, const std::vector<T>& v) {
 }
 
 template <typename T>
-std::vector<T> read_vec(std::FILE* f) {
+std::vector<T> read_vec(std::FILE* f, const char* what) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto n = read_pod<std::uint64_t>(f);
+  check_length(f, n, sizeof(T), what);
   std::vector<T> v(n);
   read_bytes(f, v.data(), n * sizeof(T));
   return v;
+}
+
+/// Rows x cols elements of `elem_bytes`, checked against the rest of the
+/// file without forming an overflowing product. A shape with rows but no
+/// columns is corrupt too: it stores nothing yet claims rows.
+std::size_t checked_elements(std::FILE* f, std::uint64_t rows, std::uint64_t cols,
+                             std::size_t elem_bytes, const char* what) {
+  if (cols == 0 ? rows != 0 : rows > std::numeric_limits<std::uint64_t>::max() / cols) {
+    throw std::runtime_error("corrupt index file: " + std::string(what) + " shape " +
+                             std::to_string(rows) + " x " + std::to_string(cols));
+  }
+  check_length(f, rows * cols, elem_bytes, what);
+  return static_cast<std::size_t>(rows * cols);
 }
 
 void write_float_matrix(std::FILE* f, const FloatMatrix& m) {
@@ -63,11 +106,12 @@ void write_float_matrix(std::FILE* f, const FloatMatrix& m) {
   write_bytes(f, m.data(), m.count() * m.dim() * sizeof(float));
 }
 
-FloatMatrix read_float_matrix(std::FILE* f) {
+FloatMatrix read_float_matrix(std::FILE* f, const char* what) {
   const auto count = read_pod<std::uint64_t>(f);
   const auto dim = read_pod<std::uint64_t>(f);
+  const std::size_t elements = checked_elements(f, count, dim, sizeof(float), what);
   FloatMatrix m(count, dim);
-  read_bytes(f, m.data(), count * dim * sizeof(float));
+  read_bytes(f, m.data(), elements * sizeof(float));
   return m;
 }
 
@@ -84,9 +128,13 @@ ProductQuantizer read_pq(std::FILE* f) {
   const auto dim = read_pod<std::uint64_t>(f);
   const auto m = read_pod<std::uint64_t>(f);
   const auto cb = read_pod<std::uint64_t>(f);
+  // Each codebook stores at least its two shape fields.
+  check_length(f, m, 2 * sizeof(std::uint64_t), "codebook count");
   std::vector<FloatMatrix> books;
   books.reserve(m);
-  for (std::size_t sub = 0; sub < m; ++sub) books.push_back(read_float_matrix(f));
+  for (std::size_t sub = 0; sub < m; ++sub) {
+    books.push_back(read_float_matrix(f, "codebook"));
+  }
   ProductQuantizer pq;
   pq.restore(dim, m, cb, std::move(books));
   return pq;
@@ -103,6 +151,7 @@ void write_matrix(std::FILE* f, const Matrix& m) {
 Matrix read_matrix(std::FILE* f) {
   const auto rows = read_pod<std::uint64_t>(f);
   const auto cols = read_pod<std::uint64_t>(f);
+  checked_elements(f, rows, cols, sizeof(double), "rotation");
   Matrix m(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
     read_bytes(f, m.row(r).data(), cols * sizeof(double));
@@ -160,7 +209,11 @@ IvfPqIndex load_index(const std::string& path) {
   p.variant = static_cast<PQVariant>(read_pod<std::uint8_t>(f.get()));
   const auto ntotal = read_pod<std::uint64_t>(f.get());
 
-  FloatMatrix centroids = read_float_matrix(f.get());
+  FloatMatrix centroids = read_float_matrix(f.get(), "centroids");
+  if (centroids.count() != p.nlist) {
+    throw std::runtime_error("corrupt index file: " + std::to_string(centroids.count()) +
+                             " centroids for nlist " + std::to_string(p.nlist));
+  }
   ProductQuantizer pq = read_pq(f.get());
   std::unique_ptr<OptimizedProductQuantizer> opq;
   if (p.variant == PQVariant::kOPQ) {
@@ -170,10 +223,17 @@ IvfPqIndex load_index(const std::string& path) {
     opq->restore(std::move(rotation), std::move(inner));
   }
 
+  // Each list stores at least its two length fields.
+  check_length(f.get(), p.nlist, 2 * sizeof(std::uint64_t), "inverted list count");
   std::vector<InvertedList> lists(p.nlist);
   for (std::size_t c = 0; c < p.nlist; ++c) {
-    lists[c].ids = read_vec<std::uint32_t>(f.get());
-    lists[c].codes = read_vec<std::uint8_t>(f.get());
+    lists[c].ids = read_vec<std::uint32_t>(f.get(), "list ids");
+    lists[c].codes = read_vec<std::uint8_t>(f.get(), "list codes");
+    if (lists[c].codes.size() != lists[c].ids.size() * pq.code_size()) {
+      throw std::runtime_error("corrupt index file: list " + std::to_string(c) + " holds " +
+                               std::to_string(lists[c].ids.size()) + " ids but " +
+                               std::to_string(lists[c].codes.size()) + " code bytes");
+    }
   }
 
   IvfPqIndex index;

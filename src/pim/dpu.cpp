@@ -28,8 +28,16 @@ void Mram::write(std::size_t offset, std::span<const std::uint8_t> src) {
     const std::size_t in_page = (offset + done) % kPageBytes;
     const std::size_t n = std::min(kPageBytes - in_page, src.size() - done);
     if (page >= pages_.size()) pages_.resize(page + 1);
-    if (!pages_[page]) pages_[page] = std::make_unique<std::uint8_t[]>(kPageBytes);
-    std::memcpy(pages_[page].get() + in_page, src.data() + done, n);
+    Page& p = pages_[page];
+    if (!p.bytes) {
+      p.bytes = std::make_shared<std::uint8_t[]>(kPageBytes);
+    } else if (p.shared) {
+      // Copy-on-write: other DPUs keep reading the shared page unchanged.
+      PagePtr own = std::make_shared_for_overwrite<std::uint8_t[]>(kPageBytes);
+      std::memcpy(own.get(), p.bytes.get(), kPageBytes);
+      p = Page{std::move(own), false};
+    }
+    std::memcpy(p.bytes.get() + in_page, src.data() + done, n);
     done += n;
   }
 }
@@ -43,8 +51,8 @@ void Mram::read(std::size_t offset, std::span<std::uint8_t> dst) const {
     const std::size_t page = (offset + done) / kPageBytes;
     const std::size_t in_page = (offset + done) % kPageBytes;
     const std::size_t n = std::min(kPageBytes - in_page, dst.size() - done);
-    if (page < pages_.size() && pages_[page]) {
-      std::memcpy(dst.data() + done, pages_[page].get() + in_page, n);
+    if (page < pages_.size() && pages_[page].bytes) {
+      std::memcpy(dst.data() + done, pages_[page].bytes.get() + in_page, n);
     } else {
       std::memset(dst.data() + done, 0, n);
     }
@@ -52,9 +60,14 @@ void Mram::read(std::size_t offset, std::span<std::uint8_t> dst) const {
   }
 }
 
+void Mram::install_shared(std::size_t page, PagePtr bytes) {
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  pages_[page] = Page{std::move(bytes), true};
+}
+
 std::size_t Mram::resident_bytes() const {
   const auto resident = std::count_if(pages_.begin(), pages_.end(),
-                                      [](const auto& p) { return p != nullptr; });
+                                      [](const Page& p) { return p.bytes != nullptr; });
   return static_cast<std::size_t>(resident) * kPageBytes;
 }
 

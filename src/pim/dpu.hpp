@@ -7,11 +7,14 @@
 // DpuContext, mirroring the UPMEM SDK programming model (mram_read /
 // mram_write DMA intrinsics + WRAM scratch).
 //
-// Threading contract: a Dpu is NOT internally synchronized. PimSystem's
+// Threading contract: a Dpu is NOT internally synchronized. The platform's
 // parallel run_batch assigns at most one host thread to each Dpu at a time
-// (kernel run, staging push, or collection pull), which is sufficient
-// because MRAM, WRAM budget, and counters are all per-DPU private state;
-// cross-DPU shared state lives in PimSystem and is atomic there.
+// (kernel run, staging push, or collection pull). That is sufficient because
+// the WRAM budget and counters are per-DPU state, and so is each MRAM page
+// table: a page that several DPUs share (Mram::install_shared) is only read
+// while kernels run, and a DPU that writes it first copies it into a private
+// page of its own. Cross-DPU billing state lives in the platform and is
+// atomic there.
 
 #include <cstdint>
 #include <cstring>
@@ -24,8 +27,8 @@
 
 namespace drim {
 
-/// One DPU's private 64 MB MRAM. A bump allocator hands out regions; reads
-/// and writes are plain memcpy (costs are charged by DpuContext, which is the
+/// One DPU's 64 MB MRAM. A bump allocator hands out regions; reads and
+/// writes are plain memcpy (costs are charged by DpuContext, which is the
 /// only path kernels may use).
 ///
 /// Capacity is logical. Bytes live in kPageBytes pages allocated (zeroed) on
@@ -33,11 +36,22 @@ namespace drim {
 /// actually stores — the depth-2 ping/pong staging slot at half capacity
 /// touches a few pages, not 32 MB — and thousands of analytic DPUs that
 /// never store a byte cost nothing. Untouched bytes read as zero.
+///
+/// A page may be *shared*: one refcounted page that a platform broadcast
+/// installed in many DPUs' tables because every DPU holds the same bytes
+/// there. write() never changes a shared page in place; it first copies the
+/// page into a private one (copy-on-write). The choice reads this table's
+/// flag, not the refcount, so DPUs that write their own tables concurrently
+/// never race on the page.
 class Mram {
  public:
   static constexpr std::size_t kPageBytes = std::size_t{64} << 10;
+  using PagePtr = std::shared_ptr<std::uint8_t[]>;
 
   explicit Mram(std::size_t capacity) : capacity_(capacity) {}
+  // A copy would share every page without marking it shared.
+  Mram(const Mram&) = delete;
+  Mram& operator=(const Mram&) = delete;
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
@@ -52,8 +66,8 @@ class Mram {
   /// std::bad_alloc-like runtime_error when MRAM is exhausted.
   std::size_t alloc(std::size_t bytes);
 
-  /// Release every allocation and drop every page, so all of MRAM reads as
-  /// zero again. The engine uses this when it installs a new index
+  /// Release every allocation and drop every page reference, so all of MRAM
+  /// reads as zero again. The engine uses this when it installs a new index
   /// snapshot: the whole static layout (codes, ids, codebooks, centroids,
   /// staging) is rebuilt from scratch, which keeps the functional
   /// simulation bit-exact while the *billed* publish cost stays the modeled
@@ -63,31 +77,53 @@ class Mram {
     pages_.clear();
   }
 
-  /// Host-side (transfer) access — used by PimSystem, not by kernels.
+  /// Host-side (transfer) access — used by the platform, not by kernels.
   void write(std::size_t offset, std::span<const std::uint8_t> src);
   void read(std::size_t offset, std::span<std::uint8_t> dst) const;
 
   /// The bytes [offset, offset + size) in place, or null unless the range
   /// lies in capacity and inside one written page (an unwritten page reads
-  /// as zeros, which only read() materializes). Valid until the next write() or reset().
+  /// as zeros, which only read() materializes). Shared pages are read in
+  /// place too. Valid until the next write() or reset() of this Mram, or
+  /// the next broadcast over the page.
   const std::uint8_t* view(std::size_t offset, std::size_t size) const {
     const std::size_t page = offset / kPageBytes;
     const std::size_t in_page = offset % kPageBytes;
     if (!in_range(offset, size) || size > kPageBytes - in_page ||
-        page >= pages_.size() || !pages_[page]) {
+        page >= pages_.size() || !pages_[page].bytes) {
       return nullptr;
     }
-    return pages_[page].get() + in_page;
+    return pages_[page].bytes.get() + in_page;
   }
 
-  /// Host memory currently backing this MRAM: materialized pages times
-  /// kPageBytes.
+  /// Entry `page` of the page table: null if never written. `shared` says
+  /// whether it came from install_shared and was not written since.
+  const PagePtr& page(std::size_t page, bool* shared = nullptr) const {
+    static const PagePtr kNone;
+    const bool held = page < pages_.size() && pages_[page].bytes;
+    if (shared != nullptr) *shared = held && pages_[page].shared;
+    return held ? pages_[page].bytes : kNone;
+  }
+  /// Length of the page table (one past the highest page held).
+  std::size_t page_count() const { return pages_.size(); }
+  /// Point page `page` at `bytes`, marked shared (the caller keeps writing
+  /// it only while every holder should see the same bytes).
+  void install_shared(std::size_t page, PagePtr bytes);
+
+  /// Host memory this table references: materialized pages, shared or
+  /// private, times kPageBytes. A shared page counts in every table that
+  /// holds it; DpuArrayPlatform::resident_bytes counts it once.
   std::size_t resident_bytes() const;
 
  private:
+  struct Page {
+    PagePtr bytes;  ///< null = never written
+    bool shared = false;
+  };
+
   std::size_t capacity_;
-  /// Page table, grown to the highest page written; null = never written.
-  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+  /// Page table, grown to the highest page written.
+  std::vector<Page> pages_;
   std::size_t used_ = 0;
 };
 

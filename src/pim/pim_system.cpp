@@ -1,8 +1,12 @@
 #include "pim/pim_system.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
+#include <memory>
 #include <stdexcept>
+#include <unordered_set>
+#include <utility>
 
 #include "common/parallel.hpp"
 
@@ -65,7 +69,8 @@ BatchResult DpuArrayPlatform::run_batch(
   BatchResult result;
   result.launch_overhead_seconds = config_.launch_overhead_sec;
 
-  // Per-DPU kernel runs are data-independent: each Dpu owns its MRAM and
+  // Per-DPU kernel runs are data-independent: each Dpu owns its MRAM page
+  // table (a shared page is only read, or copied before a write) and its
   // counters, and per_dpu_seconds slots are distinct. Cycle counts are
   // integer tallies private to each DPU, so the modeled timings below are
   // bit-identical no matter how the runs interleave.
@@ -101,6 +106,17 @@ double DpuArrayPlatform::dpu_phase_seconds(std::size_t dpu_id, Phase p) const {
   return dpus_.at(dpu_id)->phase_seconds(p);
 }
 
+std::size_t DpuArrayPlatform::resident_bytes() const {
+  std::unordered_set<const std::uint8_t*> pages;
+  for (const auto& d : dpus_) {
+    const Mram& m = d->mram();
+    for (std::size_t p = 0; p < m.page_count(); ++p) {
+      if (const auto& bytes = m.page(p)) pages.insert(bytes.get());
+    }
+  }
+  return pages.size() * Mram::kPageBytes;
+}
+
 void SimPimPlatform::push(std::size_t dpu_id, std::size_t offset,
                           std::span<const std::uint8_t> data) {
   dpus_.at(dpu_id)->mram().write(offset, data);
@@ -108,9 +124,46 @@ void SimPimPlatform::push(std::size_t dpu_id, std::size_t offset,
 }
 
 void SimPimPlatform::broadcast(std::size_t offset, std::span<const std::uint8_t> data) {
-  // Each DPU's Mram is private, so the per-DPU copies are independent.
-  parallel_for(0, dpus_.size(),
-               [&](std::size_t d) { dpus_[d]->mram().write(offset, data); });
+  if (!dpus_[0]->mram().in_range(offset, data.size())) {
+    throw std::runtime_error("MRAM broadcast out of range");
+  }
+  // Page by page: a page that no DPU holds, or that every DPU holds as the
+  // same shared page, takes the bytes once and stays shared by every DPU.
+  // A page some DPU holds privately (written since it was shared) needs a
+  // copy per DPU; those spans are written after the walk.
+  constexpr std::size_t kPage = Mram::kPageBytes;
+  std::vector<std::pair<std::size_t, std::size_t>> per_dpu;  // (offset, bytes)
+  for (std::size_t done = 0; done < data.size();) {
+    const std::size_t page = (offset + done) / kPage;
+    const std::size_t in_page = (offset + done) % kPage;
+    const std::size_t n = std::min(kPage - in_page, data.size() - done);
+    bool shared = false;
+    Mram::PagePtr first = dpus_[0]->mram().page(page, &shared);
+    const bool common = (!first || shared) &&
+                        std::all_of(dpus_.begin() + 1, dpus_.end(), [&](const auto& d) {
+                          bool s = false;
+                          return d->mram().page(page, &s) == first && s == shared;
+                        });
+    if (!common) {
+      per_dpu.emplace_back(offset + done, n);
+    } else {
+      if (!first) {
+        first = std::make_shared<std::uint8_t[]>(kPage);
+        for (auto& d : dpus_) d->mram().install_shared(page, first);
+      }
+      // Every holder should see these bytes, so writing in place is the
+      // broadcast itself.
+      std::memcpy(first.get() + in_page, data.data() + done, n);
+    }
+    done += n;
+  }
+  if (!per_dpu.empty()) {
+    parallel_for(0, dpus_.size(), [&](std::size_t d) {
+      for (const auto& [at, n] : per_dpu) {
+        dpus_[d]->mram().write(at, data.subspan(at - offset, n));
+      }
+    });
+  }
   // Transmitted once (rank-level broadcast).
   pending_in_bytes_.fetch_add(data.size(), std::memory_order_relaxed);
 }

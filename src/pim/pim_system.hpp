@@ -8,7 +8,8 @@
 //     internal bandwidth), so per-batch data movement is accounted and
 //     reported separately,
 //   - DPUs cannot communicate with each other.
-// Kernel runs are data-independent (each Dpu owns private MRAM + counters),
+// Kernel runs are data-independent (each Dpu owns its MRAM page table and
+// counters; pages a broadcast shares are copied before any DPU writes them),
 // so run_batch executes them across host threads with drim::parallel_for
 // while timing them as if hardware-parallel. Simulated cycle counts, batch
 // timings, and MRAM contents are bit-identical to a single-threaded run:
@@ -64,6 +65,10 @@ class DpuArrayPlatform : public PimPlatform {
   DpuCounters aggregate_counters() const override;
   double dpu_phase_seconds(std::size_t dpu_id, Phase p) const override;
 
+  /// Host memory behind every DPU's simulated MRAM, counting a page that
+  /// several DPUs share once (Mram::resident_bytes counts it per DPU).
+  std::size_t resident_bytes() const;
+
  protected:
   PimConfig config_;
   std::vector<std::unique_ptr<Dpu>> dpus_;
@@ -86,12 +91,16 @@ class SimPimPlatform final : public DpuArrayPlatform {
   std::string name() const override { return "sim"; }
   bool functional() const override { return true; }
 
-  /// Thread-safe for distinct DPUs (each Mram is private; the byte tally is
-  /// atomic), so per-DPU staging loops may call it from parallel_for.
+  /// Thread-safe for distinct DPUs (each Mram's page table is its own, a
+  /// shared page is copied before the write, and the byte tally is atomic),
+  /// so per-DPU staging loops may call it from parallel_for.
   void push(std::size_t dpu_id, std::size_t offset,
             std::span<const std::uint8_t> data) override;
-  /// Per-DPU copies fan out across host threads; transmitted once (rank-
-  /// level broadcast) on the link.
+  /// Transmitted once (rank-level broadcast) on the link. In host memory,
+  /// each page of the range that every DPU holds as the same shared page,
+  /// or that no DPU holds yet, is written once and shared by all DPUs;
+  /// other pages get per-DPU copies, fanned out across host threads. Not
+  /// thread-safe: call it between batches, never from a kernel body.
   void broadcast(std::size_t offset, std::span<const std::uint8_t> data) override;
   void pull(std::size_t dpu_id, std::size_t offset, std::span<std::uint8_t> out) override;
 };

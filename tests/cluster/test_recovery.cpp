@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -156,10 +157,15 @@ TEST_F(ClusterRecoveryTest, RecoveryMasksCountOnlyLiveOwners) {
 
   const auto cluster = make_shards(3);
   // Record the owned-cluster mask every rebuilt survivor is built with.
+  // recover_shard builds the survivors concurrently, so the log is locked.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> built;
+  std::mutex built_mutex;
   cluster->set_shard_factory([&](std::uint32_t s, const IndexSnapshot& snap,
                                  const std::vector<std::uint8_t>& mask) {
-    built.emplace_back(s, mask);
+    {
+      const std::lock_guard<std::mutex> lock(built_mutex);
+      built.emplace_back(s, mask);
+    }
     DrimEngineOptions o = options();
     o.layout.owned_clusters = mask;
     return std::make_unique<DrimBackend>(snap, data_->learn, o);

@@ -1,11 +1,15 @@
 // ThreadSanitizer smoke for the mutable-index path: the parallel batch
 // machinery (multithreaded staging / kernel / collection) interleaved with
-// between-batch snapshot publishes and re-layouts, on BOTH platform presets.
-// Registered with the `tsan` ctest label, so -DDRIM_SANITIZE=thread races
-// the publish swap against the worker pool. Like the other smokes it also
-// self-checks in uninstrumented builds: the streamed-and-published run must
-// end bit-identical to a cold rebuild of the same logical state, and the
-// two platforms must agree, or the binary exits nonzero.
+// between-batch snapshot publishes and re-layouts, on BOTH platform presets,
+// plus a sim run with CL on the PIM. Each publish resets simulated MRAM, so
+// that run's next staged-query broadcast lands in fresh shared pages, which
+// the CL kernels then read and copy-on-write their outputs into
+// concurrently. Registered with the `tsan` ctest label, so
+// -DDRIM_SANITIZE=thread races the publish swap and the shared pages
+// against the worker pool. Like the other smokes it also self-checks in
+// uninstrumented builds: the streamed-and-published run must end
+// bit-identical to a cold rebuild of the same logical state, and the two
+// platforms must agree, or the binary exits nonzero.
 
 #include <cstdio>
 #include <vector>
@@ -16,13 +20,14 @@
 
 namespace {
 
-drim::DrimEngineOptions make_options(drim::PimPlatformKind kind) {
+drim::DrimEngineOptions make_options(drim::PimPlatformKind kind, bool cl_on_pim) {
   drim::DrimEngineOptions o;
   o.pim.num_dpus = 16;
   o.layout.split_threshold = 128;
   o.heat_nprobe = 6;
   o.batch_size = 12;
   o.platform = kind;
+  o.cl_on_pim = cl_on_pim;
   return o;
 }
 
@@ -43,8 +48,8 @@ bool identical(const std::vector<std::vector<drim::Neighbor>>& a,
 std::vector<std::vector<drim::Neighbor>> run_streamed(
     const drim::IvfPqIndex& index, const drim::SyntheticData& data,
     const drim::FloatMatrix& base_float, drim::IndexWriter& writer,
-    drim::PimPlatformKind kind) {
-  drim::DrimAnnEngine engine(index, data.learn, make_options(kind));
+    const drim::DrimEngineOptions& options) {
+  drim::DrimAnnEngine engine(index, data.learn, options);
   drim::SearchBatchState state;
   const std::size_t rounds = 4;
   for (std::size_t r = 0; r < rounds; ++r) {
@@ -83,31 +88,37 @@ int main() {
   index.train(data.learn, p);
   index.add(data.base);
 
-  std::vector<std::vector<std::vector<drim::Neighbor>>> per_kind;
-  for (const auto kind :
-       {drim::PimPlatformKind::kSim, drim::PimPlatformKind::kAnalytic}) {
+  struct Config {
+    drim::PimPlatformKind kind;
+    bool cl_on_pim;
+  };
+  std::vector<std::vector<std::vector<drim::Neighbor>>> per_config;
+  for (const Config c : {Config{drim::PimPlatformKind::kSim, false},
+                         Config{drim::PimPlatformKind::kAnalytic, false},
+                         Config{drim::PimPlatformKind::kSim, true}}) {
+    const drim::DrimEngineOptions options = make_options(c.kind, c.cl_on_pim);
     drim::IndexWriter writer(index);
-    const auto streamed = run_streamed(index, data, base_float, writer, kind);
+    const auto streamed = run_streamed(index, data, base_float, writer, options);
 
     // The published stream must equal a cold rebuild of the final state.
     const drim::IvfPqIndex cold_index = writer.compacted_index();
-    drim::DrimAnnEngine cold(cold_index, data.learn, make_options(kind));
+    drim::DrimAnnEngine cold(cold_index, data.learn, options);
     const auto rebuilt = cold.search(data.queries, 10, 6);
     if (!identical(streamed, rebuilt)) {
       std::fprintf(stderr,
                    "update tsan smoke: streamed run diverged from cold "
-                   "rebuild (platform %d)\n",
-                   static_cast<int>(kind));
+                   "rebuild (platform %d, cl_on_pim %d)\n",
+                   static_cast<int>(c.kind), c.cl_on_pim);
       return 1;
     }
-    per_kind.push_back(streamed);
+    per_config.push_back(streamed);
   }
 
-  if (!identical(per_kind[0], per_kind[1])) {
+  if (!identical(per_config[0], per_config[1])) {
     std::fprintf(stderr, "update tsan smoke: sim and analytic disagree\n");
     return 1;
   }
-  std::printf("update tsan smoke: %zu queries x 2 platforms OK\n",
+  std::printf("update tsan smoke: %zu queries x 3 configurations OK\n",
               data.queries.count());
   return 0;
 }

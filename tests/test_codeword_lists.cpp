@@ -283,7 +283,8 @@ TEST_F(KernelCodewordListTest, SameBoundsWithChangedCodesRebuildTheList) {
   // slice whose code bytes changed must still get a fresh list.
   IvfPqIndex altered;
   DrimAnnEngine engine(*index_, data_->learn, options());
-  const Shard& first = shard_at(engine, 0, 0);
+  // A copy: the snapshot below rebuilds the layout and frees its shards.
+  const Shard first = shard_at(engine, 0, 0);
   std::uint32_t unused = 0;
   while (unused < engine.data().cb_entries() &&
          engine.codeword_list(first.id).listed(0, unused)) {

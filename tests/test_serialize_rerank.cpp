@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "baseline/cpu_ivfpq.hpp"
 #include "core/flat_search.hpp"
@@ -125,6 +128,121 @@ TEST_F(SerializeTest, TruncatedFileRejected) {
   // Truncate to the first 100 bytes.
   std::filesystem::resize_file(path, 100);
   EXPECT_THROW(load_index(path), std::runtime_error);
+}
+
+// ---- corrupt files ----
+// Every length field is checked against the bytes left in the file before
+// anything is allocated for it, so a truncated or corrupt index fails with
+// a runtime_error — never bad_alloc, a multi-GB allocation or a read past
+// the data.
+
+class CorruptIndexTest : public SerializeTest {
+ protected:
+  /// A tiny saved index, so a sweep over every byte offset stays fast.
+  void SetUp() override {
+    SyntheticSpec spec;
+    spec.num_base = 48;
+    spec.num_queries = 1;
+    spec.num_learn = 256;
+    spec.dim = 16;
+    spec.num_components = 4;
+    const SyntheticData data = make_sift_like(spec);
+    IvfPqParams p;
+    p.nlist = 4;
+    p.pq.m = 4;
+    p.pq.cb_entries = 16;
+    index_.train(data.learn, p);
+    index_.add(data.base);
+    // Named per test: ctest runs the tests as concurrent processes.
+    const std::string stem =
+        std::string("drim_") + ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::string path = temp_path((stem + "_src.idx").c_str());
+    save_index(index_, path);
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    bytes_.resize(std::filesystem::file_size(path));
+    ASSERT_EQ(std::fread(bytes_.data(), 1, bytes_.size(), f), bytes_.size());
+    std::fclose(f);
+    corrupt_path_ = temp_path((stem + ".idx").c_str());
+  }
+
+  /// Offsets of the file's u64 length fields, walked from the format:
+  /// header, centroid matrix, PQ codebooks, then per list ids and codes.
+  std::vector<std::size_t> length_fields() const {
+    std::vector<std::size_t> at;
+    std::size_t o = 4 + 4;  // magic, version
+    at.push_back(o);        // nlist
+    o += 8 + 8 + 8 + 1 + 8;  // nlist, m, cb, variant, ntotal
+    auto matrix = [&](std::size_t rows, std::size_t cols) {
+      at.push_back(o);
+      at.push_back(o + 8);
+      o += 16 + rows * cols * sizeof(float);
+    };
+    matrix(index_.nlist(), index_.dim());
+    at.push_back(o + 8);  // PQ m: the codebook count (dim and cb are shape)
+    o += 24;
+    for (std::size_t sub = 0; sub < index_.pq().m(); ++sub) {
+      matrix(index_.pq().cb_entries(), index_.dim() / index_.pq().m());
+    }
+    for (std::size_t c = 0; c < index_.nlist(); ++c) {
+      at.push_back(o);
+      o += 8 + index_.list(c).ids.size() * sizeof(std::uint32_t);
+      at.push_back(o);
+      o += 8 + index_.list(c).codes.size();
+    }
+    EXPECT_EQ(o, bytes_.size()) << "the walker must match the format";
+    return at;
+  }
+
+  void expect_rejected(const std::vector<std::uint8_t>& file, const std::string& what) {
+    // A fresh file each time: rewriting one in place can force a flush on
+    // close (ext4's replace-by-truncate heuristic), which makes the sweeps
+    // crawl.
+    std::remove(corrupt_path_.c_str());
+    std::FILE* f = std::fopen(corrupt_path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!file.empty()) {
+      ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    }
+    std::fclose(f);
+    try {
+      load_index(corrupt_path_);
+      ADD_FAILURE() << what << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("index"), std::string::npos)
+          << what << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": threw a non-runtime_error: " << e.what();
+    }
+  }
+
+  IvfPqIndex index_;
+  std::vector<std::uint8_t> bytes_;
+  std::string corrupt_path_;
+};
+
+TEST_F(CorruptIndexTest, TruncationAtEveryOffsetIsRejected) {
+  ASSERT_NO_THROW(load_index(files_.front()));
+  ASSERT_GT(bytes_.size(), 1000u);
+  for (std::size_t n = 0; n < bytes_.size(); ++n) {
+    expect_rejected({bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(n)},
+                    "truncated to " + std::to_string(n));
+  }
+}
+
+TEST_F(CorruptIndexTest, LargeValueInEveryLengthFieldIsRejected) {
+  const std::vector<std::size_t> fields = length_fields();
+  ASSERT_EQ(fields.size(), 1 + 2 + 1 + 2 * index_.pq().m() + 2 * index_.nlist());
+  for (const std::uint64_t big :
+       {~std::uint64_t{0}, std::uint64_t{1} << 62, std::uint64_t{1} << 40,
+        static_cast<std::uint64_t>(bytes_.size())}) {
+    for (const std::size_t at : fields) {
+      std::vector<std::uint8_t> file = bytes_;
+      std::memcpy(file.data() + at, &big, sizeof(big));
+      expect_rejected(file, "length " + std::to_string(big) + " at offset " +
+                                std::to_string(at));
+    }
+  }
 }
 
 TEST_F(SerializeTest, RerankImprovesRecall) {
