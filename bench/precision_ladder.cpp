@@ -190,7 +190,6 @@ int main(int argc, char** argv) {
   print_title("Overload: degrade-to-q4 admission vs shed-only");
   serve::ServeParams sp;
   sp.batcher.max_batch = 32;
-  sp.flush_every = 2;
   DrimEngineOptions serve_opts = default_engine_options(scale, nprobe);
   serve_opts.platform = PimPlatformKind::kSim;
   serve_opts.enable_q4 = true;

@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
   // variance or a deferral's extra step, so admitting right up to the SLO
   // line would let much of the queue finish just past it.
   sp.admission.headroom = 0.6;
-  sp.flush_every = 2;  // bound filter deferral to one extra step
   std::printf("calibrated: mean batch %.3f ms -> capacity ~%.0f qps, "
               "max wait %.3f ms, SLO %.3f ms\n",
               mean_batch_s * 1e3, capacity_qps, sp.batcher.max_wait_s * 1e3,

@@ -134,6 +134,10 @@ class AnnBackend {
   virtual std::vector<ShardHealth> shard_health() const { return {}; }
   /// Run one batch step over up to `max_queries` pending queries (0 = all)
   /// plus any carried work; `flush` forbids deferring past this step.
+  /// Deferred tasks are carried into the next step, which may defer them
+  /// again unless it flushes. A caller that flushes whenever no next batch is
+  /// waiting or has_deferred() is true bounds every task's deferral to one
+  /// step (the serving runtime's rule).
   virtual BackendStepStats step(std::size_t max_queries, bool flush) = 0;
   /// In-flight steps the backend can overlap on its modeled timeline: 1 for
   /// strictly serial backends (the default), >= 2 when the device pipeline

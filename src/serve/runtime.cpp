@@ -320,9 +320,6 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
   // serve-layer host costs (schedule + merge, plus the overlapped host CL)
   // extend it, since host work is serial across steps.
   auto launch_step = [&](std::size_t fresh_count, bool flush) {
-    if (params_.flush_every > 0 && (result.batches + 1) % params_.flush_every == 0) {
-      flush = true;  // periodic flush bounds re-deferral starvation
-    }
     if (tracing) trace_->set_now(now);
     backend_.set_step_start(now);
     const BackendStepStats step = backend_.step(fresh_count, flush);
@@ -420,16 +417,12 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
         inflight.emplace(handle, static_cast<std::size_t>(req.id));
         result.records[req.id].queue_wait_s = now - req.arrival_s;
       }
-      const bool flush = no_more_arrivals && batcher.empty();
+      // Defer only into a batch that is already waiting: with the batcher
+      // empty there is no next batch to carry tasks into, and work the last
+      // step deferred must not be deferred again. So no task waits more than
+      // one step past the step that took its query.
+      const bool flush = batcher.empty() || backend_.has_deferred();
       launch_step(batch.size(), flush);
-      continue;
-    }
-
-    // Idle with carried deferred tasks, room in the pipe, and nothing else
-    // to wait for: drain them with a flush step.
-    if (can_launch && no_more_arrivals && batcher.empty() &&
-        backend_.has_deferred()) {
-      launch_step(0, /*flush=*/true);
       continue;
     }
 

@@ -4,12 +4,14 @@
 // timestamped request trace on a virtual clock. Requests arrive, pass
 // admission control (predicted queue delay vs the SLO budget), wait in the
 // dynamic batcher until a size or deadline trigger fires, execute as one
-// barrier-synchronized backend step, and complete — possibly a step late when
-// the inter-batch filter deferred some of their tasks. One event loop serves
-// every backend, keeping up to pipeline_depth() steps in flight (depth 1 is
-// a pipe with one slot). Each request leaves a RequestRecord with its full
-// latency decomposition; run() returns them plus the aggregate ServeReport
-// and the backend's accumulated search stats.
+// barrier-synchronized backend step, and complete — at most one step late when
+// the inter-batch filter deferred some of their tasks: a step may defer only
+// into a batch already waiting in the batcher, and never re-defers work an
+// earlier step deferred (DESIGN.md §9). One event loop serves every backend,
+// keeping up to pipeline_depth() steps in flight (depth 1 is a pipe with one
+// slot). Each request leaves a RequestRecord with its full latency
+// decomposition; run() returns them plus the aggregate ServeReport and the
+// backend's accumulated search stats.
 
 #include <cstddef>
 #include <memory>
@@ -37,11 +39,6 @@ struct ServeParams {
   /// EWMA weight of the newest observed batch time in the admission
   /// controller's queue-delay predictor (seeded from Eq. 15).
   double ewma_alpha = 0.25;
-  /// Run every Nth backend step with the inter-batch filter disabled
-  /// (0 = never). The filter can re-defer a hot shard's tasks round after
-  /// round, so without a periodic flush a request can starve until the trace
-  /// drains; this bounds any request's deferral to < flush_every extra steps.
-  std::size_t flush_every = 4;
   /// Sample a MetricsSnapshot (queue depth, EWMA, shed rate, ...) into
   /// ServeResult::snapshots every this many virtual seconds (0 = off).
   /// Samples land on event boundaries, so the spacing is >= the period.

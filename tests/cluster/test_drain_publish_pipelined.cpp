@@ -94,7 +94,6 @@ TEST_F(DrainPublishPipelinedTest, PublishUnderDrainServesEverythingAndMatchesCol
   serve::ServeParams sp;
   sp.admission.enabled = false;  // nothing shed: every request must complete
   sp.batcher.max_batch = 16;
-  sp.flush_every = 2;
   serve::ServingRuntime runtime(*cluster, data_->queries, sp);
 
   serve::WorkloadParams wp;

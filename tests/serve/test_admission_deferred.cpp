@@ -89,7 +89,6 @@ ServeParams fake_params() {
   sp.batcher.max_batch = 16;
   sp.batcher.max_wait_s = 1e-4;
   sp.admission.slo_s = 10e-3;  // 10 EWMA batches of headroom
-  sp.flush_every = 0;
   return sp;
 }
 

@@ -176,7 +176,6 @@ ServeParams golden_params(double batch_s) {
   sp.batcher.max_batch = 16;
   sp.batcher.max_wait_s = 2.0 * batch_s;
   sp.admission.slo_s = 12.0 * batch_s;
-  sp.flush_every = 3;
   sp.snapshot_period_s = batch_s;
   return sp;
 }

@@ -133,7 +133,6 @@ TEST_F(CompactionTest, LongTraceKeepsStreamMemoryBounded) {
   sp.batcher.max_wait_s = 4.0 * est;
   sp.admission.enabled = false;
   sp.admission.slo_s = 50.0 * est;
-  sp.flush_every = 2;
   ServingRuntime runtime(backend, data_->queries, sp);
 
   WorkloadParams wp;

@@ -35,7 +35,6 @@ ServeParams serve_params(DrimAnnEngine& engine) {
   const double est = engine.estimate_batch_seconds(16, 8, 10);
   sp.batcher.max_wait_s = 4.0 * est;
   sp.admission.enabled = false;  // nothing shed: every request must be served
-  sp.flush_every = 2;
   return sp;
 }
 

@@ -18,7 +18,7 @@
 //               [--slo-ms 0] [--arrivals poisson|onoff] [--skew 0]
 //               [--k 10] [--nprobe 16] [--dpus 64] [--seed 42]
 //               [--backend cpu|drim] [--platform sim|analytic]
-//               [--pipeline-depth 2] [--no-admission] [--flush-every 4]
+//               [--pipeline-depth 2] [--no-admission]
 //               [--fuse-width 1] [--precision full|q4] [--min-rung 0]
 //               [--shards 1] [--shard-replication 0.1]
 //               [--trace out.json] [--metrics out.csv|out.json]
@@ -475,7 +475,6 @@ int cmd_serve(const Args& args) {
 
   serve::ServeParams sp;
   sp.batcher.max_batch = args.get_size("max-batch", 32);
-  sp.flush_every = args.get_size("flush-every", 4);
   sp.admission.enabled = !args.has("no-admission");
   sp.admission.degrade_to_q4 = min_rung_from_args(args) >= 1;
   sp.snapshot_period_s = args.get_double("snapshot-ms", 0.0) * 1e-3;
