@@ -186,8 +186,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOne) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x10412b6dbef4f8fdULL, 22,
-                      0x1.3cb0028d58203p-4, 0x1.8ed3328dac77ap-10});
+  expect_golden(res, {0x6f7dfefdea0c0d84ULL, 23,
+                      0x1.3cb0028d58203p-4, 0x1.71ea809e4964ep-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
@@ -210,8 +210,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0xe5b76034d05ad428ULL, 23,
-                      0x1.3e10692f35cc8p-4, 0x1.736c3018dfa3ap-10});
+  expect_golden(res, {0xc77fa386d524977cULL, 23,
+                      0x1.3e64060104d35p-4, 0x1.7941ebe81b145p-10});
   expect_golden(updates,
                 {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.153e55a624c26p-17});
 }
@@ -228,8 +228,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
   const ServeResult res = ServingRuntime(engine, data_->queries, sp).run(trace);
   EXPECT_GT(res.report.shed, 0u);
   EXPECT_GT(res.report.degraded, 0u);
-  expect_golden(res, {0x784450362f999e3fULL, 10,
-                      0x1.62d3ce3144b6p-6, 0x1.235b3a2443f3ep-9});
+  expect_golden(res, {0x05469e6377d99bf1ULL, 10,
+                      0x1.618efada799e5p-6, 0x1.21821bc401d6ap-9});
 }
 
 TEST_F(ServeLoopGoldenTest, CpuBackend) {
@@ -253,8 +253,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x81c494c106290d11ULL, 23,
-                      0x1.9cd0d643a87bep-5, 0x1.cd7576734b39cp-11});
+  expect_golden(res, {0x3b1054e3a665b9d9ULL, 23,
+                      0x1.9cbbc0798370dp-5, 0x1.e51d515caf9c4p-11});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
@@ -263,9 +263,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0xe5650f1d80d53e2aULL, 14,
-                      0x1.d2aa7ad33d256p-6, 0x1.074abac8bb8f2p-9, true, 12,
-                      0xfa14f8ff6ac1636cULL});
+  expect_golden(res, {0x6f5782273bbfc020ULL, 14,
+                      0x1.c8cb6a455eb93p-6, 0x1.f0dd06fe8ce0bp-10, true, 12,
+                      0xf5e89cf2dc1c3cdeULL});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthThree) {
@@ -274,9 +274,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthThree) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0xb9c076e5ceefc0bdULL, 15,
-                      0x1.dd1d9fd59cc2cp-6, 0x1.c84275d6502a8p-10, true, 12,
-                      0x57c6fafbc1e168edULL});
+  expect_golden(res, {0x72367be61ce12b44ULL, 15,
+                      0x1.e29263f7cb15ep-6, 0x1.df899d401d046p-10, true, 12,
+                      0x4c430b792209b95cULL});
 }
 
 }  // namespace
