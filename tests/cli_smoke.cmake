@@ -97,6 +97,16 @@ run_step_expect_usage_error("invalid --shard-replication value '1.5'.*\\[0, 1\\]
     ${DRIM_BIN} serve --index test.idx --queries q.fvecs --requests 8
     --dpus 8 --shards 2 --shard-replication 1.5)
 
+# A flag the subcommand does not read is rejected by name, never ignored.
+run_step_expect_usage_error("unknown flag --npobe for drim search"
+    ${DRIM_BIN} search --index test.idx --queries q.fvecs --k 10 --npobe 8)
+run_step_expect_usage_error("unknown flag --flush-every for drim serve"
+    ${DRIM_BIN} serve --index test.idx --queries q.fvecs --requests 8
+    --dpus 8 --flush-every 4)
+run_step_expect_usage_error("unknown flag --nprobe for drim build"
+    ${DRIM_BIN} build --base base.bvecs --learn learn.fvecs --out unused.idx
+    --nprobe 8)
+
 # --trace must emit a Chrome-trace JSON that actually parses and carries the
 # documented schema (displayTimeUnit, traceEvents with ph/pid/tid/ts).
 # string(JSON) needs CMake >= 3.19; older CMakes still check the file exists

@@ -26,6 +26,8 @@
 //               [--update-trace 0] [--update-skew 0] [--update-inserts 0.5]
 //               [--publish-every 8] [--relayout-every 0] [--split-threshold 0]
 //
+// A flag the subcommand does not read exits 2 with an error naming it.
+//
 // --shards N serves the index from an N-shard cluster tier (drim backend
 // only): clusters are partitioned across N PIM nodes by the heat-balancing
 // planner, the hottest --shard-replication fraction is replicated, and a
@@ -77,6 +79,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 
 #include "backend/backend_factory.hpp"
@@ -98,10 +102,14 @@ namespace {
 
 using namespace drim;
 
-/// Minimal --key value argument map.
+/// Minimal --key value argument map over the flags one subcommand reads.
+/// Any other flag exits 2 naming it, so a misspelled or retired flag never
+/// falls back silently to a default. Reading a flag outside `known` is a
+/// bug in this file and throws std::logic_error.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, std::set<std::string> known)
+      : known_(std::move(known)) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -109,6 +117,10 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (known_.count(key) == 0) {
+        std::fprintf(stderr, "unknown flag --%s for drim %s\n", key.c_str(), argv[1]);
+        std::exit(2);
+      }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -120,15 +132,15 @@ class Args {
   }
 
   std::string get(const std::string& key, const std::string& fallback = "") const {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? fallback : it->second;
   }
   std::size_t get_size(const std::string& key, std::size_t fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 10);
   }
   double get_double(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
   }
   /// Strictly-parsed integer knob: the value must be a whole non-negative
@@ -137,7 +149,7 @@ class Args {
   /// flag and the legal range, instead of failing deep inside the engine.
   std::size_t get_size_checked(const std::string& key, std::size_t fallback,
                                std::size_t min_value, std::size_t max_value) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second;
     char* end = nullptr;
@@ -156,7 +168,7 @@ class Args {
   /// Strictly-parsed floating-point knob with the same contract.
   double get_double_checked(const std::string& key, double fallback,
                             double min_value, double max_value) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) return fallback;
     const std::string& text = it->second;
     char* end = nullptr;
@@ -170,9 +182,9 @@ class Args {
     }
     return parsed;
   }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const { return find(key) != values_.end(); }
   std::string require(const std::string& key) const {
-    auto it = values_.find(key);
+    auto it = find(key);
     if (it == values_.end()) {
       std::fprintf(stderr, "missing required --%s\n", key.c_str());
       std::exit(2);
@@ -181,6 +193,14 @@ class Args {
   }
 
  private:
+  std::map<std::string, std::string>::const_iterator find(const std::string& key) const {
+    if (known_.count(key) == 0) {
+      throw std::logic_error("drim CLI reads undeclared flag --" + key);
+    }
+    return values_.find(key);
+  }
+
+  std::set<std::string> known_;
   std::map<std::string, std::string> values_;
 };
 
@@ -589,6 +609,36 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
+/// The flags each subcommand reads; empty for an unknown subcommand.
+std::set<std::string> flags_of(const std::string& cmd) {
+  // backend_from_args (search and serve).
+  const std::set<std::string> backend = {
+      "backend", "pim", "dpus", "platform", "pipeline-depth", "batch-size",
+      "fuse-width", "precision", "min-rung", "shards", "shard-replication"};
+  std::set<std::string> flags;
+  if (cmd == "gen") {
+    flags = {"out-base", "out-queries", "out-learn", "n", "queries", "learn",
+             "dim", "components", "seed", "deep"};
+  } else if (cmd == "build") {
+    flags = {"base", "learn", "out", "nlist", "m", "cb", "variant"};
+  } else if (cmd == "info") {
+    flags = {"index"};
+  } else if (cmd == "gt") {
+    flags = {"base", "queries", "out", "k"};
+  } else if (cmd == "search") {
+    flags = backend;
+    flags.insert({"index", "queries", "base", "k", "nprobe", "rerank", "gt", "trace"});
+  } else if (cmd == "serve") {
+    flags = backend;
+    flags.insert({"index", "queries", "k", "nprobe", "max-batch", "no-admission",
+                  "snapshot-ms", "metrics", "trace", "max-wait-us", "slo-ms", "qps",
+                  "requests", "skew", "seed", "arrivals", "update-trace",
+                  "update-skew", "update-inserts", "relayout-every",
+                  "split-threshold", "publish-every"});
+  }
+  return flags;
+}
+
 void usage() {
   std::fprintf(stderr,
                "usage: drim <gen|build|info|gt|search|serve> [--key value ...]\n"
@@ -603,18 +653,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
+  std::set<std::string> flags = flags_of(cmd);
+  if (flags.empty()) {
+    usage();
+    return 2;
+  }
+  const Args args(argc, argv, 2, std::move(flags));
   try {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "build") return cmd_build(args);
     if (cmd == "info") return cmd_info(args);
     if (cmd == "gt") return cmd_gt(args);
     if (cmd == "search") return cmd_search(args);
-    if (cmd == "serve") return cmd_serve(args);
+    return cmd_serve(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
