@@ -29,6 +29,10 @@ void read_bytes(std::FILE* f, void* p, std::size_t n) {
   if (std::fread(p, 1, n, f) != n) throw std::runtime_error("index read failure");
 }
 
+[[noreturn]] void corrupt(const std::string& what) {
+  throw std::runtime_error("corrupt index file: " + what);
+}
+
 /// Bytes between the read position and the end of the file.
 std::size_t bytes_left(std::FILE* f) {
   const long at = std::ftell(f);
@@ -49,10 +53,9 @@ void check_length(std::FILE* f, std::uint64_t count, std::size_t elem_bytes,
                   const char* what) {
   const std::size_t left = bytes_left(f);
   if (count > left / elem_bytes) {
-    throw std::runtime_error("corrupt index file: " + std::string(what) + " length " +
-                             std::to_string(count) + " x " + std::to_string(elem_bytes) +
-                             " bytes exceeds the " + std::to_string(left) +
-                             " bytes left in the file");
+    corrupt(std::string(what) + " length " + std::to_string(count) + " x " +
+            std::to_string(elem_bytes) + " bytes exceeds the " + std::to_string(left) +
+            " bytes left in the file");
   }
 }
 
@@ -93,8 +96,8 @@ std::vector<T> read_vec(std::FILE* f, const char* what) {
 std::size_t checked_elements(std::FILE* f, std::uint64_t rows, std::uint64_t cols,
                              std::size_t elem_bytes, const char* what) {
   if (cols == 0 ? rows != 0 : rows > std::numeric_limits<std::uint64_t>::max() / cols) {
-    throw std::runtime_error("corrupt index file: " + std::string(what) + " shape " +
-                             std::to_string(rows) + " x " + std::to_string(cols));
+    corrupt(std::string(what) + " shape " + std::to_string(rows) + " x " +
+            std::to_string(cols));
   }
   check_length(f, rows * cols, elem_bytes, what);
   return static_cast<std::size_t>(rows * cols);
@@ -136,7 +139,11 @@ ProductQuantizer read_pq(std::FILE* f) {
     books.push_back(read_float_matrix(f, "codebook"));
   }
   ProductQuantizer pq;
-  pq.restore(dim, m, cb, std::move(books));
+  try {
+    pq.restore(dim, m, cb, std::move(books));
+  } catch (const std::invalid_argument& e) {
+    corrupt(e.what());  // a geometry restore() rejects
+  }
   return pq;
 }
 
@@ -206,19 +213,42 @@ IvfPqIndex load_index(const std::string& path) {
   p.nlist = read_pod<std::uint64_t>(f.get());
   p.pq.m = read_pod<std::uint64_t>(f.get());
   p.pq.cb_entries = read_pod<std::uint64_t>(f.get());
-  p.variant = static_cast<PQVariant>(read_pod<std::uint8_t>(f.get()));
+  const auto variant = read_pod<std::uint8_t>(f.get());
+  if (variant > static_cast<std::uint8_t>(PQVariant::kDPQ)) {
+    corrupt("variant byte " + std::to_string(variant) + " is not a PQ variant");
+  }
+  p.variant = static_cast<PQVariant>(variant);
   const auto ntotal = read_pod<std::uint64_t>(f.get());
+  // Ids are assigned from 0 upward and never reused (IvfPqIndex::add,
+  // IndexWriter::insert), so ntotal is the id-space high-water mark: it fits
+  // the 32-bit id space and every stored id lies below it.
+  if (ntotal > (std::uint64_t{1} << 32)) {
+    corrupt("ntotal " + std::to_string(ntotal) + " exceeds the 32-bit id space");
+  }
 
   FloatMatrix centroids = read_float_matrix(f.get(), "centroids");
   if (centroids.count() != p.nlist) {
-    throw std::runtime_error("corrupt index file: " + std::to_string(centroids.count()) +
-                             " centroids for nlist " + std::to_string(p.nlist));
+    corrupt(std::to_string(centroids.count()) + " centroids for nlist " +
+            std::to_string(p.nlist));
   }
   ProductQuantizer pq = read_pq(f.get());
+  if (pq.m() != p.pq.m || pq.cb_entries() != p.pq.cb_entries) {
+    corrupt("header m x cb " + std::to_string(p.pq.m) + " x " +
+            std::to_string(p.pq.cb_entries) + " but the quantizer holds " +
+            std::to_string(pq.m()) + " x " + std::to_string(pq.cb_entries()));
+  }
+  if (centroids.dim() != pq.dim()) {
+    corrupt("centroid dim " + std::to_string(centroids.dim()) + " but quantizer dim " +
+            std::to_string(pq.dim()));
+  }
   std::unique_ptr<OptimizedProductQuantizer> opq;
   if (p.variant == PQVariant::kOPQ) {
     opq = std::make_unique<OptimizedProductQuantizer>();
     Matrix rotation = read_matrix(f.get());
+    if (rotation.rows() != pq.dim() || rotation.cols() != pq.dim()) {
+      corrupt("rotation shape " + std::to_string(rotation.rows()) + " x " +
+              std::to_string(rotation.cols()) + " for dim " + std::to_string(pq.dim()));
+    }
     ProductQuantizer inner = pq;  // the OPQ's quantizer is the index's
     opq->restore(std::move(rotation), std::move(inner));
   }
@@ -230,9 +260,15 @@ IvfPqIndex load_index(const std::string& path) {
     lists[c].ids = read_vec<std::uint32_t>(f.get(), "list ids");
     lists[c].codes = read_vec<std::uint8_t>(f.get(), "list codes");
     if (lists[c].codes.size() != lists[c].ids.size() * pq.code_size()) {
-      throw std::runtime_error("corrupt index file: list " + std::to_string(c) + " holds " +
-                               std::to_string(lists[c].ids.size()) + " ids but " +
-                               std::to_string(lists[c].codes.size()) + " code bytes");
+      corrupt("list " + std::to_string(c) + " holds " +
+              std::to_string(lists[c].ids.size()) + " ids but " +
+              std::to_string(lists[c].codes.size()) + " code bytes");
+    }
+    for (const std::uint32_t id : lists[c].ids) {
+      if (id >= ntotal) {
+        corrupt("list " + std::to_string(c) + " holds id " + std::to_string(id) +
+                " at or above ntotal " + std::to_string(ntotal));
+      }
     }
   }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -243,6 +244,71 @@ TEST_F(CorruptIndexTest, LargeValueInEveryLengthFieldIsRejected) {
                                 std::to_string(at));
     }
   }
+}
+
+// Header fields the sections must agree with. Offsets follow the format:
+// magic, version, nlist @8, m @16, cb @24, variant @32, ntotal @33, then the
+// centroid matrix (count, dim, floats) and the PQ section (dim, m, cb, ...).
+TEST_F(CorruptIndexTest, HeaderThatDisagreesWithItsSectionsIsRejected) {
+  constexpr std::size_t kM = 16, kCb = 24, kVariant = 32, kNtotal = 33, kCentroids = 41;
+  const std::size_t pq_at =
+      kCentroids + 16 + index_.nlist() * index_.dim() * sizeof(float);
+  auto patched = [&](std::size_t at, std::uint64_t value, std::size_t width = 8) {
+    std::vector<std::uint8_t> file = bytes_;
+    std::memcpy(file.data() + at, &value, width);
+    return file;
+  };
+  std::uint32_t max_id = 0;
+  for (std::size_t c = 0; c < index_.nlist(); ++c) {
+    for (const std::uint32_t id : index_.list(c).ids) max_id = std::max(max_id, id);
+  }
+
+  expect_rejected(patched(kM, 2), "header m 2 for a 4-way quantizer");
+  expect_rejected(patched(kM, 7), "header m 7 for a 4-way quantizer");
+  expect_rejected(patched(kCb, 32), "header cb 32 for 16-entry codebooks");
+  expect_rejected(patched(kVariant, 3, 1), "variant byte 3");
+  expect_rejected(patched(kVariant, 9, 1), "variant byte 9");
+  expect_rejected(patched(kNtotal, max_id), "ntotal equal to the largest stored id");
+  expect_rejected(patched(kNtotal, 0), "ntotal 0 with stored ids");
+  expect_rejected(patched(kNtotal, (std::uint64_t{1} << 32) + 1),
+                  "ntotal past the 32-bit id space");
+  expect_rejected(patched(kNtotal, std::uint64_t{1} << 40), "ntotal 2^40");
+
+  // A centroid matrix of half the dim, spliced in whole, so every later
+  // section still parses: only the dim check can tell.
+  {
+    const std::size_t half = index_.dim() / 2;
+    std::vector<std::uint8_t> file(bytes_.begin(), bytes_.begin() + kCentroids + 8);
+    const std::uint64_t dim = half;
+    file.insert(file.end(), reinterpret_cast<const std::uint8_t*>(&dim),
+                reinterpret_cast<const std::uint8_t*>(&dim) + 8);
+    file.insert(file.end(), bytes_.begin() + kCentroids + 16,
+                bytes_.begin() + kCentroids + 16 + index_.nlist() * half * sizeof(float));
+    file.insert(file.end(), bytes_.begin() + pq_at, bytes_.end());
+    expect_rejected(file, "centroid dim half the quantizer's");
+  }
+
+  // A geometry ProductQuantizer::restore rejects (cb < 2), with the header
+  // agreeing, surfaces as the same runtime_error rather than invalid_argument.
+  {
+    std::vector<std::uint8_t> file = patched(kCb, 1);
+    const std::uint64_t one = 1;
+    std::memcpy(file.data() + pq_at + 16, &one, sizeof(one));
+    expect_rejected(file, "cb 1 in header and quantizer");
+  }
+
+  // The unpatched header, and ntotal at exactly the largest id + 1, load.
+  EXPECT_EQ(index_.ntotal(), std::size_t{max_id} + 1);
+  std::remove(corrupt_path_.c_str());
+  {
+    std::FILE* f = std::fopen(corrupt_path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes_.data(), 1, bytes_.size(), f), bytes_.size());
+    std::fclose(f);
+  }
+  const IvfPqIndex loaded = load_index(corrupt_path_);
+  EXPECT_EQ(loaded.ntotal(), index_.ntotal());
+  EXPECT_EQ(loaded.pq().m(), index_.pq().m());
 }
 
 TEST_F(SerializeTest, RerankImprovesRecall) {
