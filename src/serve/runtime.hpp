@@ -28,6 +28,9 @@
 
 namespace drim::serve {
 
+/// Knobs of the serving loop. Filter deferral has none: a step flushes
+/// unless a next batch is already waiting and the backend carries no
+/// deferred work, which bounds every task's deferral to one step.
 struct ServeParams {
   BatcherParams batcher;
   AdmissionParams admission;
