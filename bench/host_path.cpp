@@ -1,16 +1,15 @@
-// Host-path wall-clock regression bench (PR 6): queries/sec of the pure
-// host CPU IVF-PQ path — no PIM model in the loop — across the four
-// {spawn, persistent} x {scalar, avx2} combinations, so the persistent
-// work-stealing executor and the AVX2 kernel seam become regression-guarded
-// first-class metrics alongside the modeled numbers.
+// Host-path wall-clock regression bench: queries/sec of the pure host CPU
+// IVF-PQ path — no PIM model in the loop — on the persistent work-stealing
+// executor with the scalar and the AVX2 kernels, so the executor and the
+// AVX2 kernel seam become regression-guarded first-class metrics alongside
+// the modeled numbers.
 //
-// Each combination runs the identical CpuIvfPq::search_batch workload; the
-// binary exits nonzero if any combination's search results differ from the
-// spawn+scalar reference in any bit (the scalar/AVX2 equality contract and
-// the executor's fixed-order merges, end to end). `--check-against FILE`
-// compares the best combination's qps to a previously written
-// BENCH_host_path.json and fails on a >15% regression. Writes
-// BENCH_host_path.json.
+// Each row runs the identical CpuIvfPq::search_batch workload; the binary
+// exits nonzero if the AVX2 row's search results differ from the scalar
+// reference in any bit (the scalar/AVX2 equality contract and the executor's
+// fixed-order merges, end to end). `--check-against FILE` compares the best
+// row's qps to a previously written BENCH_host_path.json and fails on a >15%
+// regression. Writes BENCH_host_path.json.
 //
 // Full scale is the paper-style host config (nlist 1024, m 16, cb 256,
 // k 100); `--smoke` shrinks the corpus for ctest/CI.
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "core/distances.hpp"
 #include "support/harness.hpp"
 
@@ -34,7 +32,6 @@ namespace {
 
 struct Combo {
   const char* label;
-  ParallelMode mode;
   SimdLevel simd;
 };
 
@@ -122,21 +119,18 @@ int main(int argc, char** argv) {
   report.set_config("avx2_available", std::string(avx2_available() ? "true" : "false"));
 
   const Combo combos[] = {
-      {"spawn_scalar", ParallelMode::kSpawn, SimdLevel::kScalar},
-      {"spawn_avx2", ParallelMode::kSpawn, SimdLevel::kAvx2},
-      {"persistent_scalar", ParallelMode::kPersistent, SimdLevel::kScalar},
-      {"persistent_avx2", ParallelMode::kPersistent, SimdLevel::kAvx2},
+      {"persistent_scalar", SimdLevel::kScalar},
+      {"persistent_avx2", SimdLevel::kAvx2},
   };
 
   std::printf("\n%-20s %12s %12s %10s\n", "combo", "wall [s]", "qps",
-              "vs spawn_scalar");
+              "vs scalar");
   print_rule();
 
   Results reference;
   double base_qps = 0.0, best_qps = 0.0;
   int rc = 0;
   for (const Combo& combo : combos) {
-    set_parallel_mode(combo.mode);
     const SimdLevel got = set_simd_level(combo.simd);
     if (combo.simd == SimdLevel::kAvx2 && got != SimdLevel::kAvx2) {
       std::printf("%-20s %12s\n", combo.label, "(no AVX2)");
@@ -153,7 +147,7 @@ int main(int argc, char** argv) {
       reference = std::move(results);
       base_qps = qps;
     } else if (!identical(results, reference)) {
-      std::fprintf(stderr, "FAIL: %s results differ from spawn_scalar\n",
+      std::fprintf(stderr, "FAIL: %s results differ from persistent_scalar\n",
                    combo.label);
       rc = 1;
     }
@@ -164,20 +158,19 @@ int main(int argc, char** argv) {
     report.add_row(combo.label);
     report.add_metric("wall_seconds", wall);
     report.add_metric("qps", qps);
-    report.add_metric("speedup_vs_spawn_scalar", speedup);
+    report.add_metric("speedup_vs_scalar", speedup);
   }
-  set_parallel_mode(ParallelMode::kPersistent);
   set_simd_level(avx2_available() ? SimdLevel::kAvx2 : SimdLevel::kScalar);
 
   report.add_row("summary");
   report.add_metric("best_qps", best_qps);
-  report.add_metric("best_speedup_vs_spawn_scalar",
+  report.add_metric("best_speedup_vs_scalar",
                     base_qps > 0 ? best_qps / base_qps : 0.0);
   report.write();
 
   if (rc == 0) {
     std::printf("\nok: all combinations bit-identical; best %.2fx vs "
-                "spawn+scalar\n",
+                "scalar\n",
                 base_qps > 0 ? best_qps / base_qps : 0.0);
   }
 

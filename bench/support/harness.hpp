@@ -49,7 +49,8 @@ struct BenchScale {
 };
 
 /// Apply the host-thread knob: n == 0 reads the DRIM_THREADS env var (unset
-/// or 0 = leave OpenMP at all cores). Returns the effective thread count.
+/// or 0 = leave the executor at all cores). Returns the effective thread
+/// count.
 std::size_t configure_host_threads(std::size_t n = 0);
 
 /// Dataset + exact ground truth, built once per binary.

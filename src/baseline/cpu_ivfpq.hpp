@@ -1,8 +1,8 @@
 #pragma once
 // Faiss-CPU-style baseline: multithreaded IVF-PQ ADC search over the host's
 // cores. This is the comparator the paper measures DRIM-ANN against (32-thread
-// Faiss-CPU with AVX2; here the compiler vectorizes the scalar kernels and
-// OpenMP provides the threading). Per-phase wall-clock accounting feeds the
+// Faiss-CPU with AVX2; here the SIMD kernel seam vectorizes the scans and
+// the host executor provides the threading). Per-phase wall-clock accounting feeds the
 // Fig. 2 roofline and the speedup comparisons.
 
 #include <cstdint>
@@ -38,7 +38,7 @@ class CpuIvfPq {
  public:
   explicit CpuIvfPq(const IvfPqIndex& index) : index_(index) {}
 
-  /// Search all queries with OpenMP parallelism over queries (Faiss's batch
+  /// Search all queries in parallel over queries (Faiss's batch
   /// strategy). When `collect_phases` is set, per-phase times are accumulated
   /// (adds timer overhead, so benchmarks measuring pure throughput leave it
   /// off).

@@ -45,7 +45,7 @@ std::size_t default_parallelism() {
 
 // Owner-pop granularity: small enough that a steal can rebalance the tail,
 // large enough that light bodies (a kmeans point assignment) amortize the
-// CAS. Mirrors the old OpenMP schedule(dynamic, 16) regime.
+// CAS.
 std::size_t grain_for(std::size_t n, std::size_t lanes) {
   const std::size_t g = n / (lanes * 8);
   return std::clamp<std::size_t>(g, 1, 64);

@@ -1,8 +1,8 @@
 #pragma once
 // Persistent work-stealing executor for the host-side loops: a fixed worker
 // pool started once per process, so every `parallel_for` reuses warm threads
-// instead of paying pthread_create/join per call (the pre-PR-6 spawn path;
-// still available for comparison via common/parallel.hpp's mode knob).
+// instead of paying pthread_create/join per call. common/parallel.hpp's
+// drim::parallel_for is a thin wrapper over this pool.
 //
 // Scheduling: each loop splits [begin, end) into one contiguous block per
 // participating lane (the calling thread is lane 0). A lane pops small
@@ -12,15 +12,14 @@
 // pops and steals are single CAS operations and every index is claimed
 // exactly once no matter how pops and steals interleave.
 //
-// Contracts preserved from the legacy shim (see common/parallel.hpp):
+// Contracts (the loop contract common/parallel.hpp documents):
 //  - body(i) runs at most once per index; after the first captured
 //    exception an abort flag short-circuits the remaining indices, and the
 //    first exception is rethrown on the calling thread once the loop drains.
 //  - All body effects happen-before parallel_for returns: the final
 //    pending-counter decrement is acq_rel and completion is handed to the
 //    caller under a mutex + condvar, so the edge is visible to TSan
-//    (std::thread / std::atomic / std::mutex are all instrumented, unlike
-//    libgomp's implicit barriers).
+//    (std::thread / std::atomic / std::mutex are all instrumented).
 //  - Deterministic results are the *callers'* responsibility (fixed-order
 //    merges); the executor only guarantees exactly-once index execution.
 //

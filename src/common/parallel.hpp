@@ -1,193 +1,23 @@
 #pragma once
-// Parallel loop helper for the host path. Since PR 6 the default backend is
-// the persistent work-stealing executor (common/executor.hpp): a fixed
-// worker pool started once per process, per-lane ranges with stealing. Two
-// legacy backends remain selectable for comparison and for the
-// spawn-vs-persistent bench columns:
-//
-//   persistent  Executor pool (default). TSan-clean: std::thread/std::atomic/
-//               std::mutex are instrumented, so the happens-before edges are
-//               visible (unlike libgomp's implicit barriers).
-//   spawn       std::thread-per-call — the pre-PR-6 TSan path, kept as the
-//               bench baseline for pool amortization.
-//   omp         `#pragma omp parallel for` when compiled with OpenMP. Routed
-//               to `persistent` under TSan (libgomp is uninstrumented) or
-//               when OpenMP is absent.
-//   serial      plain loop on the calling thread.
-//
-// Select with DRIM_PARALLEL=<mode> (read once at first use) or
-// set_parallel_mode(). All modes share the loop contract: body(i) runs at
-// most once per index; after the first captured exception remaining indices
-// short-circuit via a relaxed abort flag, and the first exception is
-// rethrown on the calling thread after the loop drains. All modes honor the
-// set_num_threads cap.
+// Parallel loop helper for the host path. Every host fan-out runs on the
+// persistent work-stealing executor (common/executor.hpp): a fixed worker
+// pool started once per process, per-lane ranges with stealing. A thread cap
+// of 1 runs each loop inline on the calling thread, which is the serial
+// reference the parallel-vs-serial identity tests compare against.
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/executor.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define DRIM_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DRIM_TSAN_ACTIVE 1
-#endif
-#endif
-#ifndef DRIM_TSAN_ACTIVE
-#define DRIM_TSAN_ACTIVE 0
-#endif
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 namespace drim {
 
-enum class ParallelMode : int {
-  kPersistent = 0,
-  kSpawn = 1,
-  kOpenMP = 2,
-  kSerial = 3,
-};
-
-namespace detail {
-
-/// Thread cap shared by every backend. 0 = unset (hardware concurrency).
-inline std::atomic<int>& thread_cap() {
-  static std::atomic<int> cap{0};
-  return cap;
-}
-
-inline ParallelMode mode_from_env() {
-  const char* env = std::getenv("DRIM_PARALLEL");
-  if (env != nullptr) {
-    if (std::strcmp(env, "spawn") == 0) return ParallelMode::kSpawn;
-    if (std::strcmp(env, "omp") == 0) return ParallelMode::kOpenMP;
-    if (std::strcmp(env, "serial") == 0) return ParallelMode::kSerial;
-    if (std::strcmp(env, "persistent") == 0) return ParallelMode::kPersistent;
-  }
-  return ParallelMode::kPersistent;
-}
-
-inline std::atomic<int>& mode_store() {
-  static std::atomic<int> mode{static_cast<int>(mode_from_env())};
-  return mode;
-}
-
-}  // namespace detail
-
-inline ParallelMode parallel_mode() {
-  ParallelMode m = static_cast<ParallelMode>(
-      detail::mode_store().load(std::memory_order_relaxed));
-#if DRIM_TSAN_ACTIVE
-  // libgomp barriers are invisible to TSan; every loop would be a false race.
-  if (m == ParallelMode::kOpenMP) m = ParallelMode::kPersistent;
-#elif !defined(_OPENMP)
-  if (m == ParallelMode::kOpenMP) m = ParallelMode::kPersistent;
-#endif
-  return m;
-}
-
-inline void set_parallel_mode(ParallelMode m) {
-  detail::mode_store().store(static_cast<int>(m), std::memory_order_relaxed);
-}
-
-/// Number of worker threads the host runtime will use.
-inline int num_threads() {
-  if (parallel_mode() == ParallelMode::kSerial) return 1;
-  const int cap = detail::thread_cap().load(std::memory_order_relaxed);
-  if (cap > 0) return cap;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
+/// Number of worker threads the host runtime will use: the cap if set, else
+/// hardware concurrency.
+inline int num_threads() { return Executor::instance().effective_parallelism(); }
 
 /// Cap the worker-thread pool (0 = leave unchanged). Returns the effective
-/// count. The cap is honored by every backend, including the std::thread
-/// paths — pre-PR-6 it silently no-oped on non-OpenMP builds while the TSan
-/// pool sized itself from hardware_concurrency().
-inline int set_num_threads(int n) {
-  if (n > 0) {
-    detail::thread_cap().store(n, std::memory_order_relaxed);
-    Executor::instance().set_thread_cap(n);
-#if defined(_OPENMP)
-    omp_set_num_threads(n);
-#endif
-  }
-  return num_threads();
-}
-
-namespace detail {
-
-/// std::thread-per-call loop (mode `spawn`): the pre-PR-6 dispatch, kept as
-/// the baseline the persistent executor is benchmarked against.
-template <typename Body>
-void parallel_for_spawn(std::size_t begin, std::size_t end, const Body& body) {
-  const std::size_t n = end - begin;
-  const std::size_t workers =
-      std::min<std::size_t>(n, static_cast<std::size_t>(num_threads()));
-  if (workers <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{begin};
-  std::atomic<bool> abort{false};
-  std::exception_ptr error = nullptr;
-  std::mutex error_mutex;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= end) break;
-      if (abort.load(std::memory_order_relaxed)) continue;  // drain the range
-      try {
-        body(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& th : pool) th.join();
-  if (error) std::rethrow_exception(error);
-}
-
-#if defined(_OPENMP)
-template <typename Body>
-void parallel_for_omp(std::size_t begin, std::size_t end, const Body& body) {
-  std::exception_ptr error = nullptr;
-  std::atomic<bool> abort{false};
-#pragma omp parallel for schedule(dynamic, 16)
-  for (std::int64_t i = static_cast<std::int64_t>(begin);
-       i < static_cast<std::int64_t>(end); ++i) {
-    // OpenMP cannot break out of the worksharing loop, so after the first
-    // captured exception the remaining iterations short-circuit here instead
-    // of keeping the body running (the pre-PR-6 behavior).
-    if (abort.load(std::memory_order_relaxed)) continue;
-    try {
-      body(static_cast<std::size_t>(i));
-    } catch (...) {
-#pragma omp critical(drim_parallel_for_error)
-      if (!error) error = std::current_exception();
-      abort.store(true, std::memory_order_relaxed);
-    }
-  }
-  if (error) std::rethrow_exception(error);
-}
-#endif
-
-}  // namespace detail
+/// count.
+inline int set_num_threads(int n) { return Executor::instance().set_thread_cap(n); }
 
 /// Parallel for over [begin, end) with a dynamic schedule. `body` is invoked
 /// as body(i) at most once per index (exactly once if no invocation throws);
@@ -196,24 +26,6 @@ void parallel_for_omp(std::size_t begin, std::size_t end, const Body& body) {
 /// exception is rethrown on the calling thread after the loop drains.
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
-  if (end <= begin) return;
-  switch (parallel_mode()) {
-    case ParallelMode::kSpawn:
-      detail::parallel_for_spawn(begin, end, body);
-      return;
-    case ParallelMode::kOpenMP:
-#if defined(_OPENMP) && !DRIM_TSAN_ACTIVE
-      detail::parallel_for_omp(begin, end, body);
-      return;
-#else
-      break;  // parallel_mode() already routed this away; defensive
-#endif
-    case ParallelMode::kSerial:
-      for (std::size_t i = begin; i < end; ++i) body(i);
-      return;
-    case ParallelMode::kPersistent:
-      break;
-  }
   Executor::instance().parallel_for(begin, end, body);
 }
 

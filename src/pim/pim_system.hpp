@@ -105,8 +105,4 @@ class SimPimPlatform final : public DpuArrayPlatform {
   void pull(std::size_t dpu_id, std::size_t offset, std::span<std::uint8_t> out) override;
 };
 
-/// Historical name of the functional platform; tests and tools that poke at
-/// simulated MRAM directly keep using it.
-using PimSystem = SimPimPlatform;
-
 }  // namespace drim

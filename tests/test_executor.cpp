@@ -1,8 +1,7 @@
-// Torture tests for the persistent work-stealing executor and the
-// parallel_for mode router: exactly-once index execution under stealing,
-// nested loops, exception short-circuiting (including mid-steal), thread-cap
-// semantics across every backend (the pre-PR-6 shim silently ignored the cap
-// off OpenMP), and bit-identical fixed-order merges across repeated runs at
+// Torture tests for the persistent work-stealing executor behind
+// drim::parallel_for: exactly-once index execution under stealing, nested
+// loops, exception short-circuiting (including mid-steal), thread-cap
+// semantics, and bit-identical fixed-order merges across repeated runs at
 // several thread counts. This file is also built into the tsan-labeled
 // drim_executor_tsan binary so `ctest -L tsan` races the pool under
 // ThreadSanitizer.
@@ -23,14 +22,6 @@
 
 namespace drim {
 namespace {
-
-struct ModeGuard {
-  explicit ModeGuard(ParallelMode m) : saved(parallel_mode()) {
-    set_parallel_mode(m);
-  }
-  ~ModeGuard() { set_parallel_mode(saved); }
-  ParallelMode saved;
-};
 
 struct CapGuard {
   explicit CapGuard(int n) : saved(num_threads()) { set_num_threads(n); }
@@ -210,72 +201,12 @@ TEST(Executor, BackToBackTinyLoopsWithLateWorkers) {
   }
 }
 
-// ---- satellite: set_num_threads must be honored by every backend ----
+// ---- set_num_threads is the executor's one cap ----
 
-TEST(ParallelModes, ThreadCapHonoredOffOpenMP) {
-  for (const ParallelMode mode :
-       {ParallelMode::kPersistent, ParallelMode::kSpawn}) {
-    ModeGuard m(mode);
-    CapGuard guard(3);
-    EXPECT_EQ(num_threads(), 3) << "mode " << static_cast<int>(mode);
-  }
-  ModeGuard m(ParallelMode::kSerial);
+TEST(ParallelFor, SetNumThreadsCapsTheExecutor) {
   CapGuard guard(3);
-  EXPECT_EQ(num_threads(), 1);
-}
-
-TEST(ParallelModes, SpawnModeRunsAndAborts) {
-  ModeGuard m(ParallelMode::kSpawn);
-  CapGuard guard(4);
-  std::vector<std::atomic<std::uint32_t>> hits(5000);
-  parallel_for(0, hits.size(), [&](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (auto& h : hits) ASSERT_EQ(h.load(), 1u);
-
-  // Same deterministic handshake as Executor.ExceptionRethrownAndShortCircuits:
-  // indices other than the thrower park until the throw lands and then cost
-  // a millisecond each, so the spawn path's abort flag cuts the range long
-  // before half of it could execute.
-  const std::size_t n = 1 << 16;
-  std::atomic<std::size_t> executed{0};
-  std::atomic<bool> thrown{false};
-  EXPECT_THROW(
-      {
-        parallel_for(0, n, [&](std::size_t i) {
-          if (i == 0) {
-            thrown.store(true, std::memory_order_release);
-            throw std::runtime_error("spawn boom");
-          }
-          while (!thrown.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          executed.fetch_add(1, std::memory_order_relaxed);
-        });
-      },
-      std::runtime_error);
-  EXPECT_LT(executed.load(), n / 2);
-}
-
-// satellite: the OpenMP path must short-circuit after an exception instead
-// of invoking the body on every remaining index. With one thread the count
-// is exact: one invocation, the rest skipped by the abort flag. (Under TSan
-// or without OpenMP the router falls back to the persistent pool, where the
-// same exact count holds serially inline.)
-TEST(ParallelModes, OmpModeShortCircuitsAfterException) {
-  ModeGuard m(ParallelMode::kOpenMP);
-  CapGuard guard(1);
-  std::atomic<std::size_t> executed{0};
-  EXPECT_THROW(
-      {
-        parallel_for(0, 1000, [&](std::size_t i) {
-          executed.fetch_add(1, std::memory_order_relaxed);
-          if (i == 0) throw std::runtime_error("omp boom");
-        });
-      },
-      std::runtime_error);
-  EXPECT_EQ(executed.load(), 1u);
+  EXPECT_EQ(num_threads(), 3);
+  EXPECT_EQ(Executor::instance().effective_parallelism(), 3);
 }
 
 // ---- determinism of fixed-order merges ----

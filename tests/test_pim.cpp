@@ -227,7 +227,7 @@ TEST(WramBudget, ThrowsWhenExceeded) {
 }
 
 TEST(PimSystem, SymmetricAllocStaysAligned) {
-  PimSystem sys(small_config(4));
+  SimPimPlatform sys(small_config(4));
   const std::size_t a = sys.alloc_symmetric(100);
   const std::size_t b = sys.alloc_symmetric(100);
   EXPECT_EQ(a, 0u);
@@ -235,7 +235,7 @@ TEST(PimSystem, SymmetricAllocStaysAligned) {
 }
 
 TEST(PimSystem, BroadcastReachesAllDpus) {
-  PimSystem sys(small_config(4));
+  SimPimPlatform sys(small_config(4));
   const std::size_t off = sys.alloc_symmetric(4);
   const std::uint8_t payload[4] = {7, 8, 9, 10};
   sys.broadcast(off, payload);
@@ -247,7 +247,7 @@ TEST(PimSystem, BroadcastReachesAllDpus) {
 }
 
 TEST(PimSystem, BatchTimeIsSlowestDpu) {
-  PimSystem sys(small_config(3));
+  SimPimPlatform sys(small_config(3));
   const BatchResult r = sys.run_batch([](std::size_t d, DpuContext& ctx) {
     ctx.set_phase(Phase::DC);
     ctx.charge_adds((d + 1) * 1000);  // DPU 2 is slowest
@@ -259,7 +259,7 @@ TEST(PimSystem, BatchTimeIsSlowestDpu) {
 TEST(PimSystem, TransferBytesBilledAtHostLink) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;  // 1 KB/s for easy math
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(512);
   std::vector<std::uint8_t> data(500);
   sys.push(0, off, data);
@@ -274,7 +274,7 @@ TEST(PimSystem, TransferBytesBilledAtHostLink) {
 TEST(PimSystem, CollectBillsTransferOut) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   sys.alloc_symmetric(256);
   std::vector<std::uint8_t> out(250);
   const BatchResult r = sys.run_batch([](std::size_t, DpuContext&) {},
@@ -283,7 +283,7 @@ TEST(PimSystem, CollectBillsTransferOut) {
 }
 
 TEST(PimSystem, CountersResetBetweenBatches) {
-  PimSystem sys(small_config(1));
+  SimPimPlatform sys(small_config(1));
   sys.run_batch([](std::size_t, DpuContext& ctx) {
     ctx.set_phase(Phase::LC);
     ctx.charge_adds(100);
@@ -303,7 +303,7 @@ TEST(PimSystem, CountersResetBetweenBatches) {
 TEST(PimSystem, PushesInsideKernelBodyBillTransferIn) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(512);
   const std::vector<std::uint8_t> data(100, 3);
   sys.push(0, off, data);  // before the launch: 100 bytes
@@ -323,7 +323,7 @@ TEST(PimSystem, PushesInsideKernelBodyBillTransferIn) {
 TEST(PimSystem, PullsInsideKernelBodyBillTransferOut) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(256);
   std::vector<std::vector<std::uint8_t>> rows(2, std::vector<std::uint8_t>(125));
   std::vector<std::uint8_t> tail(50);
@@ -336,7 +336,7 @@ TEST(PimSystem, PullsInsideKernelBodyBillTransferOut) {
 TEST(PimSystem, PullsOutsideRunBatchAreNotBilled) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(256);
   std::vector<std::uint8_t> out(200);
   sys.pull(0, off, out);
@@ -395,7 +395,7 @@ TEST(PimSystem, ThrowingKernelLeavesNothingPending) {
   EXPECT_DOUBLE_EQ(probe.drain_pending_transfer(), 0.0);
 
   // The same on the functional platform, through its public surface.
-  PimSystem sys(small_config(4));
+  SimPimPlatform sys(small_config(4));
   const std::size_t off = sys.alloc_symmetric(64);
   sys.push(1, off, bytes);
   EXPECT_THROW(sys.run_batch([&](std::size_t d, DpuContext&) {

@@ -128,7 +128,7 @@ TEST(PipelineTimeline, RejectsNestedBeginBatch) {
 
 // ---- engine-level invariants ----
 
-/// Run `fn` with the OpenMP pool capped at `threads`, restoring after.
+/// Run `fn` with the host executor capped at `threads`, restoring after.
 template <typename Fn>
 auto with_threads(int threads, const Fn& fn) {
   const int saved = num_threads();
