@@ -410,13 +410,11 @@ void DrimAnnEngine::load_static_data(const PimIndexData* previous) {
     throw std::runtime_error("MRAM exhausted by static data; reduce dataset or add DPUs");
   }
 
-  // Slot geometry of the pipelined executor. Depth 1 keeps the serial
-  // path's exact capacity arithmetic (one unaligned full-region slot);
-  // deeper pipelines split the region into equal 8-byte-aligned slots.
+  // Slot geometry of the pipelined executor: one equal 8-byte-aligned slot
+  // per in-flight step.
   const std::size_t staging_total = opts_.pim.mram_bytes - staging_base_;
   const std::size_t depth = pipeline_depth();
-  staging_stride_ =
-      depth <= 1 ? staging_total : (staging_total / depth) & ~std::size_t{7};
+  staging_stride_ = (staging_total / depth) & ~std::size_t{7};
   if (staging_stride_ == 0) {
     throw std::runtime_error(
         "MRAM staging region too small for pipeline_depth slots; reduce "
@@ -605,7 +603,7 @@ double DrimAnnEngine::locate_on_pim(
     const std::vector<std::vector<std::int16_t>>& quantized, std::size_t begin,
     std::size_t end, std::size_t nprobe,
     std::vector<std::vector<std::uint32_t>>& probes, DrimSearchStats& stats,
-    std::size_t slot_base, ClLaunchTrace* deferred_trace) {
+    std::size_t slot_base, BatchResult& batch, std::size_t& active_dpus) {
   const std::size_t dim = data_.dim();
   const std::size_t num_dpus = pim_->num_dpus();
   const std::size_t nq = end - begin;
@@ -632,12 +630,11 @@ double DrimAnnEngine::locate_on_pim(
   pim_->broadcast(slot_base, {reinterpret_cast<const std::uint8_t*>(staged.data()),
                               staged.size() * 2});
 
-  const std::size_t active_dpus =
-      std::min(num_dpus, (nlist + per_dpu - 1) / per_dpu);
+  active_dpus = std::min(num_dpus, (nlist + per_dpu - 1) / per_dpu);
   const bool functional = pim_->functional();
   std::vector<std::vector<KernelHit>> dpu_hits(active_dpus);
   std::vector<TopK> merged(nq, TopK(keep));
-  const BatchResult batch = pim_->run_batch(
+  batch = pim_->run_batch(
       [&](std::size_t d, DpuContext& ctx) {
         ClKernelArgs args;
         args.dim = static_cast<std::uint32_t>(dim);
@@ -712,18 +709,6 @@ double DrimAnnEngine::locate_on_pim(
         pim_->dpu_phase_seconds(d, Phase::CL);
   }
   stats.counters.add(pim_->aggregate_counters());
-  if (deferred_trace != nullptr) {
-    // The pipelined caller places this launch on the timeline itself, once
-    // begin_batch() has computed where the pre-launch lands.
-    deferred_trace->batch = batch;
-    deferred_trace->active_dpus = active_dpus;
-    deferred_trace->num_queries = nq;
-    deferred_trace->valid = true;
-  } else if (trace_ != nullptr) {
-    trace_launch(trace_->now(), batch, "cl-pim",
-                 std::vector<std::size_t>(active_dpus, nq));
-    trace_->advance(batch.total_seconds());
-  }
   return batch.total_seconds();
 }
 
@@ -824,9 +809,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // timeline so they overlap neighboring in-flight steps.
   const std::size_t depth = pipeline_depth();
   const std::size_t slot_base = staging_slot_base(state.step_index);
-  if (depth >= 2 && (!state.pipeline || state.pipeline->depth() != depth)) {
-    state.pipeline = std::make_unique<PipelineTimeline>(depth);
-  }
+  if (state.pipeline.depth() != depth) state.pipeline = PipelineTimeline(depth);
 
   // Kernel depth for this step: the widest k among the fresh queries and the
   // carried tasks' queries. Per-query heaps still truncate to their own k.
@@ -845,7 +828,8 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // CL-on-PIM: a dedicated barrier launch precedes the search launch (it
   // cannot overlap — the search needs its output). The launch keeps the
   // chunk's widest nprobe; narrower queries truncate their candidate list.
-  ClLaunchTrace cl_trace;
+  BatchResult cl_batch;
+  std::size_t cl_active_dpus = 0;
   if (opts_.cl_on_pim && end > begin) {
     std::size_t pmax = 0;
     for (std::size_t q = begin; q < end; ++q) {
@@ -853,7 +837,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     }
     step.cl_pim_seconds =
         locate_on_pim(state.quantized, begin, end, pmax, state.probes, st, slot_base,
-                      depth >= 2 ? &cl_trace : nullptr);
+                      cl_batch, cl_active_dpus);
     for (std::size_t q = begin; q < end; ++q) {
       if (state.probes[q].size() > state.query_nprobe[q]) {
         state.probes[q].resize(state.query_nprobe[q]);
@@ -864,13 +848,11 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // Open this step on the timeline (reserving the CL pre-launch on the link
   // and DPU array) and trace the CL launch at its scheduled start — the
   // phase counters it reads are reset by the search run_batch below.
-  if (depth >= 2) {
-    const double pre_start =
-        state.pipeline->begin_batch(state.submit_hint_seconds, step.cl_pim_seconds);
-    if (trace_ != nullptr && cl_trace.valid) {
-      trace_launch(pre_start, cl_trace.batch, "cl-pim",
-                   std::vector<std::size_t>(cl_trace.active_dpus, cl_trace.num_queries));
-    }
+  const double pre_start =
+      state.pipeline.begin_batch(state.submit_hint_seconds, step.cl_pim_seconds);
+  if (trace_ != nullptr && cl_active_dpus > 0) {
+    trace_launch(pre_start, cl_batch, "cl-pim",
+                 std::vector<std::size_t>(cl_active_dpus, end - begin));
   }
 
   // Observed cluster traffic feeds replan_layout()'s heat estimate.
@@ -1181,25 +1163,17 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   step.dpu_seconds = batch.dpu_seconds;
   step.deferred = state.carried.size();
 
-  PipelineSchedule sched;
-  if (depth == 1) {
-    step.step_seconds = step.cl_pim_seconds + std::max(host_side, batch.total_seconds());
-    const double base = std::max(state.last_complete_seconds, state.submit_hint_seconds);
-    step.submit_seconds = base;
-    step.complete_seconds = base + step.step_seconds;
-  } else {
-    PipelineStageTimes stages;
-    stages.transfer_in_seconds = batch.transfer_in_seconds;
-    stages.launch_overhead_seconds = batch.launch_overhead_seconds;
-    stages.compute_seconds = batch.dpu_seconds;
-    stages.transfer_out_seconds = batch.transfer_out_seconds;
-    stages.host_seconds = host_side;
-    sched = state.pipeline->finish_batch(stages);
-    const double base = std::max(state.last_complete_seconds, sched.submit_seconds);
-    step.submit_seconds = base;
-    step.complete_seconds = sched.done_seconds;
-    step.step_seconds = sched.done_seconds - base;
-  }
+  PipelineStageTimes stages;
+  stages.transfer_in_seconds = batch.transfer_in_seconds;
+  stages.launch_overhead_seconds = batch.launch_overhead_seconds;
+  stages.compute_seconds = batch.dpu_seconds;
+  stages.transfer_out_seconds = batch.transfer_out_seconds;
+  stages.host_seconds = host_side;
+  const PipelineSchedule sched = state.pipeline.finish_batch(stages);
+  const double base = std::max(state.last_complete_seconds, sched.submit_seconds);
+  step.submit_seconds = base;
+  step.complete_seconds = sched.done_seconds;
+  step.step_seconds = sched.done_seconds - base;
   state.last_complete_seconds = step.complete_seconds;
   ++state.step_index;
 
@@ -1241,44 +1215,26 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
       trace_->counter("dc_bytes_saved", step.complete_seconds,
                       {{"bytes", static_cast<double>(st.dc_bytes_saved)}});
     };
-    if (depth == 1) {
-      // locate_on_pim already advanced the cursor past the CL launch, so the
-      // search launch and the overlapped host CL both start at now().
-      const double exec0 = trace_->now();
-      if (host_cl > 0.0) {
-        trace_->span(trace_->lane("host/cl"), "host-cl", "host", exec0, host_cl,
-                     {{"queries", static_cast<double>(cl_queries)}});
-      }
-      if (host_rerank > 0.0) {
-        trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
-                     exec0 + host_cl, host_rerank,
-                     {{"q4_tasks", static_cast<double>(q4_tasks)}});
-      }
-      trace_launch(exec0, batch, "search", tasks_per_dpu);
-      trace_fusion(exec0 + batch.transfer_in_seconds + batch.launch_overhead_seconds);
-      trace_->set_now(exec0 + std::max(host_side, batch.total_seconds()));
-    } else {
-      // Pipelined: every span sits at its scheduled absolute time, so
-      // overlapping steps render as overlapping host-link/dpu spans.
-      if (host_cl > 0.0) {
-        trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
-                     host_cl, {{"queries", static_cast<double>(cl_queries)}});
-      }
-      if (host_rerank > 0.0) {
-        trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
-                     sched.host_start + host_cl, host_rerank,
-                     {{"q4_tasks", static_cast<double>(q4_tasks)}});
-      }
-      LaunchLayout layout;
-      layout.in_start = sched.in_start;
-      layout.launch_start = sched.compute_start;
-      layout.launch_seconds = batch.launch_overhead_seconds;
-      layout.kern_start = sched.compute_start + batch.launch_overhead_seconds;
-      layout.out_start = sched.out_start;
-      trace_launch_spans(layout, batch, "search", tasks_per_dpu);
-      trace_fusion(layout.kern_start);
-      trace_->set_now(state.last_complete_seconds);
+    // Every span sits at its scheduled absolute time, so
+    // overlapping steps render as overlapping host-link/dpu spans.
+    if (host_cl > 0.0) {
+      trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
+                   host_cl, {{"queries", static_cast<double>(cl_queries)}});
     }
+    if (host_rerank > 0.0) {
+      trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
+                   sched.host_start + host_cl, host_rerank,
+                   {{"q4_tasks", static_cast<double>(q4_tasks)}});
+    }
+    LaunchLayout layout;
+    layout.in_start = sched.in_start;
+    layout.launch_start = sched.compute_start;
+    layout.launch_seconds = batch.launch_overhead_seconds;
+    layout.kern_start = sched.compute_start + batch.launch_overhead_seconds;
+    layout.out_start = sched.out_start;
+    trace_launch_spans(layout, batch, "search", tasks_per_dpu);
+    trace_fusion(layout.kern_start);
+    trace_->set_now(state.last_complete_seconds);
   }
   return step;
 }

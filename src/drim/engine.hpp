@@ -178,9 +178,9 @@ struct SearchBatchState {
   std::size_t next_query = 0;  ///< first enqueued query no step has consumed
 
   // ---- pipelined execution (pipeline_depth >= 2; DESIGN.md §12) ----
-  /// Virtual timeline the steps of this stream are scheduled on; created
-  /// lazily by search_batch(). Null at depth 1 (serial accounting).
-  std::unique_ptr<PipelineTimeline> pipeline;
+  /// Virtual timeline every step of this stream opens and closes on;
+  /// search_batch() rebuilds it when the engine's pipeline depth differs.
+  PipelineTimeline pipeline{1};
   /// Serve-layer submit time of the next step on the timeline's clock (the
   /// serving runtime sets this before each step; closed-loop search leaves
   /// it 0 so steps pack back-to-back).
@@ -427,26 +427,15 @@ class DrimAnnEngine {
   void trace_launch(double start_s, const BatchResult& batch, const char* kind,
                     const std::vector<std::size_t>& tasks_per_dpu);
 
-  /// A CL-on-PIM launch whose tracing was deferred by the pipelined path:
-  /// its timeline placement is only known once the step's begin_batch() has
-  /// run, which needs the launch's modeled seconds first.
-  struct ClLaunchTrace {
-    BatchResult batch;
-    std::size_t active_dpus = 0;
-    std::size_t num_queries = 0;
-    bool valid = false;
-  };
-
   /// CL-on-PIM path: locate clusters for queries [begin, end) with a
   /// dedicated kernel launch staged in the MRAM slot at `slot_base`; fills
-  /// probes[] and accumulates stats. Returns the batch's modeled seconds.
-  /// When `deferred_trace` is non-null the launch is not traced here; its
-  /// trace inputs are captured for the caller to place on the timeline.
+  /// probes[] and accumulates stats. Returns the batch's modeled seconds;
+  /// `batch` and `active_dpus` receive the launch for the caller to trace.
   double locate_on_pim(const std::vector<std::vector<std::int16_t>>& quantized,
                        std::size_t begin, std::size_t end, std::size_t nprobe,
                        std::vector<std::vector<std::uint32_t>>& probes,
                        DrimSearchStats& stats, std::size_t slot_base,
-                       ClLaunchTrace* deferred_trace);
+                       BatchResult& batch, std::size_t& active_dpus);
 
   /// Base MRAM offset of the staging slot step `step_index` uses (slots are
   /// assigned round-robin; one slot of staging_stride_ bytes per in-flight

@@ -186,8 +186,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOne) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x6f7dfefdea0c0d84ULL, 23,
-                      0x1.3cb0028d58203p-4, 0x1.71ea809e4964ep-10});
+  expect_golden(res, {0x97daf69d49a56786ULL, 23,
+                      0x1.3cb0028d58204p-4, 0x1.71ea809e4965dp-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
@@ -210,8 +210,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0xc77fa386d524977cULL, 23,
-                      0x1.3e64060104d35p-4, 0x1.7941ebe81b145p-10});
+  expect_golden(res, {0x6db2634ef7a18d27ULL, 23,
+                      0x1.3e64060104d36p-4, 0x1.7941ebe81b14fp-10});
   expect_golden(updates,
                 {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.153e55a624c26p-17});
 }
@@ -228,8 +228,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
   const ServeResult res = ServingRuntime(engine, data_->queries, sp).run(trace);
   EXPECT_GT(res.report.shed, 0u);
   EXPECT_GT(res.report.degraded, 0u);
-  expect_golden(res, {0x05469e6377d99bf1ULL, 10,
-                      0x1.618efada799e5p-6, 0x1.21821bc401d6ap-9});
+  expect_golden(res, {0x1cacb34d7150097bULL, 10,
+                      0x1.618efada799e4p-6, 0x1.21821bc401d68p-9});
 }
 
 TEST_F(ServeLoopGoldenTest, CpuBackend) {
@@ -253,8 +253,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x3b1054e3a665b9d9ULL, 23,
-                      0x1.9cbbc0798370dp-5, 0x1.e51d515caf9c4p-11});
+  expect_golden(res, {0xef689c757ecc0d2dULL, 23,
+                      0x1.9cbbc0798370cp-5, 0x1.e51d515caf9b8p-11});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
