@@ -2,7 +2,11 @@
 
 #include <sys/resource.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 
@@ -15,8 +19,20 @@ namespace drim::bench {
 std::size_t configure_host_threads(std::size_t n) {
   if (n == 0) {
     if (const char* env = std::getenv("DRIM_THREADS")) {
-      n = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long v = std::strtoull(env, &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+          errno == ERANGE) {
+        throw std::invalid_argument("DRIM_THREADS must be a whole number, got \"" +
+                                    std::string(env) + "\"");
+      }
+      n = static_cast<std::size_t>(std::min<unsigned long long>(v, SIZE_MAX));
     }
+  }
+  if (n > static_cast<std::size_t>(INT_MAX)) {
+    throw std::invalid_argument("host thread count " + std::to_string(n) +
+                                " exceeds INT_MAX");
   }
   return static_cast<std::size_t>(set_num_threads(static_cast<int>(n)));
 }

@@ -49,8 +49,9 @@ struct BenchScale {
 };
 
 /// Apply the host-thread knob: n == 0 reads the DRIM_THREADS env var (unset
-/// or 0 = leave the executor at all cores). Returns the effective thread
-/// count.
+/// or 0 = leave the executor at all cores). Throws std::invalid_argument when
+/// DRIM_THREADS is not a whole number, when the count is above INT_MAX, or
+/// when the executor rejects it as a cap. Returns the effective thread count.
 std::size_t configure_host_threads(std::size_t n = 0);
 
 /// Dataset + exact ground truth, built once per binary.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace drim {
 
@@ -75,6 +77,14 @@ int Executor::effective_parallelism() const {
 }
 
 int Executor::set_thread_cap(int n) {
+  // A cap grows the pool to cap - 1 OS threads on the first large loop, so
+  // an absurd cap would start that many threads.
+  const std::size_t bound = std::max<std::size_t>(64, 8 * default_parallelism());
+  if (n > 0 && static_cast<std::size_t>(n) > bound) {
+    throw std::invalid_argument("thread cap " + std::to_string(n) + " exceeds the bound " +
+                                std::to_string(bound) +
+                                " (8x hardware concurrency, at least 64)");
+  }
   if (n > 0) cap_.store(n, std::memory_order_relaxed);
   return effective_parallelism();
 }

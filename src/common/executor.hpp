@@ -57,7 +57,8 @@ class Executor {
 
   /// Cap the lanes used by subsequent loops (0 = leave unchanged). Returns
   /// the effective count. Caps above hardware concurrency grow the pool on
-  /// demand.
+  /// demand; a cap above max(64, 8x hardware concurrency) throws
+  /// std::invalid_argument and leaves the cap unchanged.
   int set_thread_cap(int n);
 
   /// True on a pool worker thread (used to run nested loops inline).

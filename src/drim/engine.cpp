@@ -410,11 +410,10 @@ void DrimAnnEngine::load_static_data(const PimIndexData* previous) {
     throw std::runtime_error("MRAM exhausted by static data; reduce dataset or add DPUs");
   }
 
-  // Slot geometry of the pipelined executor: one equal 8-byte-aligned slot
-  // per in-flight step.
-  const std::size_t staging_total = opts_.pim.mram_bytes - staging_base_;
-  const std::size_t depth = pipeline_depth();
-  staging_stride_ = (staging_total / depth) & ~std::size_t{7};
+  // Slot geometry of the pipelined executor: the region splits into one
+  // equal 8-byte-aligned slot per in-flight step.
+  staging_stride_ =
+      ((opts_.pim.mram_bytes - staging_base_) / pipeline_depth()) & ~std::size_t{7};
   if (staging_stride_ == 0) {
     throw std::runtime_error(
         "MRAM staging region too small for pipeline_depth slots; reduce "
@@ -530,24 +529,6 @@ double DrimAnnEngine::model_host_cl_seconds(std::size_t num_queries) const {
   return std::max(flops / opts_.host.flops_per_sec, bytes / opts_.host.bytes_per_sec);
 }
 
-DrimAnnEngine::LaunchLayout DrimAnnEngine::serial_launch_layout(
-    double start_s, const BatchResult& batch) {
-  LaunchLayout layout;
-  layout.in_start = start_s;
-  layout.launch_start = start_s + batch.transfer_in_seconds;
-  layout.launch_seconds = batch.total_seconds() - batch.transfer_in_seconds -
-                          batch.transfer_out_seconds - batch.dpu_seconds;
-  layout.kern_start = layout.launch_start + std::max(layout.launch_seconds, 0.0);
-  layout.out_start = layout.kern_start + batch.dpu_seconds;
-  return layout;
-}
-
-void DrimAnnEngine::trace_launch(double start_s, const BatchResult& batch,
-                                 const char* kind,
-                                 const std::vector<std::size_t>& tasks_per_dpu) {
-  trace_launch_spans(serial_launch_layout(start_s, batch), batch, kind, tasks_per_dpu);
-}
-
 void DrimAnnEngine::trace_launch_spans(const LaunchLayout& layout,
                                        const BatchResult& batch, const char* kind,
                                        const std::vector<std::size_t>& tasks_per_dpu) {
@@ -599,17 +580,32 @@ void DrimAnnEngine::trace_launch_spans(const LaunchLayout& layout,
   }
 }
 
-double DrimAnnEngine::locate_on_pim(
-    const std::vector<std::vector<std::int16_t>>& quantized, std::size_t begin,
-    std::size_t end, std::size_t nprobe,
-    std::vector<std::vector<std::uint32_t>>& probes, DrimSearchStats& stats,
-    std::size_t slot_base, BatchResult& batch, std::size_t& active_dpus) {
+void DrimAnnEngine::fold_launch(const BatchResult& batch, DrimSearchStats& stats) const {
+  stats.transfer_in_seconds += batch.transfer_in_seconds;
+  stats.transfer_out_seconds += batch.transfer_out_seconds;
+  stats.dpu_busy_seconds += batch.dpu_seconds;
+  for (std::size_t d = 0; d < pim_->num_dpus(); ++d) {
+    stats.per_dpu_seconds[d] += batch.per_dpu_seconds[d];
+    for (std::size_t p = 0; p < kNumPhases; ++p) {
+      stats.phase_dpu_seconds[p] += pim_->dpu_phase_seconds(d, static_cast<Phase>(p));
+    }
+  }
+  stats.counters.add(pim_->aggregate_counters());
+}
+
+DrimAnnEngine::ClLaunch DrimAnnEngine::locate_on_pim(SearchBatchState& state,
+                                                     std::size_t begin, std::size_t end,
+                                                     std::size_t slot_base) {
   const std::size_t dim = data_.dim();
   const std::size_t num_dpus = pim_->num_dpus();
   const std::size_t nq = end - begin;
   const std::size_t nlist = data_.nlist();
   const std::size_t per_dpu = (nlist + num_dpus - 1) / num_dpus;
-  const std::size_t keep = std::min(nprobe, nlist);
+  // The launch keeps the chunk's widest nprobe; narrower queries truncate
+  // their candidate list.
+  const auto nprobe = state.query_nprobe.begin();
+  const std::size_t keep =
+      std::min<std::size_t>(*std::max_element(nprobe + begin, nprobe + end), nlist);
 
   // Stage the chunk's queries on every DPU (broadcast region of this step's
   // staging slot), outputs right after.
@@ -620,21 +616,21 @@ double DrimAnnEngine::locate_on_pim(
     throw std::runtime_error("CL staging exceeds MRAM; lower batch_size");
   }
   // Assemble the chunk's queries into one contiguous block and broadcast it
-  // in a single transfer (transmitted once, resident on every DPU; the
-  // per-DPU copies fan out across threads inside broadcast()).
+  // in a single transfer (transmitted once, resident on every DPU).
   std::vector<std::int16_t> staged(nq * dim);
-  parallel_for(0, nq, [&](std::size_t q) {
-    std::copy(quantized[begin + q].begin(), quantized[begin + q].end(),
+  for (std::size_t q = 0; q < nq; ++q) {
+    std::copy(state.quantized[begin + q].begin(), state.quantized[begin + q].end(),
               staged.begin() + q * dim);
-  });
+  }
   pim_->broadcast(slot_base, {reinterpret_cast<const std::uint8_t*>(staged.data()),
                               staged.size() * 2});
 
-  active_dpus = std::min(num_dpus, (nlist + per_dpu - 1) / per_dpu);
+  ClLaunch cl;
+  cl.active_dpus = std::min(num_dpus, (nlist + per_dpu - 1) / per_dpu);
   const bool functional = pim_->functional();
-  std::vector<std::vector<KernelHit>> dpu_hits(active_dpus);
+  std::vector<KernelHit> hits(cl.active_dpus * nq * keep);  // DPU d's block at d*nq*keep
   std::vector<TopK> merged(nq, TopK(keep));
-  batch = pim_->run_batch(
+  cl.batch = pim_->run_batch(
       [&](std::size_t d, DpuContext& ctx) {
         ClKernelArgs args;
         args.dim = static_cast<std::uint32_t>(dim);
@@ -654,62 +650,50 @@ double DrimAnnEngine::locate_on_pim(
         } else {
           charge_cl_kernel(ctx, args);
         }
+        if (d >= cl.active_dpus) return;
+        // Pull the DPU's whole candidate block (the same bytes billed as
+        // per-query pulls). On a non-functional platform the rows are
+        // computed with the host-side exact scan first; pull() then only
+        // bills the bytes.
+        const std::span<KernelHit> rows(hits.data() + d * nq * keep, nq * keep);
+        if (!functional) {
+          for (std::size_t q = 0; q < nq; ++q) {
+            host_cl_candidates_into(data_, state.quantized[begin + q], args.centroid_begin,
+                                    args.centroid_count, static_cast<std::uint32_t>(keep),
+                                    rows.subspan(q * keep, keep));
+          }
+        }
+        pim_->pull(d, output_off,
+                   {reinterpret_cast<std::uint8_t*>(rows.data()), rows.size_bytes()});
       },
       [&]() {
-        // Pull each active DPU's whole candidate block concurrently (same
-        // bytes billed as per-query pulls), then merge serially in fixed
-        // (dpu, query) order so heap contents match the serial path exactly.
-        // On a non-functional platform the candidate rows are computed with
-        // the host-side exact scan first; pull() then only bills the bytes.
-        parallel_for(0, active_dpus, [&](std::size_t d) {
-          dpu_hits[d].resize(nq * keep);
-          if (!functional) {
-            const std::uint32_t cbegin =
-                static_cast<std::uint32_t>(std::min(d * per_dpu, nlist));
-            const std::uint32_t ccount =
-                static_cast<std::uint32_t>(std::min(per_dpu, nlist - cbegin));
-            for (std::size_t q = 0; q < nq; ++q) {
-              host_cl_candidates_into(
-                  data_, quantized[begin + q], cbegin, ccount,
-                  static_cast<std::uint32_t>(keep),
-                  std::span<KernelHit>(dpu_hits[d].data() + q * keep, keep));
-            }
-          }
-          pim_->pull(d, output_off,
-                     {reinterpret_cast<std::uint8_t*>(dpu_hits[d].data()),
-                      nq * keep * sizeof(KernelHit)});
-        });
-        // Merge in parallel across queries; each query replays its fixed
-        // d-then-i visit order, so heap contents (and tie-breaking) match
-        // the serial path exactly.
-        parallel_for(0, nq, [&](std::size_t q) {
-          for (std::size_t d = 0; d < active_dpus; ++d) {
+        // Each query replays its fixed d-then-i visit order, so heap
+        // contents (and tie-breaking) match the serial merge exactly.
+        const auto merge_query = [&](std::size_t q) {
+          for (std::size_t d = 0; d < cl.active_dpus; ++d) {
             for (std::size_t i = 0; i < keep; ++i) {
-              const KernelHit& h = dpu_hits[d][q * keep + i];
+              const KernelHit& h = hits[(d * nq + q) * keep + i];
               if (h.id == 0xFFFFFFFFu && h.dist == 0xFFFFFFFFu) break;
               merged[q].push(static_cast<float>(h.dist), h.id);
             }
           }
-        });
+        };
+        if (nq * cl.active_dpus >= kMinFanOutTasks) {
+          parallel_for(0, nq, merge_query);
+        } else {
+          for (std::size_t q = 0; q < nq; ++q) merge_query(q);
+        }
       });
 
-  for (std::size_t q = 0; q < nq; ++q) {
-    probes[begin + q].clear();
-    for (const Neighbor& n : merged[q].take_sorted()) {
-      probes[begin + q].push_back(n.id);
+  for (std::size_t q = begin; q < end; ++q) {
+    std::vector<std::uint32_t>& probes = state.probes[q];
+    probes.clear();
+    for (const Neighbor& n : merged[q - begin].take_sorted()) {
+      if (probes.size() == state.query_nprobe[q]) break;
+      probes.push_back(n.id);
     }
   }
-
-  stats.transfer_in_seconds += batch.transfer_in_seconds;
-  stats.transfer_out_seconds += batch.transfer_out_seconds;
-  stats.dpu_busy_seconds += batch.dpu_seconds;
-  for (std::size_t d = 0; d < num_dpus; ++d) {
-    stats.per_dpu_seconds[d] += batch.per_dpu_seconds[d];
-    stats.phase_dpu_seconds[static_cast<std::size_t>(Phase::CL)] +=
-        pim_->dpu_phase_seconds(d, Phase::CL);
-  }
-  stats.counters.add(pim_->aggregate_counters());
-  return batch.total_seconds();
+  return cl;
 }
 
 std::uint32_t DrimAnnEngine::enqueue_query(SearchBatchState& state,
@@ -782,109 +766,139 @@ void DrimAnnEngine::enqueue_queries(SearchBatchState& state, const FloatMatrix& 
   }
 }
 
+struct DrimAnnEngine::StepContext {
+  std::size_t begin = 0, end = 0;  // the fresh queries [begin, end) of the state
+  std::size_t k = 0;               // kernel depth: the widest k of the step's queries
+  std::size_t slot_base = 0;       // this step's MRAM staging slot
+  Assignment assignment;
+  // ---- per-DPU staging tables. Every DPU's output rows (k entries per
+  // scheduled task) live in `hits`, DPU d's starting at row row_off[d].
+  std::vector<std::size_t> row_off;
+  // A non-functional platform computes no rows: the host replays the whole
+  // batch from this task list, task i filling row i (see launch_step).
+  std::vector<HostReplayTask> replay;
+  std::vector<std::vector<KernelTask>> dpu_tasks;
+  std::vector<std::vector<std::uint32_t>> dpu_task_query;  // task -> global q
+  std::vector<std::vector<std::uint32_t>> dpu_slot_query;  // staged slot -> global q
+  std::vector<std::size_t> dpu_output_off;
+  std::vector<std::vector<FusedTaskGroup>> dpu_groups;  // fuse_width > 1 only
+  std::size_t fused_groups = 0, fused_tasks = 0;  // fusion plan tallies
+  std::uint64_t dc_bytes_saved = 0, lut_entries = 0;
+  std::vector<KernelHit> hits;
+  BatchResult batch;           // the search launch
+  std::size_t cl_queries = 0;  // queries billed host CL
+  std::size_t q4_tasks = 0;    // tasks reranked on the host
+  PipelineSchedule sched;      // the step's placement on the timeline
+  BatchStepStats stats;
+};
+
 BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                                            std::size_t max_queries, bool flush,
                                            DrimSearchStats* stats) {
-  const std::size_t dim = data_.dim();
   const std::size_t num_dpus = pim_->num_dpus();
-
   DrimSearchStats local;
   DrimSearchStats& st = stats != nullptr ? *stats : local;
   if (st.per_dpu_seconds.size() != num_dpus) st.per_dpu_seconds.assign(num_dpus, 0.0);
   st.index_load_seconds = index_load_seconds_;
 
-  const std::size_t begin = state.next_query;
-  const std::size_t end = max_queries == 0
-                              ? state.quantized.size()
-                              : std::min(state.quantized.size(), begin + max_queries);
-  state.next_query = end;
+  StepContext step;
+  step.begin = state.next_query;
+  step.end = max_queries == 0
+                 ? state.quantized.size()
+                 : std::min(state.quantized.size(), step.begin + max_queries);
+  state.next_query = step.end;
+  step.stats.fresh_queries = step.end - step.begin;
+  st.queries += step.end - step.begin;
+  if (step.end == step.begin && state.carried.empty()) return step.stats;  // nothing to run
 
-  BatchStepStats step;
-  step.fresh_queries = end - begin;
-  st.queries += end - begin;
-  if (end == begin && state.carried.empty()) return step;  // nothing to run
-
-  // Pipelined executor setup: each step stages into its round-robin MRAM
-  // slot; at depth >= 2 the step's stages are placed on the state's virtual
-  // timeline so they overlap neighboring in-flight steps.
+  // Every step stages into its round-robin MRAM slot and is placed on the
+  // state's timeline, where it overlaps the other steps still in flight.
   const std::size_t depth = pipeline_depth();
-  const std::size_t slot_base = staging_slot_base(state.step_index);
   if (state.pipeline.depth() != depth) state.pipeline = PipelineTimeline(depth);
+  step.slot_base = staging_slot_base(state.step_index);
 
   // Kernel depth for this step: the widest k among the fresh queries and the
   // carried tasks' queries. Per-query heaps still truncate to their own k.
-  std::size_t k = 0;
-  for (std::size_t q = begin; q < end; ++q) {
-    k = std::max<std::size_t>(k, state.query_k[q]);
+  for (std::size_t q = step.begin; q < step.end; ++q) {
+    step.k = std::max<std::size_t>(step.k, state.query_k[q]);
   }
   for (const Task& t : state.carried) {
-    k = std::max<std::size_t>(k, state.query_k[t.query]);
+    step.k = std::max<std::size_t>(step.k, state.query_k[t.query]);
   }
   // Price the Eq. 15 TS term for this step's actual search depth, and check
   // the fusion width's WRAM working set against it (the heaps scale with k).
-  ensure_scheduler_params(k);
-  validate_fuse_width(k);
+  ensure_scheduler_params(step.k);
+  validate_fuse_width(step.k);
 
+  locate_step(state, step, st);
+  schedule_step(state, step, flush);
+  stage_step(state, step);
+  launch_step(state, step);
+  account_step(state, step, st);
+  trace_step(step, st);
+  return step.stats;
+}
+
+void DrimAnnEngine::locate_step(SearchBatchState& state, StepContext& step,
+                                DrimSearchStats& st) {
   // CL-on-PIM: a dedicated barrier launch precedes the search launch (it
-  // cannot overlap — the search needs its output). The launch keeps the
-  // chunk's widest nprobe; narrower queries truncate their candidate list.
-  BatchResult cl_batch;
-  std::size_t cl_active_dpus = 0;
-  if (opts_.cl_on_pim && end > begin) {
-    std::size_t pmax = 0;
-    for (std::size_t q = begin; q < end; ++q) {
-      pmax = std::max<std::size_t>(pmax, state.query_nprobe[q]);
-    }
-    step.cl_pim_seconds =
-        locate_on_pim(state.quantized, begin, end, pmax, state.probes, st, slot_base,
-                      cl_batch, cl_active_dpus);
-    for (std::size_t q = begin; q < end; ++q) {
-      if (state.probes[q].size() > state.query_nprobe[q]) {
-        state.probes[q].resize(state.query_nprobe[q]);
-      }
-    }
+  // cannot overlap — the search needs its output).
+  ClLaunch cl;
+  if (opts_.cl_on_pim && step.end > step.begin) {
+    cl = locate_on_pim(state, step.begin, step.end, step.slot_base);
+    fold_launch(cl.batch, st);
+    step.stats.cl_pim_seconds = cl.batch.total_seconds();
   }
-
-  // Open this step on the timeline (reserving the CL pre-launch on the link
-  // and DPU array) and trace the CL launch at its scheduled start — the
-  // phase counters it reads are reset by the search run_batch below.
+  // Open the step on the timeline (reserving the CL pre-launch on the link
+  // and the DPU array) and trace the CL launch at its scheduled start, back
+  // to back — the search launch resets the phase counters the trace reads.
   const double pre_start =
-      state.pipeline.begin_batch(state.submit_hint_seconds, step.cl_pim_seconds);
-  if (trace_ != nullptr && cl_active_dpus > 0) {
-    trace_launch(pre_start, cl_batch, "cl-pim",
-                 std::vector<std::size_t>(cl_active_dpus, end - begin));
+      state.pipeline.begin_batch(state.submit_hint_seconds, step.stats.cl_pim_seconds);
+  if (trace_ != nullptr && cl.active_dpus > 0) {
+    const BatchResult& b = cl.batch;
+    LaunchLayout layout;
+    layout.in_start = pre_start;
+    layout.launch_start = pre_start + b.transfer_in_seconds;
+    layout.launch_seconds =
+        b.total_seconds() - b.transfer_in_seconds - b.transfer_out_seconds - b.dpu_seconds;
+    layout.kern_start = layout.launch_start + std::max(layout.launch_seconds, 0.0);
+    layout.out_start = layout.kern_start + b.dpu_seconds;
+    trace_launch_spans(layout, b, "cl-pim",
+                       std::vector<std::size_t>(cl.active_dpus, step.end - step.begin));
   }
+}
 
+void DrimAnnEngine::schedule_step(SearchBatchState& state, StepContext& step, bool flush) {
   // Observed cluster traffic feeds replan_layout()'s heat estimate.
-  for (std::size_t q = begin; q < end; ++q) {
+  for (std::size_t q = step.begin; q < step.end; ++q) {
     for (const std::uint32_t c : state.probes[q]) {
       if (c < probe_counts_.size()) ++probe_counts_[c];
     }
   }
-
   // The scheduler walks only this chunk's range of the probe table
   // (Task.query indexes the whole state).
-  const Assignment assignment = scheduler_->schedule(
-      state.probes, begin, end, state.carried, flush, &state.query_precision);
-  state.carried = assignment.deferred;
+  step.assignment = scheduler_->schedule(state.probes, step.begin, step.end, state.carried,
+                                         flush, &state.query_precision);
+  state.carried = std::move(step.assignment.deferred);
   std::fill(state.deferred_per_query.begin(), state.deferred_per_query.end(), 0u);
   for (const Task& t : state.carried) ++state.deferred_per_query[t.query];
+}
 
-  // ---- stage per-DPU inputs ----
-  // Every DPU's output rows (k entries per scheduled task) live in one flat
-  // buffer, DPU d's starting at row row_off[d].
-  std::vector<std::size_t> row_off(num_dpus + 1, 0);
+void DrimAnnEngine::stage_step(const SearchBatchState& state, StepContext& step) {
+  const std::size_t dim = data_.dim();
+  const std::size_t num_dpus = pim_->num_dpus();
+  const std::size_t k = step.k;
+  const auto& per_dpu = step.assignment.per_dpu;
+  step.row_off.assign(num_dpus + 1, 0);
   for (std::size_t d = 0; d < num_dpus; ++d) {
-    row_off[d + 1] = row_off[d] + assignment.per_dpu[d].size();
+    step.row_off[d + 1] = step.row_off[d] + per_dpu[d].size();
   }
-  // A non-functional platform computes no rows: the host replays the whole
-  // batch from this task list, task i filling row i (see the collect stage).
   const bool functional = pim_->functional();
-  std::vector<HostReplayTask> replay(functional ? 0 : row_off[num_dpus]);
-  std::vector<std::vector<KernelTask>> dpu_tasks(num_dpus);
-  std::vector<std::vector<std::uint32_t>> dpu_task_query(num_dpus);  // global q ids
-  std::vector<std::vector<std::uint32_t>> dpu_slot_query(num_dpus);  // slot -> global q
-  std::vector<std::size_t> dpu_output_off(num_dpus, 0);
+  step.replay.resize(functional ? 0 : step.row_off[num_dpus]);
+  step.dpu_tasks.resize(num_dpus);
+  step.dpu_task_query.resize(num_dpus);
+  step.dpu_slot_query.resize(num_dpus);
+  step.dpu_output_off.assign(num_dpus, 0);
   std::vector<std::size_t> dpu_need(num_dpus, 0);
 
   // ---- cluster-major fusion plan (DESIGN.md §16) ----
@@ -893,11 +907,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // shipped the plan, so both platforms launch the identical grouping); the
   // saved re-stream bytes are tallied from the plan alone, in DPU order.
   const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  std::vector<std::vector<FusedTaskGroup>> dpu_groups(fuse_width > 1 ? num_dpus : 0);
-  std::uint64_t dc_bytes_saved = 0;
-  std::uint64_t lut_entries = 0;
-  std::size_t fused_groups = 0;
-  std::size_t fused_tasks = 0;
+  step.dpu_groups.resize(fuse_width > 1 ? num_dpus : 0);
 
   // Per-DPU dedup and fusion planning run as a serial pre-pass on the
   // calling thread: nothing is pushed yet, so an oversized batch can still
@@ -906,14 +916,14 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // clearing, and first-occurrence slot order matches the old hashed path.
   const std::uint64_t epoch_base =
       g_dedup_epoch.fetch_add(num_dpus, std::memory_order_relaxed);
-  const std::size_t id_space = state.quantized.size();
   const bool ladder = q4_ready();
-  dedup_reserve(id_space);
+  dedup_reserve(state.quantized.size());
   for (std::size_t d = 0; d < num_dpus; ++d) {
-    const auto& tasks = assignment.per_dpu[d];
+    const auto& tasks = per_dpu[d];
     if (tasks.empty()) continue;
     const std::uint64_t stamp = epoch_base + d;
-    auto& slot_query = dpu_slot_query[d];
+    auto& slot_query = step.dpu_slot_query[d];
+    auto& dpu_tasks = step.dpu_tasks[d];
     for (const Task& t : tasks) {
       if (tl_dedup_stamp[t.query] != stamp) {
         tl_dedup_stamp[t.query] = stamp;
@@ -927,14 +937,14 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                   state.query_precision[t.query] != 0
               ? kTaskQ4Bit
               : 0u;
-      dpu_tasks[d].push_back({tl_dedup_slot[t.query] | rung_bit, shard_slot_[t.shard]});
+      dpu_tasks.push_back({tl_dedup_slot[t.query] | rung_bit, shard_slot_[t.shard]});
       if (rung_bit == 0) {
-        lut_entries += dpu_shard_regions_[d][shard_slot_[t.shard]].codewords->size();
+        step.lut_entries += dpu_shard_regions_[d][shard_slot_[t.shard]].codewords->size();
       }
-      dpu_task_query[d].push_back(t.query);
+      step.dpu_task_query[d].push_back(t.query);
       if (!functional) {
         const Shard& sh = layout_->shard(t.shard);
-        HostReplayTask& r = replay[row_off[d] + dpu_tasks[d].size() - 1];
+        HostReplayTask& r = step.replay[step.row_off[d] + dpu_tasks.size() - 1];
         r.query = state.quantized[t.query].data();
         r.query_id = t.query;
         r.dead = snapshot_.dead_flags(sh.cluster);
@@ -947,22 +957,22 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     // Staging layout: [queries][outputs], within this step's slot.
     const std::size_t queries_bytes = slot_query.size() * dim * 2;
     const std::size_t output_bytes = tasks.size() * k * sizeof(KernelHit);
-    dpu_output_off[d] = slot_base + ((queries_bytes + 7) & ~std::size_t{7});
-    dpu_need[d] = dpu_output_off[d] + output_bytes;
+    step.dpu_output_off[d] = step.slot_base + ((queries_bytes + 7) & ~std::size_t{7});
+    dpu_need[d] = step.dpu_output_off[d] + output_bytes;
 
     if (fuse_width <= 1) continue;
-    dpu_groups[d] = plan_task_fusion(dpu_tasks[d], fuse_width);
-    fused_groups += dpu_groups[d].size();
-    for (const FusedTaskGroup& g : dpu_groups[d]) {
+    step.dpu_groups[d] = plan_task_fusion(dpu_tasks, fuse_width);
+    step.fused_groups += step.dpu_groups[d].size();
+    for (const FusedTaskGroup& g : step.dpu_groups[d]) {
       if (g.tasks.size() <= 1) continue;
-      fused_tasks += g.tasks.size();
+      step.fused_tasks += g.tasks.size();
       const ShardRegion& sh = dpu_shard_regions_[d][g.shard_slot];
       const std::size_t code_size =
           ladder && g.q4 ? data_.code_size_q4() : data_.code_size();
       std::uint64_t bytes = static_cast<std::uint64_t>(sh.size) * code_size;
       // The tombstone-flag stream is also shared by the group.
       if (sh.dead != nullptr) bytes += sh.size;
-      dc_bytes_saved += (g.tasks.size() - 1) * bytes;
+      step.dc_bytes_saved += (g.tasks.size() - 1) * bytes;
     }
   }
 
@@ -970,10 +980,10 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // a worker lambda mid-staging left the byte tallies half-updated). The
   // error reports the batch size that would have fit this step's schedule.
   for (std::size_t d = 0; d < num_dpus; ++d) {
-    if (dpu_need[d] <= slot_base + staging_stride_) continue;
-    const std::size_t need = dpu_need[d] - slot_base;
+    if (dpu_need[d] <= step.slot_base + staging_stride_) continue;
+    const std::size_t need = dpu_need[d] - step.slot_base;
     const std::size_t capacity = staging_stride_;
-    const std::size_t fresh = end - begin;
+    const std::size_t fresh = step.end - step.begin;
     const std::size_t feasible =
         fresh > 0 ? std::max<std::size_t>(1, fresh * capacity / need) : 0;
     char msg[192];
@@ -984,9 +994,15 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                   d, need, capacity, feasible);
     throw std::runtime_error(msg);
   }
-  std::vector<KernelHit> hits(row_off[num_dpus] * k);
+  step.hits.resize(step.row_off[num_dpus] * k);
+}
 
-  // ---- launch ----
+void DrimAnnEngine::launch_step(SearchBatchState& state, StepContext& step) {
+  const std::size_t dim = data_.dim();
+  const std::size_t num_dpus = pim_->num_dpus();
+  const std::size_t k = step.k;
+  const bool functional = pim_->functional();
+  const bool ladder = q4_ready();
   SearchKernelArgs args;
   args.dim = static_cast<std::uint32_t>(dim);
   args.m = static_cast<std::uint32_t>(data_.m());
@@ -998,7 +1014,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   args.sq_lut_max_abs = static_cast<std::uint32_t>(sq_lut_.max_abs());
   args.codebooks_offset = codebooks_off_;
   args.centroids_offset = centroids_off_;
-  args.queries_offset = slot_base;
+  args.queries_offset = step.slot_base;
   args.use_square_lut = opts_.use_square_lut;
   if (ladder) {
     args.has_q4 = true;
@@ -1006,6 +1022,10 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     args.code_size_q4 = static_cast<std::uint32_t>(data_.code_size_q4());
     args.codebooks_q4_offset = codebooks_q4_off_;
   }
+  const auto& row_off = step.row_off;
+  const auto& dpu_tasks = step.dpu_tasks;
+  const auto& dpu_task_query = step.dpu_task_query;
+  std::vector<KernelHit>& hits = step.hits;
 
   // Exact-rerank tail of DPU d's q4 rows: each row's candidates are
   // re-scored with the full-precision ADC LUT on the host and their global
@@ -1050,25 +1070,25 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // pulls) and reranks its q4 rows. Every DPU touches only its own MRAM and
   // rows, and run_batch bills the pushes and pulls made here to this batch,
   // so byte totals and modeled times match staging outside the launch.
-  BatchResult batch = pim_->run_batch(
+  step.batch = pim_->run_batch(
       [&](std::size_t d, DpuContext& ctx) {
         if (dpu_tasks[d].empty()) return;
-        const auto& slot_query = dpu_slot_query[d];
+        const auto& slot_query = step.dpu_slot_query[d];
         for (std::size_t s = 0; s < slot_query.size(); ++s) {
           const auto& qv = state.quantized[slot_query[s]];
-          pim_->push(d, slot_base + s * dim * 2,
+          pim_->push(d, step.slot_base + s * dim * 2,
                      {reinterpret_cast<const std::uint8_t*>(qv.data()), dim * 2});
         }
         SearchKernelArgs a = args;
-        a.output_offset = dpu_output_off[d];
+        a.output_offset = step.dpu_output_off[d];
         // One kernel body serves both platforms and every width. At
         // fuse_width 1 no plan ships (empty span): each task runs as its own
         // group with no descriptor table, which is the per-task kernel's
         // exact charge stream, so results and modeled times reproduce the
         // pre-fusion engine bit-for-bit.
         const std::span<const FusedTaskGroup> plan =
-            fuse_width > 1 ? std::span<const FusedTaskGroup>(dpu_groups[d])
-                           : std::span<const FusedTaskGroup>();
+            step.dpu_groups.empty() ? std::span<const FusedTaskGroup>()
+                                    : std::span<const FusedTaskGroup>(step.dpu_groups[d]);
         if (functional) {
           run_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], plan);
         } else {
@@ -1076,7 +1096,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         }
         // On a non-functional platform pull() only bills the bytes; the rows
         // are replayed on the host in the collect stage.
-        pim_->pull(d, dpu_output_off[d],
+        pim_->pull(d, step.dpu_output_off[d],
                    {reinterpret_cast<std::uint8_t*>(hits.data() + row_off[d] * k),
                     dpu_tasks[d].size() * k * sizeof(KernelHit)});
         if (functional && ladder) rerank_q4_rows(d);
@@ -1087,7 +1107,9 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         // however many slices and DPUs the cluster spans. Rows are
         // byte-identical to the functional kernel's — q4 rows already
         // reranked.
-        if (!functional) host_replay_batch(data_, replay, static_cast<std::uint32_t>(k), hits);
+        if (!functional) {
+          host_replay_batch(data_, step.replay, static_cast<std::uint32_t>(k), hits);
+        }
         // Merge into the shared per-query heaps in parallel across queries:
         // first index every (dpu, task) row per query in the fixed global
         // (dpu, task) order, then each host thread replays only its own
@@ -1124,119 +1146,107 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
           for (std::size_t q = 0; q < id_space; ++q) merge_query(q);
         }
       });
+}
 
-  // ---- accounting. Depth 1 (serial): host work overlaps the PIM batch and
-  // a CL-on-PIM launch serializes before it, each step paying its full
-  // critical path back-to-back. Depth >= 2: the timeline places this step's
-  // stages around the other in-flight steps; step_seconds becomes the
-  // timeline delta it contributed, so the deltas still sum to the makespan.
+void DrimAnnEngine::account_step(SearchBatchState& state, StepContext& step,
+                                 DrimSearchStats& st) {
+  BatchStepStats& s = step.stats;
+  const BatchResult& batch = step.batch;
   // Routed queries (cl_external) were located by the caller — the cluster
   // router bills their CL once at the front-end, so the shard step must not
   // bill it again.
-  std::size_t cl_queries = 0;
-  for (std::size_t q = begin; q < end; ++q) {
-    if (q >= state.cl_external.size() || state.cl_external[q] == 0) ++cl_queries;
+  for (std::size_t q = step.begin; q < step.end; ++q) {
+    if (q >= state.cl_external.size() || state.cl_external[q] == 0) ++step.cl_queries;
   }
-  const double host_cl = opts_.cl_on_pim ? 0.0 : model_host_cl_seconds(cl_queries);
-  step.host_cl_seconds = host_cl;
+  s.host_cl_seconds = opts_.cl_on_pim ? 0.0 : model_host_cl_seconds(step.cl_queries);
   // Exact-rerank host cost: per q4 task, one full ADC LUT build plus <= k
   // candidate re-scores. Exactly 0 (preserving pre-ladder times) when the
   // step carried no q4 task. Overlapped with the PIM batch like host CL.
-  std::size_t q4_tasks = 0;
-  for (std::size_t d = 0; d < num_dpus; ++d) {
-    for (const KernelTask& kt : dpu_tasks[d]) {
-      if (ladder && task_is_q4(kt)) ++q4_tasks;
+  for (const auto& tasks : step.dpu_tasks) {
+    s.tasks += tasks.size();
+    for (const KernelTask& kt : tasks) {
+      if (q4_ready() && task_is_q4(kt)) ++step.q4_tasks;
     }
   }
-  const double host_rerank =
-      q4_tasks == 0
+  s.host_rerank_seconds =
+      step.q4_tasks == 0
           ? 0.0
-          : static_cast<double>(q4_tasks) *
+          : static_cast<double>(step.q4_tasks) *
                 (static_cast<double>(data_.m() * data_.cb_entries() * data_.dsub()) * 3.0 +
-                 static_cast<double>(k * data_.m())) /
+                 static_cast<double>(step.k * data_.m())) /
                 opts_.host.flops_per_sec;
-  step.host_rerank_seconds = host_rerank;
-  const double host_side = host_cl + host_rerank;
-  step.pim_batch_seconds = batch.total_seconds();
-  step.transfer_in_seconds = batch.transfer_in_seconds;
-  step.transfer_out_seconds = batch.transfer_out_seconds;
-  step.dpu_seconds = batch.dpu_seconds;
-  step.deferred = state.carried.size();
+  s.pim_batch_seconds = batch.total_seconds();
+  s.transfer_in_seconds = batch.transfer_in_seconds;
+  s.transfer_out_seconds = batch.transfer_out_seconds;
+  s.dpu_seconds = batch.dpu_seconds;
+  s.deferred = state.carried.size();
 
+  // Close the step on the timeline, which places its stages around the
+  // other steps in flight; step_seconds is the timeline delta the step
+  // added, so the deltas sum to the makespan.
   PipelineStageTimes stages;
   stages.transfer_in_seconds = batch.transfer_in_seconds;
   stages.launch_overhead_seconds = batch.launch_overhead_seconds;
   stages.compute_seconds = batch.dpu_seconds;
   stages.transfer_out_seconds = batch.transfer_out_seconds;
-  stages.host_seconds = host_side;
-  const PipelineSchedule sched = state.pipeline.finish_batch(stages);
-  const double base = std::max(state.last_complete_seconds, sched.submit_seconds);
-  step.submit_seconds = base;
-  step.complete_seconds = sched.done_seconds;
-  step.step_seconds = sched.done_seconds - base;
-  state.last_complete_seconds = step.complete_seconds;
+  stages.host_seconds = s.host_cl_seconds + s.host_rerank_seconds;
+  step.sched = state.pipeline.finish_batch(stages);
+  s.submit_seconds = std::max(state.last_complete_seconds, step.sched.submit_seconds);
+  s.complete_seconds = step.sched.done_seconds;
+  s.step_seconds = s.complete_seconds - s.submit_seconds;
+  state.last_complete_seconds = s.complete_seconds;
   ++state.step_index;
 
-  st.total_seconds += step.step_seconds;
-  st.host_cl_seconds += host_cl;
-  st.host_rerank_seconds += host_rerank;
-  st.transfer_in_seconds += batch.transfer_in_seconds;
-  st.transfer_out_seconds += batch.transfer_out_seconds;
-  st.dpu_busy_seconds += batch.dpu_seconds;
-  for (std::size_t d = 0; d < num_dpus; ++d) {
-    st.per_dpu_seconds[d] += batch.per_dpu_seconds[d];
-    step.tasks += dpu_tasks[d].size();
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
-      st.phase_dpu_seconds[p] += pim_->dpu_phase_seconds(d, static_cast<Phase>(p));
-    }
-  }
-  st.tasks += step.tasks;
-  st.dc_bytes_saved += dc_bytes_saved;
-  st.lut_entries_built += lut_entries;
-  st.counters.add(pim_->aggregate_counters());
+  st.total_seconds += s.step_seconds;
+  st.host_cl_seconds += s.host_cl_seconds;
+  st.host_rerank_seconds += s.host_rerank_seconds;
+  fold_launch(batch, st);
+  st.tasks += s.tasks;
+  st.dc_bytes_saved += step.dc_bytes_saved;
+  st.lut_entries_built += step.lut_entries;
   ++st.batches;
-  st.batch_seconds.push_back(step.step_seconds);
+  st.batch_seconds.push_back(s.step_seconds);
   // Restamp from the cumulative total so streaming clients (CLI q4 path,
   // cluster shards, serving) see energy without a batch-mode search() wrap.
   st.energy_joules = opts_.energy.pim_energy_joules(opts_.pim, st.total_seconds);
+}
 
-  if (trace_ != nullptr) {
-    std::vector<std::size_t> tasks_per_dpu(num_dpus);
-    for (std::size_t d = 0; d < num_dpus; ++d) tasks_per_dpu[d] = dpu_tasks[d].size();
-    // Fused-group span alongside the search launch's DPU compute, plus the
-    // running saved-bytes counter (DESIGN.md §16).
-    const auto trace_fusion = [&](double compute_start) {
-      if (fuse_width <= 1 || fused_groups == 0) return;
-      trace_->span(trace_->lane("pim/fusion"), "fused-groups", "pim",
-                   compute_start, batch.dpu_seconds,
-                   {{"groups", static_cast<double>(fused_groups)},
-                    {"fused_tasks", static_cast<double>(fused_tasks)},
-                    {"dc_bytes_saved", static_cast<double>(dc_bytes_saved)}});
-      trace_->counter("dc_bytes_saved", step.complete_seconds,
-                      {{"bytes", static_cast<double>(st.dc_bytes_saved)}});
-    };
-    // Every span sits at its scheduled absolute time, so
-    // overlapping steps render as overlapping host-link/dpu spans.
-    if (host_cl > 0.0) {
-      trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
-                   host_cl, {{"queries", static_cast<double>(cl_queries)}});
-    }
-    if (host_rerank > 0.0) {
-      trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
-                   sched.host_start + host_cl, host_rerank,
-                   {{"q4_tasks", static_cast<double>(q4_tasks)}});
-    }
-    LaunchLayout layout;
-    layout.in_start = sched.in_start;
-    layout.launch_start = sched.compute_start;
-    layout.launch_seconds = batch.launch_overhead_seconds;
-    layout.kern_start = sched.compute_start + batch.launch_overhead_seconds;
-    layout.out_start = sched.out_start;
-    trace_launch_spans(layout, batch, "search", tasks_per_dpu);
-    trace_fusion(layout.kern_start);
-    trace_->set_now(state.last_complete_seconds);
+void DrimAnnEngine::trace_step(const StepContext& step, const DrimSearchStats& st) {
+  if (trace_ == nullptr) return;
+  // Every span sits at its scheduled absolute time, so overlapping steps
+  // render as overlapping host-link/dpu spans.
+  const BatchStepStats& s = step.stats;
+  const PipelineSchedule& sched = step.sched;
+  if (s.host_cl_seconds > 0.0) {
+    trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
+                 s.host_cl_seconds, {{"queries", static_cast<double>(step.cl_queries)}});
   }
-  return step;
+  if (s.host_rerank_seconds > 0.0) {
+    trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
+                 sched.host_start + s.host_cl_seconds, s.host_rerank_seconds,
+                 {{"q4_tasks", static_cast<double>(step.q4_tasks)}});
+  }
+  std::vector<std::size_t> tasks_per_dpu;
+  for (const auto& tasks : step.dpu_tasks) tasks_per_dpu.push_back(tasks.size());
+  LaunchLayout layout;
+  layout.in_start = sched.in_start;
+  layout.launch_start = sched.compute_start;
+  layout.launch_seconds = step.batch.launch_overhead_seconds;
+  layout.kern_start = sched.compute_start + step.batch.launch_overhead_seconds;
+  layout.out_start = sched.out_start;
+  trace_launch_spans(layout, step.batch, "search", tasks_per_dpu);
+  // Fused-group span alongside the search launch's DPU compute, plus the
+  // running saved-bytes counter (DESIGN.md §16).
+  if (step.fused_groups > 0) {
+    trace_->span(trace_->lane("pim/fusion"), "fused-groups", "pim", layout.kern_start,
+                 step.batch.dpu_seconds,
+                 {{"groups", static_cast<double>(step.fused_groups)},
+                  {"fused_tasks", static_cast<double>(step.fused_tasks)},
+                  {"dc_bytes_saved", static_cast<double>(step.dc_bytes_saved)}});
+    trace_->counter("dc_bytes_saved", s.complete_seconds,
+                    {{"bytes", static_cast<double>(st.dc_bytes_saved)}});
+  }
+  trace_->set_now(s.complete_seconds);
 }
 
 double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_t nprobe,

@@ -63,11 +63,11 @@ struct DrimEngineOptions {
   /// MRAM staging region is split into this many ping/pong slots and
   /// consecutive steps overlap on the virtual timeline (batch i's DPU
   /// compute overlaps batch i-1's result pull and batch i+1's query push).
-  /// 1 = the serial path (each step pays transfer_in + max(dpu) +
-  /// transfer_out end-to-end); 2 = double buffering (default). Results are
-  /// bit-identical at every depth — only modeled timestamps change. Not to
-  /// be confused with PimConfig::pipeline_depth, the DPU's *instruction*
-  /// pipeline depth.
+  /// 1 = a pipe with one slot (a step's transfers and compute wait for the
+  /// previous step's result pull; only host work overlaps across steps);
+  /// 2 = double buffering (default). Results are bit-identical at every
+  /// depth — only modeled timestamps change. Not to be confused with
+  /// PimConfig::pipeline_depth, the DPU's *instruction* pipeline depth.
   std::size_t pipeline_depth = 2;
   /// Upload the quantization ladder's 4-bit rung tables (coarse codebooks +
   /// packed codes) to MRAM so queries may run at Precision::kQ4. OFF by
@@ -111,9 +111,9 @@ struct DrimSearchStats {
   std::size_t batches = 0;
   std::size_t tasks = 0;
   std::size_t queries = 0;
-  /// Modeled latency of each PIM batch in order (CL-on-PIM launch + the
-  /// host/PIM overlap), so benches and the serving layer can report tail
-  /// percentiles without re-deriving per-batch times from the totals.
+  /// Each step's step_seconds in order (the timeline delta it added), so
+  /// benches and the serving layer can report tail percentiles without
+  /// re-deriving per-batch times from the totals.
   std::vector<double> batch_seconds;
   DpuCounters counters;             ///< aggregate over DPUs and batches
   double energy_joules = 0.0;
@@ -131,7 +131,9 @@ struct DrimSearchStats {
 
 /// Timing/accounting of ONE search_batch() step.
 struct BatchStepStats {
-  /// Modeled critical path of this step: cl_pim + max(host CL, PIM batch).
+  /// Timeline delta this step added: `complete - max(previous complete,
+  /// submit)`, so summing step_seconds over a closed-loop run yields the
+  /// makespan.
   double step_seconds = 0.0;
   double host_cl_seconds = 0.0;      ///< host CL (overlapped with the PIM batch)
   double host_rerank_seconds = 0.0;  ///< q4 exact-rerank host cost (overlapped)
@@ -144,12 +146,11 @@ struct BatchStepStats {
   std::size_t tasks = 0;             ///< tasks executed (fresh + carried)
   std::size_t deferred = 0;          ///< tasks the filter carried to the next step
   /// Absolute placement of this step on the state's virtual timeline: the
-  /// effective submit time (max of the caller's submit hint and, at depth 1,
-  /// the previous completion) and this step's completion. At pipeline depth
-  /// >= 2 `complete - submit` can be much less than the step's own stage sum
-  /// because stages overlap earlier in-flight batches; step_seconds is the
-  /// timeline delta `complete - max(previous complete, submit)`, so summing
-  /// step_seconds over a closed-loop run still yields the makespan.
+  /// effective submit time (max of the caller's submit hint and the previous
+  /// completion) and this step's completion. `complete - submit` can be less
+  /// than the step's own cl_pim + max(host, PIM batch), because its stages
+  /// overlap earlier steps still on the timeline (at depth 1, the previous
+  /// step's host work once its results are pulled).
   double submit_seconds = 0.0;
   double complete_seconds = 0.0;
 };
@@ -177,7 +178,7 @@ struct SearchBatchState {
   std::vector<std::uint32_t> deferred_per_query;  ///< outstanding carried tasks
   std::size_t next_query = 0;  ///< first enqueued query no step has consumed
 
-  // ---- pipelined execution (pipeline_depth >= 2; DESIGN.md §12) ----
+  // ---- the step timeline (DESIGN.md §12) ----
   /// Virtual timeline every step of this stream opens and closes on;
   /// search_batch() rebuilds it when the engine's pipeline depth differs.
   PipelineTimeline pipeline{1};
@@ -325,10 +326,11 @@ class DrimAnnEngine {
   std::size_t max_feasible_fuse_width(std::size_t k) const;
 
   /// Attach (or detach, with nullptr) a trace recorder. Every subsequent
-  /// search_batch() lays its launches on the recorder's virtual clock: a
-  /// CL-on-PIM launch first, then transfer-in / launch overhead / per-DPU
-  /// phase spans / transfer-out, with the overlapped host CL span alongside;
-  /// the cursor advances by each step's modeled seconds. The recorder must
+  /// search_batch() lays its launches on the recorder's virtual clock at
+  /// their timeline times: a CL-on-PIM launch first, then transfer-in /
+  /// launch overhead / per-DPU phase spans / transfer-out, with the
+  /// overlapped host CL span alongside; the cursor moves to each step's
+  /// completion. The recorder must
   /// outlive the engine or be detached first; the engine never owns it.
   void set_trace(obs::TraceRecorder* trace) { trace_ = trace; }
   obs::TraceRecorder* trace() const { return trace_; }
@@ -402,10 +404,10 @@ class DrimAnnEngine {
   /// wrong depth.
   void ensure_scheduler_params(std::size_t k);
 
-  /// Absolute stage starts of one launch's trace spans. The serial path
-  /// derives them by summing stage durations from start_s; the pipelined
-  /// path takes them straight from the PipelineSchedule, so overlapping
-  /// launches render truthfully on the shared host-link/dpu lanes.
+  /// Absolute stage starts of one launch's trace spans. The CL pre-launch
+  /// lays its stages back to back from its timeline start; the search
+  /// launch takes them from the PipelineSchedule, so overlapping launches
+  /// render truthfully on the shared host-link/dpu lanes.
   struct LaunchLayout {
     double in_start = 0.0;
     double launch_start = 0.0;
@@ -413,7 +415,6 @@ class DrimAnnEngine {
     double kern_start = 0.0;
     double out_start = 0.0;
   };
-  static LaunchLayout serial_launch_layout(double start_s, const BatchResult& batch);
 
   /// Lay one kernel launch on the trace: transfer-in, launch overhead, one
   /// lane per busy DPU with its phase spans (scaled to the DPU's busy time,
@@ -423,23 +424,40 @@ class DrimAnnEngine {
   void trace_launch_spans(const LaunchLayout& layout, const BatchResult& batch,
                           const char* kind,
                           const std::vector<std::size_t>& tasks_per_dpu);
-  /// Serial-layout convenience wrapper around trace_launch_spans().
-  void trace_launch(double start_s, const BatchResult& batch, const char* kind,
-                    const std::vector<std::size_t>& tasks_per_dpu);
 
-  /// CL-on-PIM path: locate clusters for queries [begin, end) with a
-  /// dedicated kernel launch staged in the MRAM slot at `slot_base`; fills
-  /// probes[] and accumulates stats. Returns the batch's modeled seconds;
-  /// `batch` and `active_dpus` receive the launch for the caller to trace.
-  double locate_on_pim(const std::vector<std::vector<std::int16_t>>& quantized,
-                       std::size_t begin, std::size_t end, std::size_t nprobe,
-                       std::vector<std::vector<std::uint32_t>>& probes,
-                       DrimSearchStats& stats, std::size_t slot_base,
-                       BatchResult& batch, std::size_t& active_dpus);
+  /// Add one launch to `stats`: its transfers, its slowest and per-DPU busy
+  /// time, every DPU's phase seconds and the aggregate counters. Reads the
+  /// platform's counters, so call it before the next launch resets them.
+  void fold_launch(const BatchResult& batch, DrimSearchStats& stats) const;
+
+  /// One search_batch() step's working set, threaded through its stages
+  /// (defined in engine.cpp).
+  struct StepContext;
+  // The stages of search_batch(), in the order it runs them: locate (CL on
+  // the PIM, then open the step on the timeline), schedule, stage (dedup,
+  // fusion plan, capacity check), launch (push, kernel, pull, q4 rerank,
+  // replay, merge), account (close the step on the timeline), trace.
+  void locate_step(SearchBatchState& state, StepContext& step, DrimSearchStats& st);
+  void schedule_step(SearchBatchState& state, StepContext& step, bool flush);
+  void stage_step(const SearchBatchState& state, StepContext& step);
+  void launch_step(SearchBatchState& state, StepContext& step);
+  void account_step(SearchBatchState& state, StepContext& step, DrimSearchStats& st);
+  void trace_step(const StepContext& step, const DrimSearchStats& st);
+
+  /// CL-on-PIM launch: locate clusters for queries [begin, end) of `state`
+  /// with a dedicated kernel launch staged in the MRAM slot at `slot_base`,
+  /// filling their probe lists. Returns the launch and how many DPUs own
+  /// centroids; the caller folds and traces it.
+  struct ClLaunch {
+    BatchResult batch;
+    std::size_t active_dpus = 0;
+  };
+  ClLaunch locate_on_pim(SearchBatchState& state, std::size_t begin, std::size_t end,
+                         std::size_t slot_base);
 
   /// Base MRAM offset of the staging slot step `step_index` uses (slots are
   /// assigned round-robin; one slot of staging_stride_ bytes per in-flight
-  /// batch, a single full-region slot at depth 1).
+  /// batch).
   std::size_t staging_slot_base(std::size_t step_index) const {
     return staging_base_ + (step_index % pipeline_depth()) * staging_stride_;
   }
@@ -470,9 +488,8 @@ class DrimAnnEngine {
   std::size_t codebooks_q4_off_ = 0;  // coarse q4 books (enable_q4 only)
   std::size_t centroids_off_ = 0;
   std::size_t staging_base_ = 0;  // identical on every DPU
-  // Bytes of one staging slot: the whole region above staging_base_ at depth
-  // 1 (the serial path's exact capacity math), the region split depth ways
-  // and 8-byte aligned at depth >= 2 (ping/pong slots).
+  // Bytes of one staging slot: the region above staging_base_ split depth
+  // ways and 8-byte aligned (one slot per in-flight step).
   std::size_t staging_stride_ = 0;
   // Per DPU: shard slots in kernel order; slot i of dpu d describes shard
   // dpu_shard_ids_[d][i].

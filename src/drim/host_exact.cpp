@@ -75,7 +75,7 @@ BoundedTopK* lane_topk(Scratch& s, std::size_t lanes, std::uint32_t kk) {
 }
 
 /// DC + TS of every lane over `shard`'s codes on one rung. Full-rung rows
-/// get global ids, exactly run_search_kernel's. Q4 lanes score the packed
+/// get global ids, exactly the search kernel's. Q4 lanes score the packed
 /// 4-bit codes with byte-pair tables (build_q4_lut), one lookup per byte
 /// like the kernel, and keep LOCAL indices unless the lane carries a rerank
 /// table.

@@ -21,7 +21,7 @@ namespace drim {
 /// Exact hits of one search task (query x shard): ascending (distance, local
 /// index) under the kernel's total order, winners' global base-point ids
 /// resolved, sentinel-padded to k entries — byte-for-byte what
-/// run_search_kernel writes for the task. Writes straight into the caller's
+/// the search kernel writes for the task. Writes straight into the caller's
 /// k-entry output row (the engine's collect path hands each task its slice
 /// of the pulled block, so the hot loop allocates nothing per task).
 /// `dead`, when non-null, holds the cluster's positional tombstone flags
@@ -99,7 +99,7 @@ void host_build_adc_lut(const PimIndexData& data,
                         std::span<const std::int16_t> query,
                         std::uint32_t cluster, std::span<std::uint32_t> lut);
 
-/// Bit-exact replay of the 4-bit rung of run_search_kernel for one task:
+/// Bit-exact replay of the 4-bit rung of the search kernel for one task:
 /// shifted residual, coarse cb4-entry sub-LUTs, packed dual-nibble code
 /// scan. Output rows carry LOCAL shard indices (the kernel skips id
 /// resolution on this rung); host_rerank_q4_row turns them into final

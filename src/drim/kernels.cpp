@@ -547,18 +547,6 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   return bytes;
 }
 
-void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                       std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks) {
-  search_kernel<true>(ctx, args, shards, tasks, {});
-}
-
-void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                          std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks) {
-  search_kernel<false>(ctx, args, shards, tasks, {});
-}
-
 void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                              std::span<const ShardRegion> shards,
                              std::span<const KernelTask> tasks,

@@ -230,14 +230,6 @@ void q4_lut_row(const std::int16_t* query, const std::int16_t* centroid,
 void q4_fold_pairs(const std::uint32_t* lut4, std::size_t m, std::size_t cb4,
                    std::uint32_t* pair_lut);
 
-/// Execute the search kernel for `tasks` against the shard catalog. Results
-/// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
-/// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has
-/// fewer than k points.
-void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                       std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks);
-
 // ---- cluster-major task fusion (DESIGN.md §16) ----
 // Under Zipf-skewed batches the hottest clusters are probed by many queries
 // of the same launch, and the per-task kernel re-streams the cluster's codes
@@ -275,12 +267,14 @@ std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
 std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
                                     std::size_t full_width, std::size_t q4_width);
 
-/// Execute the fused search kernel: `groups` must partition [0, tasks.size())
-/// (as produced by plan_task_fusion over the same task list). Results for
-/// task t still land at output_offset + t * k * sizeof(KernelHit), so the
-/// caller's collect/merge path is unchanged from run_search_kernel. An empty
-/// `groups` span means no plan was shipped: each task runs as its own group
-/// and no descriptor table is billed, which is exactly run_search_kernel.
+/// Execute the search kernel for `tasks` against the shard catalog. Results
+/// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
+/// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has
+/// fewer than k points. `groups`, when non-empty, is the fusion plan and must
+/// partition [0, tasks.size()) (as produced by plan_task_fusion over the same
+/// task list); fusion never moves a task's output row. An empty `groups`
+/// span means no plan was shipped: each task runs as its own group and no
+/// descriptor table is billed (the per-task launch).
 void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                              std::span<const ShardRegion> shards,
                              std::span<const KernelTask> tasks,
@@ -323,11 +317,6 @@ void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args);
 // functional and analytic platforms by construction, which is what lets the
 // tracing layer (src/obs) treat either platform's counters as ground truth.
 // Pinned by tests/test_platforms.cpp.
-
-/// Charge-only run_search_kernel.
-void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                          std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks);
 
 /// Charge-only run_fused_search_kernel (same empty-`groups` convention).
 void charge_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,

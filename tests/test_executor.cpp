@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -207,6 +208,21 @@ TEST(ParallelFor, SetNumThreadsCapsTheExecutor) {
   CapGuard guard(3);
   EXPECT_EQ(num_threads(), 3);
   EXPECT_EQ(Executor::instance().effective_parallelism(), 3);
+}
+
+TEST(ParallelFor, ThreadCapAboveTheBoundThrowsAndKeepsTheCap) {
+  // A rejected cap is never stored, so no loop grows the pool to it: this
+  // test starts no threads.
+  CapGuard guard(3);
+  try {
+    set_num_threads(1 << 20);
+    FAIL() << "expected set_num_threads(1 << 20) to throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1048576"), std::string::npos) << what;
+    EXPECT_NE(what.find("bound"), std::string::npos) << what;
+  }
+  EXPECT_EQ(num_threads(), 3);
 }
 
 // ---- determinism of fixed-order merges ----

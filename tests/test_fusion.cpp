@@ -173,7 +173,7 @@ TEST(FusedWramBudget, GrowsWithWidthAndBoundsAreNamedInTheError) {
 
 // A width-1 plan is the per-task launch plus only the group-descriptor
 // charge. This pins the equivalence the single-source search kernel relies
-// on: with no plan shipped (run_search_kernel) every task runs as its own
+// on: with no plan shipped (an empty plan) every task runs as its own
 // group, so a shipped plan of singleton groups may differ only by the
 // descriptor table's decode cycles and its one DMA. Random MRAM contents
 // suffice — the two launches are compared with each other, not an oracle.
@@ -264,7 +264,7 @@ TEST(FusedKernel, WidthOnePlanIsPerTaskLaunchPlusDescriptorCharge) {
       if (with_plan) {
         run_fused_search_kernel(ctx, args, shards, tasks, groups);
       } else {
-        run_search_kernel(ctx, args, shards, tasks);
+        run_fused_search_kernel(ctx, args, shards, tasks, {});
       }
       rows.resize(tasks.size() * args.k);
       mram.read(args.output_offset, {reinterpret_cast<std::uint8_t*>(rows.data()), row_bytes});

@@ -99,7 +99,7 @@ struct TinyWorld {
     dpu->reset_counters();
     DpuContext ctx = dpu->context();
     const KernelTask task{0, 0};
-    run_search_kernel(ctx, args, shards, {&task, 1});
+    run_fused_search_kernel(ctx, args, shards, {&task, 1}, {});
     std::vector<KernelHit> hits(args.k);
     dpu->mram().read(args.output_offset,
                      {reinterpret_cast<std::uint8_t*>(hits.data()),
@@ -181,7 +181,7 @@ TEST(Kernel, ChargingIsDataIndependent) {
 }
 
 TEST(Kernel, AnalyticTwinChargesExactlyEqualCounters) {
-  // charge_search_kernel must reproduce run_search_kernel's per-phase
+  // charge_fused_search_kernel must reproduce run_fused_search_kernel's per-phase
   // counters bit-for-bit: instruction cycles, DMA cycles, MRAM bytes, muls.
   for (const bool use_lut : {true, false}) {
     TinyWorld world;
@@ -191,7 +191,7 @@ TEST(Kernel, AnalyticTwinChargesExactlyEqualCounters) {
     Dpu twin(world.cfg);
     DpuContext ctx = twin.context();
     const KernelTask task{0, 0};
-    charge_search_kernel(ctx, world.args, world.shards, {&task, 1});
+    charge_fused_search_kernel(ctx, world.args, world.shards, {&task, 1}, {});
 
     const DpuCounters& a = world.dpu->counters();
     const DpuCounters& b = twin.counters();
@@ -222,14 +222,14 @@ TEST(Kernel, WramBudgetEnforced) {
   Dpu tiny_dpu(world.cfg);
   DpuContext ctx = tiny_dpu.context();
   const KernelTask task{0, 0};
-  EXPECT_THROW(run_search_kernel(ctx, world.args, world.shards, {&task, 1}),
+  EXPECT_THROW(run_fused_search_kernel(ctx, world.args, world.shards, {&task, 1}, {}),
                std::runtime_error);
 }
 
 TEST(Kernel, EmptyTaskListIsNoop) {
   TinyWorld world;
   DpuContext ctx = world.dpu->context();
-  run_search_kernel(ctx, world.args, world.shards, {});
+  run_fused_search_kernel(ctx, world.args, world.shards, {}, {});
   EXPECT_EQ(world.dpu->counters().at(Phase::LC).instr_cycles, 0u);
 }
 

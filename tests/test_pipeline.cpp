@@ -286,6 +286,40 @@ TEST_F(PipelinedEngineTest, BatchSecondsTelescopeToTheTotalAtDepthTwo) {
   EXPECT_NEAR(sum, piped.stats.total_seconds, 1e-9);
 }
 
+TEST_F(PipelinedEngineTest, OneSlotTimelineOverlapsHostTailsWithTheNextStep) {
+  // A slow host makes the wide steps host-bound (host CL scales with the
+  // step's queries) while the one-query steps stay PIM-bound. At depth 1 the
+  // slot frees once a step's results are pulled, so the next step's
+  // transfers and compute overlap the previous step's host tail.
+  DrimEngineOptions o = options(PimPlatformKind::kAnalytic, 1);
+  o.host.flops_per_sec = 2e8;
+  DrimAnnEngine engine(*index_, data_->learn, o);
+  SearchBatchState state;
+  engine.enqueue_queries(state, data_->queries, 10, 8);
+  DrimSearchStats stats;
+  std::vector<BatchStepStats> steps;
+  while (!state.idle()) {
+    const std::size_t want = steps.size() % 2 == 0 ? 12 : 1;
+    steps.push_back(engine.search_batch(state, want, state.pending() <= want, &stats));
+  }
+  std::size_t host_bound = 0;
+  std::size_t pim_bound = 0;
+  double stage_sum = 0.0;
+  double deltas = 0.0;
+  for (const BatchStepStats& s : steps) {
+    const double host = s.host_cl_seconds + s.host_rerank_seconds;
+    ++(host > s.pim_batch_seconds ? host_bound : pim_bound);
+    stage_sum += s.cl_pim_seconds + std::max(host, s.pim_batch_seconds);
+    deltas += s.step_seconds;
+  }
+  ASSERT_GT(host_bound, 0u);
+  ASSERT_GT(pim_bound, 0u);
+  EXPECT_LT(stats.total_seconds, stage_sum);
+  EXPECT_NEAR(deltas, stats.total_seconds, 1e-12 * stats.total_seconds);
+  EXPECT_NEAR(steps.back().complete_seconds, stats.total_seconds,
+              1e-12 * stats.total_seconds);
+}
+
 // ---- ping/pong staging capacity ----
 
 TEST_F(PipelinedEngineTest, PingPongStagingHalvesTheFeasibleBatchAndSaysSo) {
