@@ -101,8 +101,8 @@ double calibrate_batch_seconds(AnnBackend& backend, const FloatMatrix& pool,
 }
 
 /// Stream the whole pool through the step API in small batches and return the
-/// backend's modeled total (the pipelined makespan at depth >= 2, the stage
-/// sum at depth 1). Small batches make the run transfer-heavy — many steps
+/// backend's modeled total (the step timeline's makespan; one staging slot
+/// at depth 1). Small batches make the run transfer-heavy — many steps
 /// whose host-link transfers a deeper pipeline can overlap with compute.
 double stream_total_seconds(AnnBackend& backend, const FloatMatrix& pool,
                             std::size_t k, std::size_t nprobe, std::size_t batch) {

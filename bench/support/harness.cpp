@@ -6,9 +6,9 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
-#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
@@ -16,18 +16,25 @@
 
 namespace drim::bench {
 
+std::size_t parse_thread_count(const char* text, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE) {
+    throw std::invalid_argument(std::string(what) + " must be a whole number, got \"" +
+                                text + "\"");
+  }
+  if (v > static_cast<unsigned long long>(INT_MAX)) {
+    throw std::invalid_argument(std::string(what) + " = " + text + " exceeds INT_MAX");
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::size_t configure_host_threads(std::size_t n) {
   if (n == 0) {
     if (const char* env = std::getenv("DRIM_THREADS")) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
-          errno == ERANGE) {
-        throw std::invalid_argument("DRIM_THREADS must be a whole number, got \"" +
-                                    std::string(env) + "\"");
-      }
-      n = static_cast<std::size_t>(std::min<unsigned long long>(v, SIZE_MAX));
+      n = parse_thread_count(env, "DRIM_THREADS");
     }
   }
   if (n > static_cast<std::size_t>(INT_MAX)) {

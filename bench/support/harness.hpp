@@ -48,6 +48,11 @@ struct BenchScale {
   std::size_t threads = 0;
 };
 
+/// Parse a host thread count given as `what` (an env var or a flag name):
+/// throws std::invalid_argument naming `what` unless `text` is a whole
+/// number no larger than INT_MAX.
+std::size_t parse_thread_count(const char* text, const char* what);
+
 /// Apply the host-thread knob: n == 0 reads the DRIM_THREADS env var (unset
 /// or 0 = leave the executor at all cores). Throws std::invalid_argument when
 /// DRIM_THREADS is not a whole number, when the count is above INT_MAX, or

@@ -24,9 +24,9 @@
 namespace drim {
 
 /// Timing/accounting of one streaming step() call, in the engine's overlap
-/// decomposition: step_seconds = pre + max(host, exec).
+/// decomposition: stages pre, host and exec, where host overlaps exec.
 struct BackendStepStats {
-  double step_seconds = 0.0;  ///< modeled critical path of the step
+  double step_seconds = 0.0;  ///< modeled timeline delta the step contributed
   double host_seconds = 0.0;  ///< host work overlapped with device execution
   double pre_seconds = 0.0;   ///< serial pre-step (e.g. a CL-on-PIM launch)
   double exec_seconds = 0.0;  ///< device batch incl. transfers and barrier
@@ -34,10 +34,11 @@ struct BackendStepStats {
   std::size_t tasks = 0;          ///< work units executed (backend-defined)
   std::size_t deferred = 0;       ///< tasks carried to a later step
   /// Absolute placement of the step on the backend's modeled timeline: the
-  /// effective submit time and the completion time. With a pipelined backend
-  /// (pipeline_depth() >= 2) `complete - submit` can be less than the step's
-  /// stage sum because consecutive steps overlap; step_seconds is the
-  /// timeline delta the step contributed. Serial backends report submit =
+  /// effective submit time and the completion time. On a step timeline (the
+  /// drim backend at any pipeline_depth(), a one-slot pipe at depth 1)
+  /// `complete - submit` can be less than pre + max(host, exec) because a
+  /// step's stages overlap its neighbours'; step_seconds is the timeline
+  /// delta the step contributed. Backends without a timeline report submit =
   /// the later of the previous complete and the set_step_start() instant,
   /// and complete = submit + step_seconds.
   double submit_seconds = 0.0;
@@ -140,8 +141,9 @@ class AnnBackend {
   /// step (the serving runtime's rule).
   virtual BackendStepStats step(std::size_t max_queries, bool flush) = 0;
   /// In-flight steps the backend can overlap on its modeled timeline: 1 for
-  /// strictly serial backends (the default), >= 2 when the device pipeline
-  /// double-buffers transfers against compute. The serving runtime keeps up
+  /// a backend that stages one step at a time (the default; the drim engine
+  /// at depth 1 still overlaps a step's host tail with the next step), >= 2
+  /// when the device pipeline double-buffers transfers against compute. The serving runtime keeps up
   /// to this many steps in flight.
   virtual std::size_t pipeline_depth() const { return 1; }
   /// Tell the backend when (on the caller's clock) the next step() is being

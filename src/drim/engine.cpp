@@ -181,8 +181,8 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
 
 std::size_t DrimAnnEngine::max_staged_queries(std::size_t k) const {
   if (staging_base_ >= opts_.pim.mram_bytes) return 0;
-  // One batch must fit a single staging slot (at depth >= 2 the region is
-  // split into pipeline_depth ping/pong slots so in-flight batches coexist).
+  // One batch must fit a single staging slot (the region is split into
+  // pipeline_depth slots so in-flight batches coexist; one slot at depth 1).
   const std::size_t capacity = staging_stride_;
   // Per staged query: its int16 payload plus at least one task's k-hit
   // output block (alignment padding ignored — this is an upper bound).
@@ -669,7 +669,7 @@ DrimAnnEngine::ClLaunch DrimAnnEngine::locate_on_pim(SearchBatchState& state,
       [&]() {
         // Each query replays its fixed d-then-i visit order, so heap
         // contents (and tie-breaking) match the serial merge exactly.
-        const auto merge_query = [&](std::size_t q) {
+        parallel_for(0, nq, [&](std::size_t q) {
           for (std::size_t d = 0; d < cl.active_dpus; ++d) {
             for (std::size_t i = 0; i < keep; ++i) {
               const KernelHit& h = hits[(d * nq + q) * keep + i];
@@ -677,12 +677,7 @@ DrimAnnEngine::ClLaunch DrimAnnEngine::locate_on_pim(SearchBatchState& state,
               merged[q].push(static_cast<float>(h.dist), h.id);
             }
           }
-        };
-        if (nq * cl.active_dpus >= kMinFanOutTasks) {
-          parallel_for(0, nq, merge_query);
-        } else {
-          for (std::size_t q = 0; q < nq; ++q) merge_query(q);
-        }
+        });
       });
 
   for (std::size_t q = begin; q < end; ++q) {

@@ -1,8 +1,9 @@
 // Unit tests for the BenchReport JSON writer (bench/support/harness.cpp):
 // the BENCH_*.json schema, including the git dirty/detached state fields
 // that make artifacts from unclean trees distinguishable from clean-rev
-// runs. Built as its own target (the main test glob links only the library,
-// and the writer lives in the bench support sources).
+// runs; plus the host-thread-count parser. Built as its own target (the
+// main test glob links only the library, and the writer lives in the bench
+// support sources).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "support/harness.hpp"
@@ -89,6 +91,24 @@ TEST(BenchReport, EveryReportCarriesHostPeakRssRow) {
   EXPECT_EQ(read_baseline_metric(path, "host", "missing"), -1.0);
   EXPECT_EQ(read_baseline_metric(path, "nope", "speedup"), -1.0);
   EXPECT_EQ(read_baseline_metric("./no_such_BENCH.json", "host", "peak_rss_mb"), -1.0);
+}
+
+// The host-thread knob's parser is shared by DRIM_THREADS and host_path's
+// --threads flag; it only parses, so no test here starts a thread.
+TEST(HostThreadCount, ParsesWholeNumbersAndRejectsTheRest) {
+  EXPECT_EQ(parse_thread_count("0", "--threads"), 0u);
+  EXPECT_EQ(parse_thread_count("4", "--threads"), 4u);
+  EXPECT_EQ(parse_thread_count("2147483647", "--threads"), 2147483647u);
+  for (const char* bad : {"", "abc", "3x", "-5", "+5", " 4", "4.0", "2147483648",
+                          "99999999999999999999999"}) {
+    try {
+      parse_thread_count(bad, "--threads");
+      ADD_FAILURE() << "expected \"" << bad << "\" to be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(contains(e.what(), "--threads")) << e.what();
+      EXPECT_TRUE(contains(e.what(), bad)) << e.what();
+    }
+  }
 }
 
 }  // namespace
