@@ -57,12 +57,18 @@ std::span<std::uint32_t> rerank_lut_scratch(std::size_t n) {
 constexpr std::size_t kMinFanOutTasks = 64;
 
 // Cycle terms of one task's full-rung LUT build (LC): RC, the compute of one
-// table entry (dsub squares, LUT or mul, + 2*dsub adds + its store), and the
-// dense codebook-slice DMA.
+// table entry (dsub squares, LUT or mul, + 2*dsub adds + its store), the
+// dense codebook-slice DMA, and the load of a listed entry's id.
 struct LutBuildCycles {
   double rc = 0.0;
   double entry = 0.0;
   double dma = 0.0;
+  double id_load = 0.0;
+
+  // RC + LC of a task whose codeword list names `entries` entries
+  // (DESIGN.md §17): each listed entry also loads its id, and the build
+  // overlaps the dense codebook DMA, so the LC phase takes the larger.
+  double listed(double entries) const { return rc + std::max(entries * (entry + id_load), dma); }
 };
 
 LutBuildCycles lut_build_cycles(const PimConfig& cfg, std::size_t dim, std::size_t m,
@@ -75,6 +81,7 @@ LutBuildCycles lut_build_cycles(const PimConfig& cfg, std::size_t dim, std::size
              2.0 * static_cast<double>(dsub) * c.add + c.wram_access;
   lc.rc = static_cast<double>(dim) * (c.add + 3.0 * c.wram_access);
   lc.dma = static_cast<double>(m * cb * dsub * 2) * cfg.dma_cycles_per_byte;
+  lc.id_load = c.wram_access;
   return lc;
 }
 }  // namespace
@@ -397,6 +404,16 @@ void DrimAnnEngine::load_static_data(const PimIndexData* previous) {
       dpu_shard_ids_[d].push_back(shard_id);
     }
   });
+  // Eq. 15 prices each full-rung task from its slice's list, as the kernel
+  // bills it.
+  const LutBuildCycles lc = lut_build_cycles(opts_.pim, data_.dim(), data_.m(),
+                                             data_.cb_entries(), opts_.use_square_lut);
+  std::vector<double> listed_lut(shard_list_.size());
+  for (std::size_t id = 0; id < listed_lut.size(); ++id) {
+    listed_lut[id] = lc.listed(static_cast<double>(codeword_lists_[shard_list_[id]].size()));
+  }
+  scheduler_->set_listed_lut(std::move(listed_lut));
+
   std::size_t max_used = 0;
   for (std::size_t d = 0; d < num_dpus; ++d) {
     max_used = std::max(max_used, pim_->mram_used(d));
@@ -1249,11 +1266,10 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
   if (num_queries == 0) return 0.0;
   const SchedulerParams p = derive_scheduler_params(
       opts_.pim, data_.dim(), data_.m(), data_.cb_entries(), k, opts_.use_square_lut);
-  // LC builds the listed entries (DESIGN.md §17); a listed entry also loads
-  // its id, and its compute overlaps the dense codebook DMA.
+  // LC builds the listed entries (DESIGN.md §17), priced at the layout's
+  // mean list size.
   const LutBuildCycles lc = lut_build_cycles(opts_.pim, data_.dim(), data_.m(),
                                              data_.cb_entries(), opts_.use_square_lut);
-  const double listed_entry = lc.entry + opts_.pim.costs.wram_access;
   // Layout means: a (query, cluster) visit costs one task per slice group,
   // and each task builds the LUT entries its slice's codeword list names.
   const std::size_t nlist = data_.nlist();
@@ -1289,8 +1305,7 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
                         static_cast<double>(std::min<std::size_t>(nprobe, nlist)) /
                         std::max(1.0, static_cast<double>(nlist))));
   const double cycles =
-      tasks * (lc.rc + std::max(mean_entries * listed_entry, lc.dma) +
-               mean_points * (p.l_calu + p.l_sortu) -
+      tasks * (lc.listed(mean_entries) + mean_points * (p.l_calu + p.l_sortu) -
                (1.0 - 1.0 / eff) * mean_points * p.l_dc_dma);
   const PimConfig& cfg = opts_.pim;
   const double dpu_s = cycles / static_cast<double>(cfg.num_dpus) /

@@ -377,6 +377,8 @@ class DrimAnnEngine {
   }
   const PimPlatform& platform() const { return *pim_; }
   const SquareLut& square_lut() const { return sq_lut_; }
+  /// The Eq. 15 scheduler over layout(), priced from the current lists.
+  const RuntimeScheduler& scheduler() const { return *scheduler_; }
 
  private:
   /// Upload the static MRAM image of data_ under layout_. `previous`, when

@@ -57,11 +57,16 @@ Assignment RuntimeScheduler::schedule(const std::vector<std::vector<std::uint32_
   }
 
   if (params_.policy == SchedulePolicy::kGreedy) {
-    // Greedy longest-processing-time: heaviest task first, least-loaded DPU
-    // among the replicas holding it.
+    // Greedy longest-processing-time, least flexible first: tasks with the
+    // fewest replicas go first (single-owner tasks have no choice, so their
+    // load is known before any replica is picked), heaviest first among
+    // equals, each onto the least-loaded DPU among the replicas holding it.
     std::vector<std::size_t> order(candidates.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const std::size_t ra = candidates[a].replicas->size();
+      const std::size_t rb = candidates[b].replicas->size();
+      if (ra != rb) return ra < rb;
       return candidates[a].cost > candidates[b].cost;
     });
 

@@ -3,11 +3,15 @@
 // for a batch of queries, every (query, cluster) pair is mapped to shard
 // tasks (q, n_c). The *predictor* estimates each task's DPU latency with the
 // paper's Eq. 15, latency = l_LUT + x * l_calu + x * l_sortu (x = shard
-// size), and a greedy pass assigns every task to the least-loaded DPU among
-// the replicas that hold its shard. The *filter* then defers some tasks from
-// predicted-overloaded DPUs into a buffer for the next batch.
+// size), where a full-rung task's l_LUT prices only the entries its slice's
+// codeword list names (DESIGN.md §17). A greedy pass assigns every task to
+// the least-loaded DPU among the replicas that hold its shard, placing the
+// least flexible tasks first: single-owner tasks land before any replica is
+// chosen. The *filter* then defers some tasks from predicted-overloaded DPUs
+// into a buffer for the next batch.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "drim/layout.hpp"
@@ -23,6 +27,8 @@ struct SchedulerParams {
   /// Latency units are DPU cycles; defaults are derived from the kernel cost
   /// model (M * CB codeword partial distances for one LUT; per-point ADC sum
   /// and heap push). The engine overrides them with exact per-index values.
+  /// l_lut prices a dense table; a scheduler given per-shard listed tables
+  /// (RuntimeScheduler::set_listed_lut) uses those for full-rung tasks.
   double l_lut = 8000.0;   ///< LUT construction latency per task
   double l_calu = 40.0;    ///< distance calculation per point
   double l_sortu = 12.0;   ///< top-k update per point
@@ -67,11 +73,13 @@ class RuntimeScheduler {
       : layout_(layout), params_(params) {}
 
   /// Predicted latency of one task on its shard (Eq. 15), priced for the
-  /// task's precision rung.
+  /// task's precision rung. A full-rung task builds its slice's listed
+  /// table when the scheduler has one; q4 tasks always build dense tables.
   double task_cost(const Shard& shard, bool q4) const {
     const double x = static_cast<double>(shard.size());
+    const double l_lut = listed_lut_.empty() ? params_.l_lut : listed_lut_[shard.id];
     double cost = q4 ? params_.l_lut_q4 + x * params_.l_calu_q4 + x * params_.l_sortu
-                     : params_.l_lut + x * params_.l_calu + x * params_.l_sortu;
+                     : l_lut + x * params_.l_calu + x * params_.l_sortu;
     if (params_.fuse_width > 1) {
       // Cluster-major fusion streams each shard's codes once per fused group,
       // so on average a task pays only 1/fuse_width of the DC DMA share.
@@ -108,9 +116,15 @@ class RuntimeScheduler {
   const SchedulerParams& params() const { return params_; }
   SchedulerParams& params() { return params_; }
 
+  /// Full-rung l_LUT per global shard id: RC plus the LC of the entries its
+  /// slice's codeword list names, in DPU cycles. Empty (the default) prices
+  /// every full-rung task at params().l_lut.
+  void set_listed_lut(std::vector<double> per_shard) { listed_lut_ = std::move(per_shard); }
+
  private:
   const DataLayout& layout_;
   SchedulerParams params_;
+  std::vector<double> listed_lut_;
 };
 
 }  // namespace drim

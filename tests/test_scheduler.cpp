@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 
 #include "common/stats.hpp"
 #include "data/synthetic.hpp"
+#include "drim/engine.hpp"
 #include "drim/scheduler.hpp"
 
 namespace drim {
@@ -219,6 +221,91 @@ TEST(Scheduler, DuplicationSpreadsContendedCluster) {
   EXPECT_EQ(loaded_a, 1u);
   EXPECT_EQ(loaded_b, 4u);  // primary + 3 replicas
   EXPECT_LT(imbalance_factor(pb), imbalance_factor(pa));
+}
+
+TEST(Scheduler, PlacesSingleOwnerTasksBeforeChoosingReplicas) {
+  // Two DPUs, no splits, one hot cluster A duplicated onto both. Query 0
+  // probes A and query 1 probes a single-owner cluster B that shares a DPU
+  // with A's primary, so A's task arrives before B's. With every task
+  // priced alike, the optimum puts them on different DPUs; choosing A's
+  // replica before B is placed stacks both on A's primary DPU.
+  LayoutParams lp = default_params();
+  lp.enable_split = false;
+  lp.dup_copies = 1;
+  lp.dup_fraction = 0.05;  // 1 of 32 clusters
+  SchedulerWorld world(lp, 2);
+  const DataLayout& layout = *world.layout;
+
+  std::uint32_t a = ~0u;
+  for (std::uint32_t c = 0; c < world.index.nlist() && a == ~0u; ++c) {
+    const auto& groups = layout.slice_groups(c);
+    if (groups.size() == 1 && groups[0].size() == 2) a = c;
+  }
+  ASSERT_NE(a, ~0u) << "no duplicated cluster";
+  const std::uint32_t primary_dpu = layout.shard(layout.slice_groups(a)[0].front()).dpu;
+  std::uint32_t b = ~0u;
+  for (std::uint32_t c = 0; c < world.index.nlist() && b == ~0u; ++c) {
+    const auto& groups = layout.slice_groups(c);
+    if (c != a && groups.size() == 1 && groups[0].size() == 1 &&
+        layout.shard(groups[0][0]).dpu == primary_dpu) {
+      b = c;
+    }
+  }
+  ASSERT_NE(b, ~0u) << "no single-owner cluster beside A's primary";
+
+  SchedulerParams p;
+  p.l_lut = 1.0;
+  p.l_calu = 0.0;
+  p.l_sortu = 0.0;
+  p.enable_filter = false;
+  RuntimeScheduler sched(layout, p);
+  const std::vector<std::vector<std::uint32_t>> probes = {{a}, {b}};
+  const Assignment out = sched.schedule(probes, {}, true);
+  const double max_load =
+      *std::max_element(out.predicted_load.begin(), out.predicted_load.end());
+  EXPECT_DOUBLE_EQ(max_load, 1.0);  // two unit tasks over two DPUs
+  ASSERT_EQ(out.per_dpu[primary_dpu].size(), 1u);
+  EXPECT_EQ(out.per_dpu[primary_dpu][0].query, 1u);
+}
+
+TEST(Scheduler, Eq15PricesTheListedTable) {
+  // Slices of 16 points reference only part of each 16-entry codebook, so
+  // equal-size slices build tables of different sizes.
+  LayoutParams lp = default_params();
+  lp.split_threshold = 16;
+  SchedulerWorld world(lp);
+  DrimEngineOptions o;
+  o.pim.num_dpus = 12;
+  o.platform = PimPlatformKind::kAnalytic;
+  o.layout = lp;
+  o.enable_q4 = true;
+  DrimAnnEngine engine(world.index, world.data.learn, o);
+  const RuntimeScheduler& sched = engine.scheduler();
+
+  // Of the full-size slices, the ones with the fewest and most listed entries.
+  const Shard* fewest = nullptr;
+  const Shard* most = nullptr;
+  const auto entries = [&](const Shard& sh) { return engine.codeword_list(sh.id).size(); };
+  for (const Shard& sh : engine.layout().shards()) {
+    if (sh.size() != lp.split_threshold) continue;
+    if (fewest == nullptr || entries(sh) < entries(*fewest)) fewest = &sh;
+    if (most == nullptr || entries(sh) > entries(*most)) most = &sh;
+  }
+  ASSERT_NE(fewest, nullptr);
+  ASSERT_LT(entries(*fewest), entries(*most));
+  EXPECT_LT(sched.task_cost(*fewest), sched.task_cost(*most));
+
+  // q4 tasks build dense tables, so equal sizes price alike.
+  EXPECT_DOUBLE_EQ(sched.task_cost(*fewest, true), sched.task_cost(*most, true));
+
+  // Without lists every full-rung task prices the dense l_lut.
+  const RuntimeScheduler dense(engine.layout(), sched.params());
+  EXPECT_DOUBLE_EQ(dense.task_cost(*fewest), dense.task_cost(*most));
+  EXPECT_DOUBLE_EQ(dense.task_cost(*fewest),
+                   sched.params().l_lut + 16.0 * (sched.params().l_calu +
+                                                  sched.params().l_sortu));
+  EXPECT_DOUBLE_EQ(dense.task_cost(*fewest, true), sched.task_cost(*fewest, true));
+  EXPECT_LT(sched.task_cost(*most), dense.task_cost(*most));
 }
 
 }  // namespace
