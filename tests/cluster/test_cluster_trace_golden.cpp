@@ -58,8 +58,8 @@ TEST_F(ClusterTraceGoldenTest, TwoShards) {
   EXPECT_NE(run.trace.find("\"shard1/host/transfer\""), std::string::npos);
   // Carried work was queued when the relayout flushed the shards.
   EXPECT_GT(run.steps[StreamPlan{}.relayout_after - 1].deferred, 0u);
-  expect_golden(run, {7, 0x96105d3be975eb92ULL, 0x10369e6c443133a4ULL,
-                      0xd0d8a6d6feff4ce1ULL, 0x1d363d7e502b822eULL});
+  expect_golden(run, {7, 0xaf2ab5ea77c6dd39ULL, 0x5b0a55c82b1b48dfULL,
+                      0xc9fd77d84b096ee0ULL, 0x1d363d7e502b822eULL});
 }
 
 TEST_F(ClusterTraceGoldenTest, FourShardsOneDrainedFallsBack) {
@@ -72,8 +72,8 @@ TEST_F(ClusterTraceGoldenTest, FourShardsOneDrainedFallsBack) {
   EXPECT_GT(run.health[2].fallback_tasks, 0u);
   EXPECT_NE(run.trace.find("\"shard3/dpu 0\""), std::string::npos);
   EXPECT_GT(run.steps[plan.relayout_after - 1].deferred, 0u);
-  expect_golden(run, {7, 0x40fde4f23b2b7bd1ULL, 0x905e3074119ddf53ULL,
-                      0x6bf9c62ffe218cb7ULL, 0x1d363d7e502b822eULL});
+  expect_golden(run, {7, 0x50b2ab8330b387d5ULL, 0x6a25bac466748f22ULL,
+                      0x8f9a8f75dde0cdb5ULL, 0x1d363d7e502b822eULL});
 }
 
 }  // namespace

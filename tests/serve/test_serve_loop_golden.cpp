@@ -186,8 +186,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOne) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x97daf69d49a56786ULL, 23,
-                      0x1.3cb0028d58204p-4, 0x1.71ea809e4965dp-10});
+  expect_golden(res, {0x437909197c656413ULL, 23,
+                      0x1.3b779e42d5c6p-4, 0x1.75278d845a44dp-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
@@ -210,10 +210,10 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0x6db2634ef7a18d27ULL, 23,
-                      0x1.3e64060104d36p-4, 0x1.7941ebe81b14fp-10});
+  expect_golden(res, {0x821381c18db63734ULL, 24,
+                      0x1.38922e58a9b47p-4, 0x1.393edbaf04372p-10});
   expect_golden(updates,
-                {58, 29, 29, 10, 4, 0x1.359876923be59p-25, 0x1.153e55a624c26p-17});
+                {58, 29, 29, 11, 4, 0x1.359876923be5ap-25, 0x1.1863a41446deep-17});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
@@ -228,8 +228,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
   const ServeResult res = ServingRuntime(engine, data_->queries, sp).run(trace);
   EXPECT_GT(res.report.shed, 0u);
   EXPECT_GT(res.report.degraded, 0u);
-  expect_golden(res, {0x1cacb34d7150097bULL, 10,
-                      0x1.618efada799e4p-6, 0x1.21821bc401d68p-9});
+  expect_golden(res, {0x33f2bb6a798eb74aULL, 10,
+                      0x1.54eb482074033p-6, 0x1.1347ef70b9b98p-9});
 }
 
 TEST_F(ServeLoopGoldenTest, CpuBackend) {
@@ -253,8 +253,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0xef689c757ecc0d2dULL, 23,
-                      0x1.9cbbc0798370cp-5, 0x1.e51d515caf9b8p-11});
+  expect_golden(res, {0x2572466428b715b9ULL, 25,
+                      0x1.99c2226860de9p-5, 0x1.b1fbccec87756p-11});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
@@ -263,9 +263,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x6f5782273bbfc020ULL, 14,
-                      0x1.c8cb6a455eb93p-6, 0x1.f0dd06fe8ce0bp-10, true, 12,
-                      0xf5e89cf2dc1c3cdeULL});
+  expect_golden(res, {0x98781c46442fb66bULL, 15,
+                      0x1.d1e9b68bb35c4p-6, 0x1.bf8bbcdcbf616p-10, true, 12,
+                      0x13da103b746eafaeULL});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthThree) {
@@ -274,9 +274,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthThree) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x72367be61ce12b44ULL, 15,
-                      0x1.e29263f7cb15ep-6, 0x1.df899d401d046p-10, true, 12,
-                      0x4c430b792209b95cULL});
+  expect_golden(res, {0x521fa6b2d0e9790eULL, 15,
+                      0x1.df954c0997c7p-6, 0x1.f6e18966ee396p-10, true, 11,
+                      0xda1e8cf821ccc92bULL});
 }
 
 }  // namespace
