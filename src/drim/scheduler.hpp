@@ -77,9 +77,11 @@ class RuntimeScheduler {
   /// table when the scheduler has one; q4 tasks always build dense tables.
   double task_cost(const Shard& shard, bool q4) const {
     const double x = static_cast<double>(shard.size());
-    const double l_lut = listed_lut_.empty() ? params_.l_lut : listed_lut_[shard.id];
-    double cost = q4 ? params_.l_lut_q4 + x * params_.l_calu_q4 + x * params_.l_sortu
-                     : l_lut + x * params_.l_calu + x * params_.l_sortu;
+    const double l_lut = q4                   ? params_.l_lut_q4
+                         : listed_lut_.empty() ? params_.l_lut
+                                               : listed_lut_[shard.id];
+    const double l_calu = q4 ? params_.l_calu_q4 : params_.l_calu;
+    double cost = l_lut + x * l_calu + x * params_.l_sortu;
     if (params_.fuse_width > 1) {
       // Cluster-major fusion streams each shard's codes once per fused group,
       // so on average a task pays only 1/fuse_width of the DC DMA share.
