@@ -442,6 +442,10 @@ void DrimAnnEngine::rebuild_from_snapshot() {
   const PimIndexData previous = std::move(data_);
   data_ = PimIndexData(index(), opts_.enable_q4);
   sq_lut_ = SquareLut(std::min<std::int32_t>(8192, 2 * (255 + data_.max_operand_abs())));
+  rebuild_layout(&previous);
+}
+
+void DrimAnnEngine::rebuild_layout(const PimIndexData* previous) {
   layout_ = std::make_unique<DataLayout>(data_, opts_.pim.num_dpus, heat_, opts_.layout);
   scheduler_ = std::make_unique<RuntimeScheduler>(*layout_, opts_.scheduler);
   pim_->reset_memory();
@@ -449,7 +453,7 @@ void DrimAnnEngine::rebuild_from_snapshot() {
   dpu_shard_regions_.assign(pim_->num_dpus(), {});
   dpu_shard_ids_.assign(pim_->num_dpus(), {});
   shard_slot_.clear();
-  load_static_data(&previous);
+  load_static_data(previous);
   // The physical reload exists only for functional bit-exactness; its
   // host-link tally must not leak into the next batch's transfer_in (callers
   // bill the modeled delta instead).
@@ -520,7 +524,10 @@ double DrimAnnEngine::replan_layout() {
   }
 
   probe_counts_.assign(probe_counts_.size(), 0);
-  rebuild_from_snapshot();
+  // The snapshot has not changed, so neither has data_: only the layout,
+  // the scheduler and the MRAM image follow the new heat. Every slice keeps
+  // its codeword list when its bounds survive the re-plan.
+  rebuild_layout(&data_);
 
   const std::size_t cs = data_.code_size();
   std::uint64_t moved_bytes = 0;

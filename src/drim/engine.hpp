@@ -386,9 +386,12 @@ class DrimAnnEngine {
   /// byte for byte keeps that slice's codeword list instead of rebuilding.
   void load_static_data(const PimIndexData* previous = nullptr);
   /// Tear down and rebuild everything derived from snapshot_: quantized
-  /// data, square LUT, layout (from heat_), scheduler, MRAM image. The
-  /// physical reload's host-link tally is drained and discarded.
+  /// data, square LUT, then rebuild_layout().
   void rebuild_from_snapshot();
+  /// Rebuild what derives from data_ and heat_: layout, scheduler and MRAM
+  /// image (`previous` as in load_static_data). The physical reload's
+  /// host-link tally is drained and discarded.
+  void rebuild_layout(const PimIndexData* previous);
   double model_host_cl_seconds(std::size_t num_queries) const;
 
   /// Throw if even a single query at depth `k` cannot be staged (satellite

@@ -408,8 +408,12 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     const bool no_more_arrivals = next_arrival >= trace.size();
     const bool can_launch = inflight_steps.size() < depth;
 
-    if (can_launch &&
-        (batcher.ready(now) || (no_more_arrivals && !batcher.empty()))) {
+    // Work-conserving launch: with no step in flight the DPU array is idle,
+    // so whatever the batcher holds goes now. The size and deadline triggers
+    // act while steps are in flight (a free slot at depth >= 2), and once
+    // the trace is exhausted nothing is worth waiting for.
+    if (can_launch && !batcher.empty() &&
+        (inflight_steps.empty() || batcher.ready(now) || no_more_arrivals)) {
       std::vector<Request> batch = batcher.take_batch();
       for (const Request& req : batch) {
         const std::uint32_t handle =
@@ -429,7 +433,8 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     // Advance to the next event: an arrival, the batcher's deadline (only
     // actionable while a pipeline slot is free — with the pipe full, an
     // already-expired deadline would pin the clock), or the oldest in-flight
-    // step's completion (which frees a slot).
+    // step's completion (which frees a slot, and empties the pipe at
+    // depth 1).
     double next_event = can_launch ? batcher.deadline_s() : kInf;
     if (!no_more_arrivals) {
       next_event = std::min(next_event, trace[next_arrival].arrival_s);
