@@ -186,8 +186,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOne) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x437909197c656413ULL, 23,
-                      0x1.3b779e42d5c6p-4, 0x1.75278d845a44dp-10});
+  expect_golden(res, {0x51497c73bbdcd482ULL, 30,
+                      0x1.36492f14b96edp-4, 0x1.207b5adcc769dp-10});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
@@ -210,10 +210,10 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneWithWriter) {
   ServingRuntime runtime(engine, data_->queries, golden_params(batch_s));
   runtime.set_update_stream(&updates);
   const ServeResult res = runtime.run(trace);
-  expect_golden(res, {0x821381c18db63734ULL, 24,
-                      0x1.38922e58a9b47p-4, 0x1.393edbaf04372p-10});
+  expect_golden(res, {0xb59057eb76994858ULL, 32,
+                      0x1.35a542e20da9ep-4, 0x1.d831717a1918cp-11});
   expect_golden(updates,
-                {58, 29, 29, 11, 4, 0x1.359876923be5ap-25, 0x1.1863a41446deep-17});
+                {58, 29, 29, 11, 6, 0x1.359876923be59p-25, 0x1.621aa74b33044p-16});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
@@ -228,8 +228,8 @@ TEST_F(ServeLoopGoldenTest, SimDepthOneOverloadedShedsAndDegrades) {
   const ServeResult res = ServingRuntime(engine, data_->queries, sp).run(trace);
   EXPECT_GT(res.report.shed, 0u);
   EXPECT_GT(res.report.degraded, 0u);
-  expect_golden(res, {0x33f2bb6a798eb74aULL, 10,
-                      0x1.54eb482074033p-6, 0x1.1347ef70b9b98p-9});
+  expect_golden(res, {0x2ad779cd196f41abULL, 13,
+                      0x1.8fa75b0e6ee05p-6, 0x1.2556d488b17ffp-9});
 }
 
 TEST_F(ServeLoopGoldenTest, CpuBackend) {
@@ -238,8 +238,8 @@ TEST_F(ServeLoopGoldenTest, CpuBackend) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x4b84512e261493e7ULL, 25,
-                      0x1.628bc82574ef2p-11, 0x1.2adff6508d5abp-17});
+  expect_golden(res, {0xd64c64a4d9ee356aULL, 44,
+                      0x1.5d2928153059cp-11, 0x1.05733ecc207edp-18});
 }
 
 TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
@@ -253,8 +253,8 @@ TEST_F(ServeLoopGoldenTest, RoutedTwoShardCluster) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 0.5, 384);
   const ServeResult res =
       ServingRuntime(*backend, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x2572466428b715b9ULL, 25,
-                      0x1.99c2226860de9p-5, 0x1.b1fbccec87756p-11});
+  expect_golden(res, {0xaea81ce5d56ca37eULL, 31,
+                      0x1.96ff3b3fd6f02p-5, 0x1.81a9d1383bee4p-11});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
@@ -263,9 +263,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthTwo) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x98781c46442fb66bULL, 15,
-                      0x1.d1e9b68bb35c4p-6, 0x1.bf8bbcdcbf616p-10, true, 12,
-                      0x13da103b746eafaeULL});
+  expect_golden(res, {0x3b5d8fa78bc3cfaeULL, 18,
+                      0x1.dc0e28e8a7df6p-6, 0x1.62be8c1d90259p-10, true, 14,
+                      0xa23865588b992d29ULL});
 }
 
 TEST_F(ServeLoopGoldenTest, SimDepthThree) {
@@ -274,9 +274,9 @@ TEST_F(ServeLoopGoldenTest, SimDepthThree) {
   const auto trace = golden_trace(data_->queries.count(), batch_s, 1.2, 384);
   const ServeResult res =
       ServingRuntime(engine, data_->queries, golden_params(batch_s)).run(trace);
-  expect_golden(res, {0x521fa6b2d0e9790eULL, 15,
-                      0x1.df954c0997c7p-6, 0x1.f6e18966ee396p-10, true, 11,
-                      0xda1e8cf821ccc92bULL});
+  expect_golden(res, {0xa7a0c31a7e516720ULL, 18,
+                      0x1.043cb5ebdd692p-5, 0x1.f653793935bfap-10, true, 13,
+                      0x162dbed172c1fa8eULL});
 }
 
 }  // namespace
