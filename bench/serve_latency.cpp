@@ -26,7 +26,10 @@
 // against the single-node run.
 // `--smoke` shrinks the corpus and trace so the run finishes in seconds and
 // self-checks invariants; ctest runs it under the `serve` label on the cpu
-// backend and both drim platforms. Writes BENCH_serve_latency.json.
+// backend and both drim platforms. `--check-against FILE` compares the run to
+// a previously written BENCH_serve_latency.json of the same configuration
+// and fails if the 0.5x load's p50 or p99 rises, or the 1.5x admission-on
+// goodput falls, by more than 15%. Writes BENCH_serve_latency.json.
 
 #include <cstdio>
 #include <cstring>
@@ -135,8 +138,12 @@ int main(int argc, char** argv) {
   double shard_replication = 0.10;
   BackendKind backend_kind = BackendKind::kDrim;
   PimPlatformKind platform = PimPlatformKind::kSim;
+  std::string check_against;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--check-against") == 0 && i + 1 < argc) {
+      check_against = argv[++i];
+    }
     if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc) {
       num_requests = std::strtoul(argv[++i], nullptr, 10);
     }
@@ -251,6 +258,8 @@ int main(int argc, char** argv) {
   bool ok = true;
   double prev_p99 = 0.0;
   std::vector<LoadPoint> no_admit;
+  // The regression gate's three figures (see --check-against).
+  double light_p50_ms = 0.0, light_p99_ms = 0.0, overload_admit_goodput = 0.0;
 
   print_title("Open loop, admission OFF — saturation curve");
   print_header();
@@ -269,6 +278,10 @@ int main(int argc, char** argv) {
     add_report_metrics(report, res.report, wp.offered_qps);
     ok = ok && res.report.served + res.report.shed == res.report.offered;
     ok = ok && res.report.shed == 0;  // admission off never sheds
+    if (mult == 0.5) {
+      light_p50_ms = res.report.p50_ms;
+      light_p99_ms = res.report.p99_ms;
+    }
     // Acceptance: latency is monotone in offered load (small tolerance for
     // batching artifacts at low load). Serial only — a deeper pipeline
     // overlaps transfers with compute and legitimately flattens the curve.
@@ -294,6 +307,7 @@ int main(int argc, char** argv) {
     add_report_metrics(report, res.report, wp.offered_qps);
     ok = ok && res.report.served + res.report.shed == res.report.offered;
     peak_goodput = std::max(peak_goodput, res.report.goodput_qps);
+    if (mult == 1.5) overload_admit_goodput = res.report.goodput_qps;
     if (mult == multipliers.back()) overload_goodput = res.report.goodput_qps;
   }
 
@@ -376,6 +390,35 @@ int main(int argc, char** argv) {
   ok = ok && depth2_total_s <= serial_total_s * (1.0 + 1e-9);
 
   report.write();
+
+  if (!check_against.empty()) {
+    struct Gate {
+      const char* row;
+      const char* metric;
+      double value;
+      bool ceiling;  ///< true: may not rise >15%; false: may not fall >15%
+    };
+    const Gate gates[] = {
+        {"no_admission x0.50", "p50_ms", light_p50_ms, true},
+        {"no_admission x0.50", "p99_ms", light_p99_ms, true},
+        {"admission x1.50", "goodput_qps", overload_admit_goodput, false},
+    };
+    for (const Gate& g : gates) {
+      const double baseline = read_baseline_metric(check_against, g.row, g.metric);
+      if (baseline <= 0.0) {
+        std::fprintf(stderr, "FAIL: could not read %s of '%s' from %s\n", g.metric,
+                     g.row, check_against.c_str());
+        return 1;
+      }
+      const double bound = (g.ceiling ? 1.15 : 0.85) * baseline;
+      const bool pass = g.ceiling ? g.value <= bound : g.value >= bound;
+      std::printf("regression gate: %s %s %.3f vs baseline %.3f (%s %.3f)%s\n", g.row,
+                  g.metric, g.value, baseline, g.ceiling ? "ceiling" : "floor", bound,
+                  pass ? "" : " FAILED");
+      ok = ok && pass;
+    }
+  }
+
   if (!ok) {
     std::printf("FAILED: serving invariants violated (see rows above)\n");
     return 1;
