@@ -1,11 +1,13 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace drim {
 namespace {
@@ -270,6 +272,20 @@ IvfPqIndex load_index(const std::string& path) {
                 " at or above ntotal " + std::to_string(ntotal));
       }
     }
+  }
+  // Every point is stored once. A sorted copy of the stored ids finds a
+  // repeat in memory proportional to the file, not to ntotal.
+  {
+    std::vector<std::uint32_t> ids;
+    std::size_t stored = 0;
+    for (const InvertedList& list : lists) stored += list.ids.size();
+    ids.reserve(stored);
+    for (const InvertedList& list : lists) {
+      ids.insert(ids.end(), list.ids.begin(), list.ids.end());
+    }
+    std::sort(ids.begin(), ids.end());
+    const auto dup = std::adjacent_find(ids.begin(), ids.end());
+    if (dup != ids.end()) corrupt("duplicate id " + std::to_string(*dup));
   }
 
   IvfPqIndex index;

@@ -311,6 +311,45 @@ TEST_F(CorruptIndexTest, HeaderThatDisagreesWithItsSectionsIsRejected) {
   EXPECT_EQ(loaded.pq().m(), index_.pq().m());
 }
 
+// Every id in range, but one stored twice: across two lists (a point in two
+// clusters) or within one. Either way the file names the repeated id.
+TEST_F(CorruptIndexTest, DuplicateIdIsRejected) {
+  const std::vector<std::size_t> fields = length_fields();
+  // Per list, the offset of its first id: just past its ids length field.
+  const std::size_t lists_at = fields.size() - 2 * index_.nlist();
+  std::vector<std::size_t> first_id;
+  std::vector<std::uint32_t> list_of;
+  for (std::size_t c = 0; c < index_.nlist(); ++c) {
+    if (index_.list(c).ids.size() < 2) continue;
+    first_id.push_back(fields[lists_at + 2 * c] + 8);
+    list_of.push_back(static_cast<std::uint32_t>(c));
+  }
+  ASSERT_GE(first_id.size(), 2u) << "needs two lists of two or more points";
+
+  auto expect_duplicate = [&](std::size_t at, std::uint32_t id, const std::string& what) {
+    std::vector<std::uint8_t> file = bytes_;
+    std::memcpy(file.data() + at, &id, sizeof(id));
+    std::remove(corrupt_path_.c_str());
+    std::FILE* f = std::fopen(corrupt_path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(file.data(), 1, file.size(), f), file.size());
+    std::fclose(f);
+    try {
+      load_index(corrupt_path_);
+      ADD_FAILURE() << what << ": loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "corrupt index file: duplicate id " + std::to_string(id))
+          << what;
+    }
+  };
+  const std::uint32_t a = index_.list(list_of[0]).ids[0];
+  expect_duplicate(first_id[1], a, "list " + std::to_string(list_of[1]) +
+                                       " repeats list " + std::to_string(list_of[0]) +
+                                       "'s first id");
+  expect_duplicate(first_id[0] + sizeof(std::uint32_t), a,
+                   "list " + std::to_string(list_of[0]) + " repeats its first id");
+}
+
 TEST_F(SerializeTest, RerankImprovesRecall) {
   const IvfPqIndex index = make_index(PQVariant::kPQ);
   CpuIvfPq cpu(index);
