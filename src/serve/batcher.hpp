@@ -1,10 +1,13 @@
 #pragma once
-// Dynamic batching for the serving runtime: admitted requests queue here and
-// a PIM batch launches when either trigger fires — the queue reaches
-// max_batch (size trigger) or the oldest request has waited max_wait_s
-// (deadline trigger). These are the two knobs of inference serving stacks:
-// max_batch bounds staging memory and per-batch work, max_wait_s bounds the
-// queueing delay a lightly-loaded system adds to chase batching efficiency.
+// Dynamic batching for the serving runtime: admitted requests queue here
+// while a step is in flight, and a PIM batch launches into a free pipeline
+// slot when either trigger fires — the queue reaches max_batch (size
+// trigger) or the oldest request has waited max_wait_s (deadline trigger).
+// With no step in flight the runtime takes whatever is queued at once
+// (ServingRuntime::run): a step's DPU cost grows with its task count, so an
+// idle array gains little by waiting for a fuller batch. max_batch bounds
+// staging memory and per-batch work; max_wait_s bounds how long a request
+// waits behind in-flight steps for a slot to take it.
 
 #include <cstddef>
 #include <deque>
@@ -39,7 +42,8 @@ class DynamicBatcher {
                           : queue_.front().enqueue_s + params_.max_wait_s;
   }
 
-  /// True when a batch should launch now: size trigger or deadline trigger.
+  /// True when a batch should launch into a free slot now: size trigger or
+  /// deadline trigger.
   bool ready(double now_s) const {
     if (queue_.size() >= params_.max_batch) return true;
     return !queue_.empty() && now_s >= deadline_s();

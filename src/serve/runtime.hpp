@@ -3,13 +3,16 @@
 // drives an AnnBackend's streaming step API (enqueue / step) from a
 // timestamped request trace on a virtual clock. Requests arrive, pass
 // admission control (predicted queue delay vs the SLO budget), wait in the
-// dynamic batcher until a size or deadline trigger fires, execute as one
-// barrier-synchronized backend step, and complete — at most one step late when
-// the inter-batch filter deferred some of their tasks: a step may defer only
-// into a batch already waiting in the batcher, and never re-defers work an
-// earlier step deferred (DESIGN.md §9). One event loop serves every backend,
-// keeping up to pipeline_depth() steps in flight (depth 1 is a pipe with one
-// slot). Each request leaves a RequestRecord with its full latency
+// dynamic batcher, execute as one barrier-synchronized backend step, and
+// complete — at most one step late when the inter-batch filter deferred some
+// of their tasks: a step may defer only into a batch already waiting in the
+// batcher, and never re-defers work an earlier step deferred (DESIGN.md §9).
+// One event loop serves every backend, keeping up to pipeline_depth() steps
+// in flight (depth 1 is a pipe with one slot). The loop is work-conserving:
+// with no step in flight, whatever the batcher holds launches at once; while
+// steps are in flight, a batch takes a free slot when the batcher's size or
+// deadline trigger fires, so max_wait_s bounds only the wait behind in-flight
+// steps. Each request leaves a RequestRecord with its full latency
 // decomposition; run() returns them plus the aggregate ServeReport and the
 // backend's accumulated search stats.
 

@@ -58,8 +58,12 @@
 // serve replays an open-loop request trace (timestamped arrivals drawn from
 // the query file) through the online serving runtime — dynamic batching,
 // admission control, tail-latency accounting — on any backend (default
-// drim). --max-wait-us/--slo-ms default to multiples of the backend's
-// Eq. 15 batch-time estimate (printed) when left at 0.
+// drim). A request that finds no step in flight launches at once with
+// whatever else is queued; --max-wait-us bounds only how long a request
+// waits for a free pipeline slot while steps are in flight (a batch of
+// --max-batch requests takes a free slot at once). --max-wait-us/--slo-ms
+// default to multiples of the backend's Eq. 15 batch-time estimate (printed)
+// when left at 0.
 //
 // --update-trace R interleaves R mutations per search request (inserts drawn
 // from the query pool, deletes Zipf-skewed by --update-skew with insert
