@@ -6,6 +6,7 @@
 #include <new>
 #include <unordered_map>
 
+#include "common/scratch.hpp"
 #include "core/distances.hpp"
 
 namespace drim {
@@ -99,11 +100,32 @@ inline const std::int16_t* as_i16(const std::uint8_t* p) {
   return p == nullptr ? nullptr : std::launder(reinterpret_cast<const std::int16_t*>(p));
 }
 
-/// A WRAM scratch buffer: `n` elements when functional, empty otherwise (the
-/// charge-only kernels bill the working set without materializing it).
+/// Host storage behind the kernels' WRAM buffers, one set per thread. A
+/// kernel runs one DPU to completion on one thread and never nests, so a
+/// lane reuses the same buffers for every DPU and step it runs instead of
+/// allocating (and zero-filling) them per launch.
+struct KernelScratch {
+  std::vector<std::uint8_t> query, centroid, cb_slice, code;
+  std::vector<std::uint32_t> lut, lut4, pair_lut, dists;
+  std::vector<std::uint64_t> heap_keys;
+  std::vector<BoundedTopK> heaps;
+  std::vector<KernelHit> row;
+};
+thread_local KernelScratch tl_kernel_scratch;
+
+/// A WRAM scratch buffer of `n` elements in `storage` when functional, empty
+/// otherwise (the charge-only kernels bill the working set without
+/// materializing it). Contents are unspecified: the kernels write every
+/// entry they read.
 template <bool kFunctional, typename T>
-std::vector<T> wram_buffer(std::size_t n) {
-  return std::vector<T>(kFunctional ? n : 0);
+std::span<T> wram_buffer(std::vector<T>& storage, std::size_t n) {
+  if constexpr (kFunctional) {
+    return {scratch_buffer(storage, n), n};
+  } else {
+    (void)storage;
+    (void)n;
+    return {};
+  }
 }
 
 // ---- shared instruction-charging policy ----
@@ -150,10 +172,11 @@ void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
       dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
       (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
   check_wram_budget(ctx.config(), wram);
-  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto keys = wram_buffer<kFunctional, std::uint64_t>(args.nprobe);
-  auto row = wram_buffer<kFunctional, KernelHit>(args.nprobe);
+  KernelScratch& scratch = tl_kernel_scratch;
+  auto query_buf = wram_buffer<kFunctional>(scratch.query, dim * 2);
+  auto centroid_buf = wram_buffer<kFunctional>(scratch.centroid, dim * 2);
+  auto keys = wram_buffer<kFunctional>(scratch.heap_keys, args.nprobe);
+  auto row = wram_buffer<kFunctional>(scratch.row, args.nprobe);
 
   ctx.set_phase(Phase::CL);
   const std::uint64_t cnt = args.centroid_count;
@@ -219,27 +242,27 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
   check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
   // The MRAM operands are read in place where they lie in one page (see
   // dma_read_view); these buffers catch the page-straddling reads.
-  auto query_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto centroid_buf = wram_buffer<kFunctional, std::uint8_t>(dim * 2);
-  auto lut = wram_buffer<kFunctional, std::uint32_t>(  // ADC LUT slab
-      std::max<std::size_t>(full_width, 1) * m * cb);
-  auto cb_slice = wram_buffer<kFunctional, std::uint8_t>(cb * dsub * 2);  // one book
-  auto code_buf = wram_buffer<kFunctional, std::uint8_t>(kMaxDmaBytes);
-  auto lut4 = wram_buffer<kFunctional, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
-  auto pair_lut = wram_buffer<kFunctional, std::uint32_t>(q4_width * pairs * 256);
+  KernelScratch& scratch = tl_kernel_scratch;
+  auto query_buf = wram_buffer<kFunctional>(scratch.query, dim * 2);
+  auto centroid_buf = wram_buffer<kFunctional>(scratch.centroid, dim * 2);
+  auto lut = wram_buffer<kFunctional>(scratch.lut,  // ADC LUT slab
+                                      std::max<std::size_t>(full_width, 1) * m * cb);
+  auto cb_slice = wram_buffer<kFunctional>(scratch.cb_slice, cb * dsub * 2);  // one book
+  auto code_buf = wram_buffer<kFunctional>(scratch.code, kMaxDmaBytes);
+  auto lut4 = wram_buffer<kFunctional>(scratch.lut4, q4_width > 0 ? m * cb4 : 0);
+  auto pair_lut = wram_buffer<kFunctional>(scratch.pair_lut, q4_width * pairs * 256);
   // One code block's distances for one member (the packed q4 codes are
   // never wider than the full ones, so they fit the most per block).
   // Host-side only: the DPU accumulates each point in registers before its
   // top-k push, so this row is not part of the WRAM working set.
-  std::vector<std::uint32_t> dists(
-      kFunctional ? kMaxDmaBytes / std::max<std::uint32_t>(
-                                       1, args.has_q4 ? args.code_size_q4 : args.code_size)
-                  : 0);
+  auto dists = wram_buffer<kFunctional>(
+      scratch.dists, kMaxDmaBytes / std::max<std::uint32_t>(
+                                        1, args.has_q4 ? args.code_size_q4 : args.code_size));
   // One k-entry top-k per member of the widest group, and one result row.
   const std::size_t heap_width = std::max<std::size_t>(std::max(full_width, q4_width), 1);
-  auto heap_keys = wram_buffer<kFunctional, std::uint64_t>(heap_width * args.k);
-  std::vector<BoundedTopK> heaps(kFunctional ? heap_width : 0);
-  auto row = wram_buffer<kFunctional, KernelHit>(args.k);
+  auto heap_keys = wram_buffer<kFunctional>(scratch.heap_keys, heap_width * args.k);
+  auto heaps = wram_buffer<kFunctional>(scratch.heaps, heap_width);
+  auto row = wram_buffer<kFunctional>(scratch.row, args.k);
   // The byte width of one listed id in MRAM: the code width.
   const std::size_t id_bytes = args.wide_codes ? 2 : 1;
 
