@@ -217,8 +217,9 @@ int main(int argc, char** argv) {
       *backend, bench.data.queries, scale.k, nprobe, sp.batcher.max_batch);
   const double capacity_qps =
       static_cast<double>(sp.batcher.max_batch) / mean_batch_s;
-  // The batcher may wait one batch time to fill (cheap when a batch costs
-  // that long anyway); the SLO allows that wait plus a few batches of queue.
+  // A request that finds the pipe busy may wait one batch time for a slot
+  // (cheap when a batch costs that long anyway); the SLO allows that wait
+  // plus a few batches of queue.
   sp.batcher.max_wait_s = mean_batch_s;
   sp.admission.slo_s = sp.batcher.max_wait_s + 6.0 * mean_batch_s;
   // Shed conservatively: the queue-delay predictor can't see batch-time
