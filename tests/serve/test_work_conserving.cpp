@@ -241,7 +241,6 @@ TEST_F(WorkConservingTest, RelayoutKeepsTheQuantizedIndexAndMatchesAFullRebuild)
   EXPECT_EQ(rebuilt.replan_layout(), cost);
   const IndexSnapshot snap = rebuilt.snapshot();
   EXPECT_EQ(rebuilt.apply_snapshot(snap, PublishDelta{}), 0.0);
-  EXPECT_NE(rebuilt.data().codebooks().data(), relaid.data().codebooks().data());
 
   ASSERT_EQ(rebuilt.layout().shards().size(), relaid.layout().shards().size());
   for (std::size_t i = 0; i < relaid.layout().shards().size(); ++i) {
